@@ -19,12 +19,10 @@ from .polynomials import (
     cyclotomic,
     discriminant,
     euler_phi,
-    factor_rational,
     is_irreducible,
-    is_squarefree,
-    lagrange_interpolate,
     poly_xgcd,
     resultant,
+    roots_in_extension,
 )
 from .roots import DEFAULT_PRECISION_BITS, certified_roots
 
@@ -305,146 +303,20 @@ def eval_poly(p: Poly, a: FieldElement) -> FieldElement:
     return acc
 
 
-# -- polynomials with field-element coefficients (for Trager descent) ----
-
-
-class FPoly:
-    """Dense polynomial over the working field, lowest degree first."""
-
-    __slots__ = ("field", "coeffs")
-
-    def __init__(self, field, coeffs):
-        cs = list(coeffs)
-        while cs and cs[-1].is_zero():
-            cs.pop()
-        self.field = field
-        self.coeffs = tuple(cs)
-
-    @staticmethod
-    def from_rational_poly(field, p: Poly) -> "FPoly":
-        return FPoly(field, [field.from_rational(c) for c in p.coeffs])
-
-    @property
-    def degree(self):
-        return len(self.coeffs) - 1
-
-    def is_zero(self):
-        return not self.coeffs
-
-    def monic(self) -> "FPoly":
-        if self.is_zero():
-            return self
-        inv = self.coeffs[-1].inverse()
-        return FPoly(self.field, [c * inv for c in self.coeffs])
-
-    def __mul__(self, other: "FPoly") -> "FPoly":
-        if self.is_zero() or other.is_zero():
-            return FPoly(self.field, [])
-        out = [self.field.zero() for _ in range(len(self.coeffs) + len(other.coeffs) - 1)]
-        for i, a in enumerate(self.coeffs):
-            if not a.is_zero():
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] = out[i + j] + a * b
-        return FPoly(self.field, out)
-
-    def __mod__(self, other: "FPoly") -> "FPoly":
-        if other.is_zero():
-            raise ZeroDivisionError
-        rem = list(self.coeffs)
-        dlc_inv = other.coeffs[-1].inverse()
-        dd = other.degree
-        for i in range(len(rem) - 1, dd - 1, -1):
-            c = rem[i]
-            if c.is_zero():
-                continue
-            f = c * dlc_inv
-            for j, oc in enumerate(other.coeffs):
-                rem[i - dd + j] = rem[i - dd + j] - f * oc
-        return FPoly(self.field, rem[:dd])
-
-    def shift_by(self, c: FieldElement) -> "FPoly":
-        """The polynomial p(x + c)."""
-        field = self.field
-        out = FPoly(field, [])
-        lin = FPoly(field, [c, field.one()])
-        for coeff in reversed(self.coeffs):
-            out = out * lin + FPoly(field, [coeff])
-        return out
-
-    def __add__(self, other: "FPoly") -> "FPoly":
-        a, b = list(self.coeffs), list(other.coeffs)
-        if len(a) < len(b):
-            a, b = b, a
-        for i, c in enumerate(b):
-            a[i] = a[i] + c
-        return FPoly(self.field, a)
-
-
-def fpoly_gcd(a: FPoly, b: FPoly) -> FPoly:
-    while not b.is_zero():
-        a, b = b, (a % b.monic())
-    return a.monic() if not a.is_zero() else a
-
-
-# -- root finding inside the field (Trager norm descent) ------------------
-
-
-def _norm_of_shifted(field: WorkingField, q: Poly, s: int) -> Poly:
-    """Res_t(m_F(t), q(x - s t)) as a polynomial in x, by interpolation."""
-    d = field.degree
-    e = q.degree
-    npoints = d * e + 1
-    points = []
-    for v in range(npoints):
-        # q(v - s t) as a polynomial in t
-        acc = Poly.zero()
-        lin = Poly([Fraction(v), Fraction(-s)])
-        for c in reversed(q.coeffs):
-            acc = acc * lin + Poly.constant(c)
-        points.append((v, resultant(field.defining_poly, acc)))
-    return lagrange_interpolate(points)
-
-
-def _roots_of_irreducible(field: WorkingField, q: Poly) -> list[FieldElement]:
-    """Roots in F of a monic irreducible rational polynomial of degree > 1."""
-    d = field.degree
-    e = q.degree
-    if e > d or d % e != 0:
-        return []
-    theta = field.theta()
-    for s in range(1, 10 * d * e):
-        norm = _norm_of_shifted(field, q, s)
-        if is_squarefree(norm):
-            break
-    else:  # pragma: no cover - theory guarantees small s works
-        raise NotGalois("could not find a squarefree norm shift")
-    shifted = FPoly.from_rational_poly(field, q).shift_by(-s * theta)
-    roots = []
-    for factor, _ in factor_rational(norm):
-        if factor.degree != d:
-            continue
-        h = fpoly_gcd(shifted, FPoly.from_rational_poly(field, factor.monic()))
-        if h.degree == 1:
-            x0 = -h.coeffs[0]
-            roots.append(x0 - s * theta)
-    return roots
+# -- root finding inside the field ----------------------------------------
 
 
 def roots_in_field(p: Poly, field: WorkingField) -> list[FieldElement]:
-    """All exact roots of p in F, each verified by substitution.
+    """All exact roots of p in F, each verified by substitution, without
+    repetition and sorted by coordinates.
 
-    Implemented by rational factorization followed by Trager's norm descent
-    on each irreducible factor whose degree divides [F:Q].
+    The roots are read off the linear factors of p over F, found by
+    sympy's factorization over the algebraic field Q[t]/(m_F).
     """
     if p.is_zero():
         raise ValueError("roots of the zero polynomial")
-    roots = []
-    for factor, _ in factor_rational(p):
-        if factor.degree == 1:
-            roots.append(field.from_rational(
-                Fraction(-factor.coeffs[0], factor.coeffs[1])))
-        elif factor.degree > 1:
-            roots.extend(_roots_of_irreducible(field, factor.monic()))
+    roots = [field.element(coords)
+             for coords in roots_in_extension(p, field.defining_poly)]
     for r in roots:
         if not eval_poly(p, r).is_zero():
             raise WitnessFailure("root candidate failed exact verification")

@@ -20,7 +20,7 @@ from fractions import Fraction
 import mpmath
 import sympy
 from sympy.polys.domains import ZZ
-from sympy.polys.galoistools import gf_factor
+from sympy.polys.galoistools import gf_factor, gf_from_int_poly, gf_gcd, gf_rem
 
 from .errors import IndexDivisor, PrecisionExhausted, WitnessFailure, ZeroElement
 from .heights import GElement
@@ -112,41 +112,6 @@ class PlaceVector:
         }
 
 
-# -- tiny F_p[x] helpers (dense, lowest degree first) ---------------------
-
-
-def _gf_trim(a):
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _gf_mod_poly(a, b, p):
-    """Remainder of a modulo monic-able b in F_p[x]."""
-    a = [c % p for c in a]
-    b = [c % p for c in b]
-    _gf_trim(a)
-    _gf_trim(b)
-    inv = pow(b[-1], -1, p)
-    db = len(b) - 1
-    for i in range(len(a) - 1, db - 1, -1):
-        c = a[i]
-        if c:
-            fct = c * inv % p
-            for j in range(len(b)):
-                a[i - db + j] = (a[i - db + j] - fct * b[j]) % p
-    del a[db:]
-    return _gf_trim(a)
-
-
-def _gf_gcd(a, b, p):
-    a = _gf_trim([c % p for c in a])
-    b = _gf_trim([c % p for c in b])
-    while b:
-        a, b = b, _gf_mod_poly(a, b, p)
-    return a
-
-
 def _factor_mod_p(poly: Poly, p: int):
     """Irreducible factors of an integer polynomial mod p, monic, sorted by
     (degree, coefficient tuple); returns [(coeffs_low_first, multiplicity)]."""
@@ -165,7 +130,7 @@ def _factor_mod_p(poly: Poly, p: int):
 
 @dataclasses.dataclass(frozen=True)
 class _PrimeData:
-    gbar: tuple          # lifted factor coefficients, lowest first, in [0, p)
+    gbar: tuple          # factor mod p, highest coefficient first, in [0, p)
     e: int
     f: int
     anti_uniformizer: FieldElement   # valuation -1 here, >= 0 at the others
@@ -200,10 +165,11 @@ def _dedekind_index_check(field: WorkingField, p: int, factors) -> None:
         if num % p != 0:
             raise WitnessFailure("Dedekind lift mismatch")
         t_coeffs.append(num // p)
-    g1 = _gf_gcd([int(c) for c in g_star.coeffs],
-                 [int(c) for c in h_star.coeffs], p)
-    g2 = _gf_gcd(g1, t_coeffs, p)
-    if len(g2) - 1 != 0:
+    g1 = gf_gcd(gf_from_int_poly([int(c) for c in reversed(g_star.coeffs)], p),
+                gf_from_int_poly([int(c) for c in reversed(h_star.coeffs)], p),
+                p, ZZ)
+    g2 = gf_gcd(g1, gf_from_int_poly(t_coeffs[::-1], p), p, ZZ)
+    if len(g2) != 1:
         raise IndexDivisor(
             f"prime {p} divides the index of Z[theta] in the maximal order; "
             "place data for this field at this prime is refused")
@@ -256,7 +222,7 @@ def _prime_splitting(field: WorkingField, p: int):
         cap = _int_valuation(abs(int(gi.norm())), p) + 1
         v_gi = _valuation_with(gi, tau, p, cap)
         pi = gi if v_gi == 1 else gi + p
-        data.append(_PrimeData(gbar=tuple(int(c) for c in Poly(factors[i][0]).coeffs),
+        data.append(_PrimeData(gbar=factors[i][0][::-1],
                                e=ei, f=fi, anti_uniformizer=tau, uniformizer=pi))
 
     result = tuple(data)
@@ -419,12 +385,10 @@ def _finite_permutation(field: WorkingField, sigma, p: int):
         img = sigma(pd.uniformizer)
         if not _is_p_integral(img, p):
             raise WitnessFailure("automorphism image left the local order")
-        coeffs = [(c.numerator * pow(c.denominator, -1, p)) % p for c in img.coords]
-        hits = []
-        for j, qd in enumerate(data):
-            rem = _gf_mod_poly([c % p for c in coeffs], list(qd.gbar), p)
-            if not rem:
-                hits.append(j)
+        img_p = gf_from_int_poly([c.numerator * pow(c.denominator, -1, p)
+                                  for c in reversed(img.coords)], p)
+        hits = [j for j, qd in enumerate(data)
+                if not gf_rem(img_p, list(qd.gbar), p, ZZ)]
         if len(hits) != 1:
             raise WitnessFailure("prime permutation was not uniquely determined")
         perm.append(hits[0])

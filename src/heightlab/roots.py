@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import math
 import threading
 
 import mpmath
@@ -47,6 +48,13 @@ def _eval_exact_coeffs(coeffs, z):
     return acc
 
 
+def _float_upper(x) -> float:
+    """The least float >= the mpf x; never 0 for a positive x, so a radius
+    below the float range stays a valid (if loose) bound."""
+    r = float(x)
+    return math.nextafter(r, math.inf) if r < x else r
+
+
 def certified_roots(p: Poly, bits: int = DEFAULT_PRECISION_BITS) -> list[CertifiedRoot]:
     """All complex roots of a squarefree polynomial, certified and sorted
     by (real part, imaginary part)."""
@@ -76,8 +84,8 @@ def certified_roots(p: Poly, bits: int = DEFAULT_PRECISION_BITS) -> list[Certifi
             if den == 0:
                 raise PrecisionExhausted("derivative vanished at an approximate root")
             # factor 2 absorbs evaluation rounding at working precision
-            radius = 2 * d * float(abs(num) / abs(den)) + mpmath.mpf(2) ** (-bits)
-            roots.append((z, float(radius)))
+            radius = 2 * d * abs(num) / abs(den) + mpmath.mpf(2) ** (-bits)
+            roots.append((z, _float_upper(radius)))
 
         for i in range(len(roots)):
             for j in range(i + 1, len(roots)):
@@ -111,7 +119,6 @@ def archimedean_classes(roots: list[CertifiedRoot]) -> list[list[int]]:
     pair), in a deterministic order.  Comparisons run at a precision fine
     enough that rounding stays below the certified radii.
     """
-    import math
     min_radius = min((r.radius for r in roots), default=1.0)
     prec = max(64, int(-math.log2(min_radius)) + 64) if min_radius > 0 else 64
 

@@ -185,6 +185,19 @@ def test_sqrt3_in_classic_biquadratic(field_biquad_classic):
         assert r * r == field_biquad_classic.from_rational(3)
 
 
+def test_roots_of_repeated_mixed_degree_factors(field_biquad_classic):
+    # (x^2-3)^2 (x^3-2) (x+5): a squared quadratic with roots in F, a cubic
+    # with none and a rational linear factor; each root appears once
+    f = field_biquad_classic
+    p = Poly([-3, 0, 1]) ** 2 * Poly([-2, 0, 0, 1]) * Poly([5, 1])
+    roots = roots_in_field(p, f)
+    assert roots == [
+        f.from_rational(-5),
+        f.element([0, Fraction(-11, 2), 0, Fraction(1, 2)]),
+        f.element([0, Fraction(11, 2), 0, Fraction(-1, 2)]),
+    ]
+
+
 def test_no_roots_in_real_field(field_sqrt2):
     assert roots_in_field(Poly([1, 0, 1]), field_sqrt2) == []
 
@@ -299,14 +312,15 @@ def test_minpoly_divides_characteristic_poly(field_biquad):
         a = rand_elem(f, rng)
         char = Poly([1])
         images = [s(a) for s in f.automorphisms]
-        # expand prod (x - img) with exact field coefficients, then read off
-        # the (necessarily rational) coefficients
-        from heightlab.numberfield import FPoly
-        prod = FPoly(f, [f.one()])
+        # expand prod (x - img) with exact field coefficients, lowest degree
+        # first, then read off the (necessarily rational) coefficients
+        prod = [f.one()]
         for img in images:
-            prod = prod * FPoly(f, [-img, f.one()])
+            prod = ([-img * prod[0]]
+                    + [lo - img * hi for lo, hi in zip(prod[:-1], prod[1:])]
+                    + [prod[-1]])
         coeffs = []
-        for c in prod.coeffs:
+        for c in prod:
             assert c.is_rational()
             coeffs.append(c.as_rational())
         char = Poly(coeffs)

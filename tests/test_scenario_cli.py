@@ -274,6 +274,18 @@ def test_main_index_divisor_refusal(tmp_path, capsys):
     assert json.loads(out)["error"]["kind"] == "IndexDivisor"
 
 
+@pytest.mark.parametrize("bits", [1100, 2048])
+def test_places_beyond_float_range(capsys, bits):
+    # root radii near 2^-bits lie below the smallest positive float; they
+    # must still read > 0, or pairing the complex embeddings of zeta8 fails
+    code = main(["places", "--scenario", "zeta8", "--precision", str(bits)])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert len(json.loads(out)["archimedean"]) == 2
+    field = load_scenario("zeta8", bits).field
+    assert all(r.radius > 0 for r in field.embeddings)
+
+
 def test_precision_env_override(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("HEIGHTLAB_PRECISION", "128")
     path = tmp_path / "demo.json"
