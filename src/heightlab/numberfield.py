@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import functools
 from fractions import Fraction
-from math import gcd as int_gcd, lcm as int_lcm
+from math import gcd as int_gcd
 
 from .errors import NotGalois, ReduciblePolynomial, WitnessFailure
 from .polynomials import (
@@ -379,34 +379,30 @@ def minimal_polynomial(a: FieldElement, field: WorkingField | None = None) -> Po
 
 
 def _torsion_structure(field: WorkingField):
-    """Torsion order w_F and a generating root of unity."""
+    """Torsion order w_F and a generating root of unity, one prime at a time.
+
+    The roots of unity of F form a cyclic group of order w_F, so w_F is the
+    product over primes p of the largest p^k with zeta_{p^k} in F, and the
+    product of those zeta_{p^k} generates the group.  Beyond +-1 they are
+    non-real, so a totally real field stops at w_F = 2.  Otherwise the chain
+    for p climbs while phi(p^k) divides d (which needs (p - 1) | d) and stops
+    at its first miss, since zeta_{p^(k+1)} in F gives zeta_{p^k} =
+    zeta_{p^(k+1)}^p in F.
+    """
+    if field.is_totally_real():
+        return 2, field.from_rational(-1)
     d = field.degree
-    found = {1: field.one(), 2: field.from_rational(-1)}
-    # roots of unity beyond +-1 are non-real, so totally real fields stop
-    # at the seeds; otherwise zeta_n in F forces phi(n) | d, and phi(n) >=
-    # sqrt(n/2) bounds the search window
-    if not field.is_totally_real():
-        candidates = [n for n in range(3, 2 * d * d + 3)
-                      if euler_phi(n) <= d and d % euler_phi(n) == 0]
-        for n in candidates:
-            roots = roots_in_field(cyclotomic(n), field)
-            if roots:
-                found[n] = roots[0]
-    w = 1
-    for n in found:
-        w = int_lcm(w, n)
-    gen = field.one()
-    ww = w
-    p = 2
-    while ww > 1:
-        if ww % p == 0:
-            pk = 1
-            while ww % p == 0:
-                ww //= p
-                pk *= p
-            n = next(n for n in sorted(found) if n % pk == 0)
-            gen = gen * found[n] ** (n // pk)
-        p += 1
+    w, gen = 1, field.one()
+    for p in range(2, d + 2):
+        if euler_phi(p) != p - 1 or d % (p - 1):
+            continue  # p is not prime, or zeta_p would need phi(p) | d
+        q, zeta = (2, field.from_rational(-1)) if p == 2 else (1, field.one())
+        while d % euler_phi(q * p) == 0:
+            roots = roots_in_field(cyclotomic(q * p), field)
+            if not roots:
+                break
+            q, zeta = q * p, roots[0]
+        w, gen = w * q, gen * zeta
     assert (gen ** w).is_rational() and (gen ** w).as_rational() == 1
     return w, gen
 

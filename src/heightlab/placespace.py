@@ -24,7 +24,7 @@ from sympy.polys.galoistools import gf_factor, gf_from_int_poly, gf_gcd, gf_rem
 
 from .errors import IndexDivisor, PrecisionExhausted, WitnessFailure, ZeroElement
 from .heights import GElement
-from .numberfield import FieldElement, WorkingField
+from .numberfield import FieldElement, WorkingField, eval_poly
 from .polynomials import Poly
 from .roots import archimedean_classes, locked_workprec
 
@@ -202,9 +202,7 @@ def _prime_splitting(field: WorkingField, p: int):
     g_elems = []
     for coeffs, mult in factors:
         lift = Poly(coeffs)
-        acc = field.zero()
-        for c in reversed(lift.coeffs):
-            acc = acc * theta + c
+        acc = eval_poly(lift, theta)
         if acc.is_zero():
             # the canonical lift was m_F itself (single inert factor); use
             # the lift shifted by p, whose value at theta is p

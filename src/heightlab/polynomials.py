@@ -37,10 +37,6 @@ class Poly:
     def x() -> "Poly":
         return Poly([0, 1])
 
-    @staticmethod
-    def constant(c) -> "Poly":
-        return Poly([c])
-
     @property
     def degree(self) -> int:
         """Degree; the zero polynomial has degree -1."""
@@ -146,14 +142,6 @@ class Poly:
         for c in reversed(self.coeffs):
             acc = acc * x + c
         return acc
-
-    def shift(self, a) -> "Poly":
-        """The polynomial p(x + a), exact Taylor shift."""
-        out = Poly()
-        xa = Poly([Fraction(a), 1])
-        for c in reversed(self.coeffs):
-            out = out * xa + Poly.constant(c)
-        return out
 
     def __repr__(self):
         if not self.coeffs:

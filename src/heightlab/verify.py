@@ -38,6 +38,13 @@ from .projections import (
 
 _MAX_REPORTED_FAILURES = 12
 
+# sizes of the randomized sweeps, per subfield, pair or scenario
+_ORBIT_ROUNDS = 15
+_COMMUTES_PER_PAIR = 50
+_MEMBERSHIP_PRODUCTS = 20
+_DECOMPOSITION_COUNT = 50
+_CONJUGATION_COUNT = 20
+
 
 @dataclasses.dataclass
 class SuiteResult:
@@ -148,7 +155,7 @@ def suite_vk_sandwich(scenarios, tolerance=1e-9, **_):
 # -- criterion 4 -----------------------------------------------------------
 
 
-def suite_orbit_delta(scenarios, rounds=15, **_):
+def suite_orbit_delta(scenarios, **_):
     failures, checks = [], 0
     for sc, _params in _declared(scenarios, "orbit-delta"):
         field = sc.field
@@ -157,7 +164,7 @@ def suite_orbit_delta(scenarios, rounds=15, **_):
         pool = [el for _n, el in _nonzero_named(sc)]
         for kname, k in sc.subfields.items():
             rng = random.Random(f"orbit-delta:{sc.name}:{kname}")
-            for i in range(rounds):
+            for i in range(_ORBIT_ROUNDS):
                 a = pool[i % len(pool)] if i % 2 == 0 else random_element(field, rng)
                 ell = rng.choice([e for e in range(-6, 7) if e])
                 zeta = gen ** rng.randrange(w)
@@ -206,7 +213,7 @@ def suite_projection_laws(scenarios, tolerance=1e-9, **_):
 # -- criterion 6 -----------------------------------------------------------
 
 
-def suite_commutativity(scenarios, per_pair=50, **_):
+def suite_commutativity(scenarios, **_):
     failures, notes, checks = [], [], 0
     for sc, _params in _declared(scenarios, "commutativity"):
         names = list(sc.subfields)
@@ -215,7 +222,7 @@ def suite_commutativity(scenarios, per_pair=50, **_):
                 k1, k2 = sc.subfields[names[i]], sc.subfields[names[j]]
                 rng = random.Random(f"commutes:{sc.name}:{names[i]}:{names[j]}")
                 testset = [GElement.of(random_element(sc.field, rng))
-                           for _ in range(per_pair)]
+                           for _ in range(_COMMUTES_PER_PAIR)]
                 ok = check_commutes(k1, k2, testset)
                 if not galois_condition(k1, k2):
                     notes.append(
@@ -254,7 +261,7 @@ def _verify_witness(u: GElement, spec: ProjectionSpec, witness) -> bool:
     return u.base ** int(exponent) == product
 
 
-def suite_membership(scenarios, products=20, **_):
+def suite_membership(scenarios, **_):
     failures, checks = [], 0
     for sc, params in _declared(scenarios, "membership"):
         fields = [sc.subfield_by_name(n) for n in params["D"]]
@@ -276,7 +283,7 @@ def suite_membership(scenarios, products=20, **_):
         rng = random.Random(f"membership:{sc.name}")
         gen = sc.field.torsion_generator
         w = sc.field.torsion_order
-        for _i in range(products):
+        for _i in range(_MEMBERSHIP_PRODUCTS):
             prod = sc.field.one()
             for k in fields:
                 prod = prod * random_subfield_element(k, rng)
@@ -296,14 +303,14 @@ def suite_membership(scenarios, products=20, **_):
 # -- criterion 8 -----------------------------------------------------------
 
 
-def suite_mixed_decomposition(scenarios, count=50, **_):
+def suite_mixed_decomposition(scenarios, **_):
     failures, checks = [], 0
     for sc, params in _declared(scenarios, "mixed-decomposition"):
         spec = ProjectionSpec.build(
             [sc.subfield_by_name(n) for n in params["D"]],
             [sc.subfield_by_name(n) for n in params.get("E", [])])
         rng = random.Random(f"mixed:{sc.name}")
-        for _i in range(count):
+        for _i in range(_DECOMPOSITION_COUNT):
             u = GElement.of(random_element(sc.field, rng))
             res = is_member(u, spec)
             checks += 1
@@ -319,7 +326,7 @@ def suite_mixed_decomposition(scenarios, count=50, **_):
 # -- criterion 9 -----------------------------------------------------------
 
 
-def suite_conjugation(scenarios, count=20, **_):
+def suite_conjugation(scenarios, **_):
     failures, checks = [], 0
     for sc, params in _declared(scenarios, "conjugation"):
         k = sc.subfield_by_name(params["K"])
@@ -332,8 +339,9 @@ def suite_conjugation(scenarios, count=20, **_):
                             f"onto {params['L']}")
             continue
         rng = random.Random(f"conjugation:{sc.name}")
-        testset = [GElement.of(random_element(sc.field, rng)) for _ in range(count)]
-        checks += count
+        testset = [GElement.of(random_element(sc.field, rng))
+                   for _ in range(_CONJUGATION_COUNT)]
+        checks += _CONJUGATION_COUNT
         if not check_conjugation(k, l, sigma, testset):
             failures.append(f"{sc.name}: conjugation identity failed")
     return checks, failures, []

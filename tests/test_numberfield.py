@@ -55,6 +55,28 @@ def test_make_field_zeta3(field_zeta3):
     assert len(powers) == 6
 
 
+# each chain of prime powers can end three ways: a miss after a hit
+# (cbrt2_split has zeta_3 but not zeta_9), phi(p^k) no longer dividing the
+# degree (Phi9 stops before 27), or a miss on the first try (zeta5 lacks i)
+@pytest.mark.parametrize("coeffs, order, gen_coords", [
+    pytest.param((1, 1, 1, 1, 1), 10, ["1", "1", "1", "1"], id="zeta5"),
+    pytest.param((1, 0, 0, 0, 1), 8, ["0", "-1", "0", "0"], id="zeta8"),
+    pytest.param((1, -3, 0, 5, 0, -3, 1), 6, ["4", "-4", "-8", "2", "5", "-2"],
+                 id="cbrt2_split"),
+    pytest.param((1,) * 7, 14, ["1"] * 6, id="Phi7"),
+    pytest.param((1, 0, 0, 1, 0, 0, 1), 18, ["0", "1", "0", "0", "1", "0"], id="Phi9"),
+])
+def test_torsion_structure(coeffs, order, gen_coords):
+    f = make_field(list(coeffs))
+    gen = f.torsion_generator
+    assert f.torsion_order == order
+    assert [str(c) for c in gen.coords] == gen_coords
+    assert gen ** order == f.one()
+    for r in (2, 3, 5, 7):
+        if order % r == 0:
+            assert gen ** (order // r) != f.one()
+
+
 def test_make_field_rejects_reducible():
     with pytest.raises(ReduciblePolynomial):
         make_field([-4, 0, 1])  # x^2 - 4

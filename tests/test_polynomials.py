@@ -184,11 +184,6 @@ def test_lagrange_interpolation():
     assert p.degree <= 3
 
 
-def test_shift():
-    p = poly_of(0, 0, 1)  # x^2
-    assert p.shift(1) == poly_of(1, 2, 1)  # (x+1)^2
-
-
 def test_eval_horner():
     p = poly_of(1, -3, 2)
     assert p(Fraction(2)) == 1 - 6 + 8
