@@ -300,13 +300,15 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--field-list", dest="field_list",
                        help="comma-separated subfield names (commutes)")
         p.add_argument("--op", help="projection kind for 'project': s or t")
-        p.add_argument("--count", type=int, help="random elements per sweep")
         p.add_argument("--precision", type=int, help="embedding precision in bits")
         p.add_argument("--tolerance", type=float, help="verification tolerance")
         p.add_argument("--strict-condition", dest="strict_condition",
                        action="store_true",
                        help="refuse condition-violating projection specs")
         p.add_argument("--json", action="store_true", help="compact JSON output")
+        if cmd == "commutes":
+            p.add_argument("--count", type=int,
+                           help="random elements tested (default 50)")
         if cmd == "verify":
             p.add_argument("suite", nargs="?", default="all",
                            help="suite name or 'all'")

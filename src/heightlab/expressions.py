@@ -11,7 +11,8 @@ Grammar (standard precedence, ^ binds tightest, then unary minus, then
 
 Integer exponents only; rationals are written a/b and fall out of the
 division operator.  Division by a subexpression that evaluates to zero is
-an evaluation error, not a parse error.
+an evaluation error, not a parse error, and so is a power whose estimated
+coefficient size exceeds MAX_POWER_BITS.
 """
 
 from __future__ import annotations
@@ -20,6 +21,10 @@ from .errors import EvalError, ParseError
 from .numberfield import FieldElement, WorkingField
 
 _OPS = set("+-*/^()")
+
+# budget for b^n: |n| * (largest numerator or denominator bit length among
+# the coordinates of b + bit length of m_F's largest coefficient + 1) bits
+MAX_POWER_BITS = 2 ** 16
 
 
 def _tokenize(text: str):
@@ -53,6 +58,8 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.pos = 0
         self.field = field
+        self.modulus_bits = max(abs(int(c)).bit_length()
+                                for c in field.defining_poly.coeffs)
 
     def peek(self):
         return self.tokens[self.pos][0]
@@ -114,6 +121,11 @@ class _Parser:
             exponent = -exponent
         if exponent < 0 and base.is_zero():
             raise EvalError(f"negative power of zero in {self.text!r}")
+        base_bits = max(max(c.numerator.bit_length(), c.denominator.bit_length())
+                        for c in base.coords)
+        if abs(exponent) * (base_bits + self.modulus_bits + 1) > MAX_POWER_BITS:
+            raise EvalError(f"power {exponent} in {self.text!r} exceeds the "
+                            f"{MAX_POWER_BITS}-bit coefficient budget")
         return base ** exponent
 
     def atom(self) -> FieldElement:

@@ -1,10 +1,12 @@
 """The absolute logarithmic Weil height and the vector space of algebraic
 numbers modulo torsion.
 
-Heights are computed from the Mahler measure of the exact minimal
-polynomial: h(a) = (log|lead| + sum of log+|root|) / deg, with the roots
-taken at certified precision.  Torsion decisions are always exact (a power
-test against the field's torsion order), never numeric.
+Heights are read off the field's certified embeddings:
+h(a) = (1/d) sum over the d embeddings tau of log+|tau(a)| + (1/e) log lead,
+where e and lead are the degree and the leading coefficient of the
+primitive integer minimal polynomial of a.  This is the archimedean part
+of the place vector, so ||f(a)||_1 = 2 h(a).  Torsion decisions are always
+exact (a power test against the field's torsion order), never numeric.
 
 Elements of the Q-vector space are scalar--base pairs (q, b) denoting b^q
 up to roots of unity, kept in the canonical form (1/s, b^r) for q = r/s.
@@ -20,9 +22,14 @@ from math import lcm as int_lcm
 import mpmath
 
 from .errors import ZeroElement
-from .numberfield import FieldElement, WorkingField, minimal_polynomial
+from .numberfield import (
+    FieldElement,
+    WorkingField,
+    eval_at_embedding,
+    minimal_polynomial,
+)
 from .polynomials import content_and_primitive
-from .roots import certified_roots, locked_workprec
+from .roots import archimedean_classes, locked_workprec
 
 # cushion for binary64 output of values computed at much higher precision
 _FLOAT_SLACK = 1e-15
@@ -76,18 +83,21 @@ def weil_height(a: FieldElement, field: WorkingField | None = None) -> HeightVal
         p = abs(int(P.coeffs[0]))
         val = _log_big(max(p, lead))
         return HeightValue(val, _FLOAT_SLACK * (1.0 + val))
-    roots = certified_roots(P, field.precision_bits)
+    d = field.degree
     with locked_workprec(field.precision_bits):
-        total = mpmath.log(lead)
+        total = mpmath.mpf(0)
         err = 0.0
-        for r in roots:
-            m = abs(r.value)
+        # one evaluation per real embedding or conjugate pair, whose two
+        # members have equal absolute values
+        for cls in archimedean_classes(field.embeddings):
+            w, delta = eval_at_embedding(a, field.embeddings[cls[0]])
+            m = abs(w)
             if m > 1:
-                total += mpmath.log(m)
+                total += len(cls) * mpmath.log(m)
             # log+ is 1-Lipschitz in |z|
-            err += r.radius
-        value = float(total) / e
-    return HeightValue(value, err / e + _FLOAT_SLACK * (1.0 + abs(value)))
+            err += len(cls) * delta
+        value = float(total / d + mpmath.log(lead) / e)
+    return HeightValue(value, err / d + _FLOAT_SLACK * (1.0 + abs(value)))
 
 
 def is_torsion(a: FieldElement, field: WorkingField | None = None) -> bool:

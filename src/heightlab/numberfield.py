@@ -13,6 +13,8 @@ import functools
 from fractions import Fraction
 from math import gcd as int_gcd
 
+import mpmath
+
 from .errors import NotGalois, ReduciblePolynomial, WitnessFailure
 from .polynomials import (
     Poly,
@@ -301,6 +303,27 @@ def eval_poly(p: Poly, a: FieldElement) -> FieldElement:
     for c in reversed(p.coeffs):
         acc = acc * a + c
     return acc
+
+
+def eval_at_embedding(a: FieldElement, root):
+    """The image of a under the embedding t -> root, with a bound on its
+    distance from the true image.
+
+    The true root lies within root.radius of root.value, and on that disk
+    |A'| <= sum k |c_k| (|root.value| + radius)^(k-1) for the coordinate
+    polynomial A, so the bound is that sum times the radius.  Call under
+    roots.locked_workprec.
+    """
+    z = root.value
+    az = abs(z) + root.radius
+    acc = mpmath.mpc(0)
+    majorant = deriv_bound = mpmath.mpf(0)
+    for c in reversed(a.coords):
+        cf = mpmath.mpf(c.numerator) / c.denominator
+        acc = acc * z + cf
+        deriv_bound = deriv_bound * az + majorant
+        majorant = majorant * az + abs(cf)
+    return acc, float(deriv_bound * root.radius)
 
 
 # -- root finding inside the field ----------------------------------------

@@ -28,41 +28,54 @@ class OrbitReport:
 
 
 def _distinct_conjugates(a: FieldElement, k: Subfield):
+    """(sigma(a), sigma) per distinct conjugate, sorted by coordinates,
+    with sigma the first automorphism in Gal(F/K) giving that image."""
     images = {}
     for sigma in k.fixing_group:
         img = sigma(a)
-        images.setdefault(img.coords, img)
+        images.setdefault(img.coords, (img, sigma))
     return [images[c] for c in sorted(images)]
+
+
+def _orbit(a: FieldElement, k: Subfield):
+    """The distinct conjugates of a, representatives modulo torsion, the
+    conjugate product (checked to lie in K) and a^-1 (None when a is fixed).
+
+    The inverse of a conjugate sigma(a) is sigma(a^-1), so one field
+    inversion serves every torsion test.
+    """
+    conjugates = _distinct_conjugates(a, k)
+    inverse = a.inverse() if len(conjugates) > 1 else None
+    reps, rep_inverses = [], []
+    for img, sigma in conjugates:
+        if any(is_torsion(img * r_inv) for r_inv in rep_inverses):
+            continue
+        reps.append(img)
+        if inverse is not None:
+            rep_inverses.append(sigma(inverse))
+
+    norm_el = a.field.one()
+    for img, _sigma in conjugates:
+        norm_el = norm_el * img
+    if not k.contains(norm_el):
+        raise WitnessFailure("conjugate product is not fixed by Gal(F/K)")
+    return [img for img, _sigma in conjugates], reps, norm_el, inverse
 
 
 def orbit_mod_torsion(a: FieldElement, k: Subfield) -> OrbitReport:
     """Orbit representatives, counts, width, and the conjugate product."""
     if a.is_zero():
         raise ZeroElement("orbit of zero is undefined")
-    conjugates = _distinct_conjugates(a, k)
-    reps = []
-    for img in conjugates:
-        if not any(is_torsion(img * r.inverse()) for r in reps):
-            reps.append(img)
-
-    if len(reps) == 1:
-        width = HeightValue.exact_zero()
-    else:
-        width = HeightValue(0.0, 0.0)
+    conjugates, reps, norm_el, inverse = _orbit(a, k)
+    width = HeightValue.exact_zero()
+    if len(reps) > 1:
         for img in conjugates:
-            ratio = img * a.inverse()
+            ratio = img * inverse
             if is_torsion(ratio):
                 continue
             h = weil_height(ratio)
             if h.value > width.value:
                 width = h
-
-    norm_el = a.field.one()
-    for img in conjugates:
-        norm_el = norm_el * img
-    if not k.contains(norm_el):
-        raise WitnessFailure("conjugate product is not fixed by Gal(F/K)")
-
     return OrbitReport(representatives=tuple(reps), delta=len(reps),
                        conjugate_count=len(conjugates), width=width,
                        norm_element=norm_el)
@@ -72,7 +85,7 @@ def delta_K(a: FieldElement, k: Subfield) -> int:
     """Minimal [K(a^m):K] over nonzero m; the orbit count modulo torsion."""
     if a.is_zero():
         raise ZeroElement("delta of zero is undefined")
-    return orbit_mod_torsion(a, k).delta
+    return len(_orbit(a, k)[1])
 
 
 def degree_of_power(a: FieldElement, m: int, k: Subfield) -> int:
@@ -136,7 +149,7 @@ def in_kdiv(a: FieldElement, k: Subfield) -> KdivResult:
     """
     if a.is_zero():
         raise ZeroElement("membership of zero is undefined")
-    if delta_K(a, k) != 1:
+    if len(_orbit(a, k)[1]) != 1:
         return KdivResult(member=False)
     n = a.field.torsion_order
     power = a ** n

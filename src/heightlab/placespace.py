@@ -24,7 +24,7 @@ from sympy.polys.galoistools import gf_factor, gf_from_int_poly, gf_gcd, gf_rem
 
 from .errors import IndexDivisor, PrecisionExhausted, WitnessFailure, ZeroElement
 from .heights import GElement
-from .numberfield import FieldElement, WorkingField, eval_poly
+from .numberfield import FieldElement, WorkingField, eval_at_embedding, eval_poly
 from .polynomials import Poly
 from .roots import archimedean_classes, locked_workprec
 
@@ -274,19 +274,6 @@ def places(field: WorkingField):
     return out
 
 
-def _eval_at_embedding(field: WorkingField, a: FieldElement, root):
-    acc = mpmath.mpc(0)
-    deriv_bound = mpmath.mpf(0)
-    z = root.value
-    az = abs(z) + root.radius
-    for k, c in enumerate(a.coords):
-        cf = mpmath.mpf(c.numerator) / mpmath.mpf(c.denominator)
-        acc += cf * z ** k
-        if k:
-            deriv_bound += abs(cf) * k * az ** (k - 1)
-    return acc, float(deriv_bound * root.radius)
-
-
 def f_vector(u: GElement) -> PlaceVector:
     """The place vector of a group element: archimedean values at every
     embedding class, finite values wherever the valuation is nonzero."""
@@ -302,7 +289,7 @@ def f_vector(u: GElement) -> PlaceVector:
         classes = archimedean_classes(field.embeddings)
         for idx, cls in enumerate(classes):
             root = field.embeddings[cls[0]]
-            w, delta = _eval_at_embedding(field, beta, root)
+            w, delta = eval_at_embedding(beta, root)
             mag = abs(w)
             if mag <= 2 * delta:
                 raise PrecisionExhausted(
@@ -362,7 +349,7 @@ def _arch_permutation(field: WorkingField, sigma):
     with locked_workprec(field.precision_bits):
         for cls in classes:
             root = field.embeddings[cls[0]]
-            w, delta = _eval_at_embedding(field, sigma_theta, root)
+            w, delta = eval_at_embedding(sigma_theta, root)
             best, best_dist = None, None
             for j, rj in enumerate(field.embeddings):
                 dist = abs(w - rj.value)

@@ -10,14 +10,16 @@ from __future__ import annotations
 import dataclasses
 import random
 import time
+import traceback
 from fractions import Fraction
+from pathlib import Path
 
+import mpmath
 import sympy
 
 from .corpus import bundled_corpus
-from .errors import ZeroElement
-from .heights import GElement, g_combine, g_equal, g_height, is_torsion
-from .numberfield import FieldElement, Subfield, galois_condition
+from .heights import GElement, HeightValue, g_combine, g_equal, g_height
+from .numberfield import FieldElement, Subfield, galois_condition, minimal_polynomial
 from .orbits import degree_of_power, delta_K, orbit_mod_torsion, vk_bounds
 from .placespace import (
     f_vector,
@@ -26,6 +28,7 @@ from .placespace import (
     local_factorization,
     vector_error_bound,
 )
+from .polynomials import content_and_primitive
 from .projections import (
     ProjectionSpec,
     check_commutes,
@@ -35,8 +38,12 @@ from .projections import (
     s_project,
     t_project,
 )
+from .roots import certified_roots, locked_workprec
 
 _MAX_REPORTED_FAILURES = 12
+
+# cushion for binary64 output of values computed at much higher precision
+_FLOAT_SLACK = 1e-15
 
 # sizes of the randomized sweeps, per subfield, pair or scenario
 _ORBIT_ROUNDS = 15
@@ -96,18 +103,52 @@ def _nonzero_named(sc):
 # -- criterion 1 -----------------------------------------------------------
 
 
+def _mahler_height(a: FieldElement) -> HeightValue:
+    """Weil height of a nonzero element from the Mahler measure of its
+    primitive integer minimal polynomial P: (log lead(P) + sum over the
+    roots r of P of log+|r|) / deg P, with the roots certified afresh
+    rather than taken from the field's embeddings."""
+    field = a.field
+    _, P = content_and_primitive(minimal_polynomial(a, field))
+    roots = certified_roots(P, field.precision_bits)
+    with locked_workprec(field.precision_bits):
+        total = mpmath.log(int(P.coeffs[-1]))
+        err = 0.0
+        for r in roots:
+            m = abs(r.value)
+            if m > 1:
+                total += mpmath.log(m)
+            # log+ is 1-Lipschitz in |z|
+            err += r.radius
+        value = float(total) / P.degree
+    return HeightValue(value, err / P.degree + _FLOAT_SLACK * (1.0 + abs(value)))
+
+
 def suite_height_backend(scenarios, tolerance=1e-9, **_):
+    """||f(a)||_1 = 2 h(a) against an independent height.
+
+    weil_height and the archimedean part of f_vector both evaluate a at
+    the field's embeddings, so each is compared with the Mahler-measure
+    height h_M, computed from freshly certified roots of the minimal
+    polynomial: one check per element requires both |l1 - 2 h_M| and
+    |h - h_M| to lie within the tolerance plus the error bounds involved.
+    """
     failures, checks = [], 0
     for sc, _params in _declared(scenarios, "height-backend"):
         for name, el in _nonzero_named(sc):
             u = GElement.of(el)
             h = g_height(u)
+            h_m = _mahler_height(el)
             vec = f_vector(u)
-            bound = tolerance + 2 * h.abs_error + vector_error_bound(vec)
-            gap = abs(l1_norm(vec) - 2 * h.value)
             checks += 1
+            bound = tolerance + 2 * h_m.abs_error + vector_error_bound(vec)
+            gap = abs(l1_norm(vec) - 2 * h_m.value)
             if gap > bound:
-                failures.append(f"{sc.name}.{name}: |l1 - 2h| = {gap:.3e} > {bound:.3e}")
+                failures.append(f"{sc.name}.{name}: |l1 - 2h_M| = {gap:.3e} > {bound:.3e}")
+            bound = tolerance + h.abs_error + h_m.abs_error
+            gap = abs(h.value - h_m.value)
+            if gap > bound:
+                failures.append(f"{sc.name}.{name}: |h - h_M| = {gap:.3e} > {bound:.3e}")
     return checks, failures, []
 
 
@@ -398,7 +439,14 @@ def run_suite(name: str, scenarios=None, **options) -> SuiteResult:
     if scenarios is None:
         scenarios = bundled_corpus()
     start = time.perf_counter()
-    checks, failures, notes = fn(scenarios, **options)
+    try:
+        checks, failures, notes = fn(scenarios, **options)
+    except Exception as exc:
+        # a suite that raises fails on its own; the others still run
+        frame = traceback.extract_tb(exc.__traceback__)[-1]
+        failure = (f"suite raised {type(exc).__name__}: {exc} (in {frame.name}, "
+                   f"{Path(frame.filename).name}:{frame.lineno})")
+        checks, failures, notes = 0, [failure], []
     elapsed = time.perf_counter() - start
     return SuiteResult(name=name, criterion=criterion,
                        passed=not failures, checks=checks,

@@ -1,9 +1,10 @@
+import time
 from fractions import Fraction
 
 import pytest
 
-from heightlab.errors import EvalError, ParseError
-from heightlab.expressions import parse_element
+from heightlab.errors import EvalError, InputError, ParseError
+from heightlab.expressions import MAX_POWER_BITS, parse_element
 
 
 def ev(text, field):
@@ -80,3 +81,23 @@ def test_division_by_zero(field_sqrt2):
 
 def test_zero_is_legal_value(field_sqrt2):
     assert ev("t-t", field_sqrt2).is_zero()
+
+
+def test_huge_power_refused_fast(field_sqrt2):
+    # (1+t)^100000000 would need about 10^8 coefficient bits
+    for text in ["(1+t)^100000000", "t^-100000000", "(2*(1+t)^1000)^1000"]:
+        start = time.perf_counter()
+        with pytest.raises(EvalError) as exc:
+            ev(text, field_sqrt2)
+        assert time.perf_counter() - start < 0.5
+        assert isinstance(exc.value, InputError)
+
+
+def test_power_within_budget(field_sqrt2):
+    f = field_sqrt2
+    # t^n costs n * (1 + 2 + 1) bits against x^2 - 2
+    n = MAX_POWER_BITS // 4
+    assert ev(f"t^{n}", f) == f.from_rational(2 ** (n // 2))
+    with pytest.raises(EvalError):
+        ev(f"t^{n + 1}", f)
+    assert ev("(1+t)^200*(1+t)^-200", f) == f.one()

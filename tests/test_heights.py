@@ -223,3 +223,17 @@ def test_nontorsion_heights_certified_positive(corpus):
                 continue
             h = weil_height(el)
             assert h.value - h.abs_error > 0
+
+
+def test_height_agrees_with_mahler_oracle(corpus):
+    # the embedding route of weil_height against the Mahler-measure route
+    # kept in verify as criterion 1's independent oracle
+    from heightlab.verify import _mahler_height, random_element
+
+    for sc in corpus:
+        rng = random.Random(f"mahler:{sc.name}")
+        elements = [el for el in sc.elements.values() if not el.is_zero()]
+        elements += [random_element(sc.field, rng) for _ in range(20)]
+        for el in elements:
+            h, h_m = weil_height(el), _mahler_height(el)
+            assert abs(h.value - h_m.value) <= h.abs_error + h_m.abs_error + 1e-12

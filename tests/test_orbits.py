@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from heightlab.errors import ZeroElement
+from heightlab.expressions import parse_element
 from heightlab.heights import is_torsion
 from heightlab.numberfield import rational_subfield, subfield
 from heightlab.orbits import (
@@ -176,3 +177,52 @@ def test_norm_element_invariance(field_cbrt2):
         rep = orbit_mod_torsion(f.element(coords), k)
         for i in k.fixing_indices:
             assert f.automorphisms[i](rep.norm_element) == rep.norm_element
+
+
+# delta_K per subfield for each element, as computed when every orbit
+# count went through the full orbit with its width
+_BIQUAD_ELEMENTS = ["t^3-3*t", "t^2-2", "(t^3-3*t)*(t^2-2)", "1+t", "2", "t",
+                    "t^3+t^2-3*t-2", "-1"]
+_CBRT2_ELEMENTS = ["1+t-t^2", "-4+4*t+8*t^2-2*t^3-5*t^4+2*t^5", "1+t", "t",
+                   "2+t^3", "(1+t-t^2)^2/3"]
+_DELTA_CASES = [
+    ("field_sqrt2", ["t", "1+t", "3", "-1", "1+2*t", "t/(1+t)^3"], {
+        None: [1, 2, 1, 1, 2, 2],
+        "t": [1, 1, 1, 1, 1, 1],
+    }),
+    ("field_biquad", _BIQUAD_ELEMENTS, {
+        None: [1, 1, 1, 4, 1, 2, 2, 1],
+        "t^3-3*t": [1, 1, 1, 2, 1, 2, 2, 1],
+        "t^2-2": [1, 1, 1, 2, 1, 1, 2, 1],
+        "(t^3-3*t)*(t^2-2)": [1, 1, 1, 2, 1, 2, 1, 1],
+        "t": [1] * 8,
+    }),
+    ("field_cbrt2", _CBRT2_ELEMENTS, {
+        None: [1, 1, 6, 6, 6, 1],
+        "1+t-t^2": [1, 1, 2, 2, 2, 1],
+        "-4+4*t+8*t^2-2*t^3-5*t^4+2*t^5": [1, 1, 3, 3, 3, 1],
+        "t": [1] * 6,
+    }),
+]
+
+
+@pytest.mark.parametrize("fixture,elements,deltas", _DELTA_CASES,
+                         ids=[c[0] for c in _DELTA_CASES])
+def test_delta_and_kdiv_skip_the_width(fixture, elements, deltas, request,
+                                       monkeypatch):
+    def no_height(*_args, **_kwargs):
+        raise AssertionError("delta_K and in_kdiv need no height")
+
+    monkeypatch.setattr("heightlab.orbits.weil_height", no_height)
+    f = request.getfixturevalue(fixture)
+    w = f.torsion_order
+    for gen, expected in deltas.items():
+        k = (rational_subfield(f) if gen is None
+             else subfield(f, [parse_element(gen, f)]))
+        for text, delta in zip(elements, expected):
+            a = parse_element(text, f)
+            assert delta_K(a, k) == delta
+            res = in_kdiv(a, k)
+            assert res.member == (delta == 1)
+            if res:
+                assert res.exponent == w and res.power == a ** w

@@ -131,6 +131,18 @@ def test_commutes_command():
     assert all(p["commutes"] and p["galois_condition"] for p in rep["pairs"])
 
 
+def test_count_only_on_commutes(capsys):
+    # --count sizes the commutes sweep; the suites of verify have fixed
+    # sizes, so argparse refuses it there
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "conjugation", "--count", "3"])
+    assert exc.value.code == 2
+    code = main(["commutes", "--scenario", "sqrt2_sqrt3", "--field-list",
+                 "K1,K2", "--count", "3", "--json"])
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["elements_tested"] == 3
+
+
 def test_inline_expression_element(demo):
     rep = run_command("height", demo, {"element": "2"})
     assert abs(float(rep["value"]) - math.log(2)) < 1e-12
@@ -141,6 +153,26 @@ def test_verify_single_suite():
     rep = run_command("verify", sc, {"suite": "product-formula"})
     assert rep["passed"] is True
     assert rep["suites"][0]["criterion"] == 2
+
+
+def test_raising_suite_fails_alone(monkeypatch, capsys):
+    import heightlab.verify as verify_mod
+
+    def boom(scenarios, **_):
+        raise RuntimeError("suite blew up")
+
+    monkeypatch.setitem(verify_mod.SUITES, "projection-laws", (5, boom))
+    code = main(["verify", "all", "--scenario", "zeta3", "--json"])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 1 and report["passed"] is False
+    by_name = {s["name"]: s for s in report["suites"]}
+    assert list(by_name) == list(verify_mod.SUITES)
+    failed = by_name.pop("projection-laws")
+    assert failed["passed"] is False and failed["checks"] == 0
+    [failure] = failed["failures"]
+    assert failure.startswith("suite raised RuntimeError: suite blew up (in boom, ")
+    assert all(s["passed"] for s in by_name.values())
+    assert by_name["height-backend"]["checks"] and by_name["orbit-delta"]["checks"]
 
 
 # -- main() exit codes ----------------------------------------------------------
