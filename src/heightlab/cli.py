@@ -33,7 +33,7 @@ from .errors import (
     WitnessFailure,
     ZeroElement,
 )
-from .expressions import parse_element
+from .expressions import check_power_budget, parse_element
 from .heights import GElement, g_height, is_torsion, weil_height
 from .numberfield import Subfield
 from .orbits import delta_K, in_kdiv, orbit_mod_torsion, vk_bounds, width_K
@@ -227,6 +227,8 @@ def run_command(cmd: str, scenario: Scenario | None, args: dict) -> dict:
         scale = Fraction(args.get("scale") or 1)
     except (ValueError, ZeroDivisionError) as exc:
         raise SchemaError(f"bad --scale value {args.get('scale')!r}") from exc
+    # GElement raises the element to the scale's numerator
+    check_power_budget(el, scale.numerator, f"--scale {args.get('scale')!r}")
     u = GElement(scenario.field, scale, el)
 
     if cmd == "fvector":

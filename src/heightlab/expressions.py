@@ -22,9 +22,23 @@ from .numberfield import FieldElement, WorkingField
 
 _OPS = set("+-*/^()")
 
-# budget for b^n: |n| * (largest numerator or denominator bit length among
-# the coordinates of b + bit length of m_F's largest coefficient + 1) bits
 MAX_POWER_BITS = 2 ** 16
+
+
+def check_power_budget(base: FieldElement, exponent: int, where: str) -> None:
+    """Raise EvalError when base^exponent would exceed MAX_POWER_BITS.
+
+    The estimate is |exponent| * (largest numerator or denominator bit
+    length among the lowest-terms coordinates of base + bit length of m_F's
+    largest coefficient + 1) bits; `where` names the input in the message.
+    """
+    modulus_bits = max(abs(int(c)).bit_length()
+                       for c in base.field.defining_poly.coeffs)
+    base_bits = max(max(c.numerator.bit_length(), c.denominator.bit_length())
+                    for c in base.coords)
+    if abs(exponent) * (base_bits + modulus_bits + 1) > MAX_POWER_BITS:
+        raise EvalError(f"power {exponent} in {where} exceeds the "
+                        f"{MAX_POWER_BITS}-bit coefficient budget")
 
 
 def _tokenize(text: str):
@@ -58,8 +72,6 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.pos = 0
         self.field = field
-        self.modulus_bits = max(abs(int(c)).bit_length()
-                                for c in field.defining_poly.coeffs)
 
     def peek(self):
         return self.tokens[self.pos][0]
@@ -121,11 +133,7 @@ class _Parser:
             exponent = -exponent
         if exponent < 0 and base.is_zero():
             raise EvalError(f"negative power of zero in {self.text!r}")
-        base_bits = max(max(c.numerator.bit_length(), c.denominator.bit_length())
-                        for c in base.coords)
-        if abs(exponent) * (base_bits + self.modulus_bits + 1) > MAX_POWER_BITS:
-            raise EvalError(f"power {exponent} in {self.text!r} exceeds the "
-                            f"{MAX_POWER_BITS}-bit coefficient budget")
+        check_power_budget(base, exponent, repr(self.text))
         return base ** exponent
 
     def atom(self) -> FieldElement:

@@ -29,7 +29,7 @@ from .numberfield import (
     minimal_polynomial,
 )
 from .polynomials import content_and_primitive
-from .roots import archimedean_classes, locked_workprec
+from .roots import locked_workprec
 
 # cushion for binary64 output of values computed at much higher precision
 _FLOAT_SLACK = 1e-15
@@ -89,7 +89,7 @@ def weil_height(a: FieldElement, field: WorkingField | None = None) -> HeightVal
         err = 0.0
         # one evaluation per real embedding or conjugate pair, whose two
         # members have equal absolute values
-        for cls in archimedean_classes(field.embeddings):
+        for cls in field.archimedean_classes:
             w, delta = eval_at_embedding(a, field.embeddings[cls[0]])
             m = abs(w)
             if m > 1:

@@ -2,9 +2,13 @@
 
 The defining polynomial m_F is monic, irreducible over Q, with integer
 coefficients, and must split completely in its own root field (Galois
-requirement).  Elements are exact rational coordinate vectors on the power
-basis 1, t, ..., t^(d-1).  Everything here is immutable after construction
-and safe for concurrent reads.
+requirement).  An element is a vector of integer numerators over one
+positive common denominator on the power basis 1, t, ..., t^(d-1), kept in
+lowest terms (the gcd of the denominator and all numerators is 1), so
+that equal elements have equal representations.  Because m_F is monic over
+Z, products reduce with integer rows and are normalized once (Cohen, A
+Course in Computational Algebraic Number Theory, ch. 4).  Everything here
+is immutable after construction and safe for concurrent reads.
 """
 
 from __future__ import annotations
@@ -12,6 +16,8 @@ from __future__ import annotations
 import functools
 from fractions import Fraction
 from math import gcd as int_gcd
+from math import lcm as int_lcm
+from operator import mul
 
 import mpmath
 
@@ -26,31 +32,56 @@ from .polynomials import (
     resultant,
     roots_in_extension,
 )
-from .roots import DEFAULT_PRECISION_BITS, certified_roots
+from .roots import DEFAULT_PRECISION_BITS, archimedean_classes, certified_roots
+
+
+def _normalized(field: "WorkingField", num, den: int) -> "FieldElement":
+    """The element num/den (den nonzero), brought to lowest terms with a
+    positive denominator."""
+    g = int_gcd(den, *num)
+    if den < 0:
+        g = -g
+    if g != 1:
+        num = [n // g for n in num]
+        den //= g
+    el = object.__new__(FieldElement)
+    el.field = field
+    el.num = tuple(num)
+    el.den = den
+    return el
 
 
 class FieldElement:
-    """Element of the working field in power-basis coordinates."""
+    """Element of the working field: integer numerators num over the
+    positive denominator den, with gcd(den, *num) = 1."""
 
-    __slots__ = ("field", "coords")
+    __slots__ = ("field", "num", "den")
 
     def __init__(self, field: "WorkingField", coords):
+        cs = [Fraction(c) for c in coords]
+        den = int_lcm(*(c.denominator for c in cs))
         self.field = field
-        self.coords = tuple(coords)
+        self.num = tuple(c.numerator * (den // c.denominator) for c in cs)
+        self.den = den
+
+    @property
+    def coords(self) -> tuple:
+        """Power-basis coordinates as lowest-terms Fractions."""
+        return tuple(Fraction(n, self.den) for n in self.num)
 
     def coord_poly(self) -> Poly:
         return Poly(self.coords)
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coords)
+        return not any(self.num)
 
     def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coords[1:])
+        return not any(self.num[1:])
 
     def as_rational(self) -> Fraction:
         if not self.is_rational():
             raise ValueError("element is not rational")
-        return self.coords[0]
+        return Fraction(self.num[0], self.den)
 
     def _coerce(self, other):
         if isinstance(other, FieldElement):
@@ -65,20 +96,25 @@ class FieldElement:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return self.coords == other.coords
+        return self.den == other.den and self.num == other.num
 
     def __hash__(self):
-        return hash(self.coords)
+        return hash((self.num, self.den))
 
     def __neg__(self) -> "FieldElement":
-        return FieldElement(self.field, [-c for c in self.coords])
+        return _normalized(self.field, [-n for n in self.num], self.den)
 
     def __add__(self, other) -> "FieldElement":
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return FieldElement(self.field,
-                            [a + b for a, b in zip(self.coords, other.coords)])
+        ad, bd = self.den, other.den
+        if ad == bd:
+            return _normalized(self.field,
+                               [x + y for x, y in zip(self.num, other.num)], ad)
+        return _normalized(self.field,
+                           [x * bd + y * ad for x, y in zip(self.num, other.num)],
+                           ad * bd)
 
     __radd__ = __add__
 
@@ -86,15 +122,22 @@ class FieldElement:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return FieldElement(self.field,
-                            [a - b for a, b in zip(self.coords, other.coords)])
+        ad, bd = self.den, other.den
+        if ad == bd:
+            return _normalized(self.field,
+                               [x - y for x, y in zip(self.num, other.num)], ad)
+        return _normalized(self.field,
+                           [x * bd - y * ad for x, y in zip(self.num, other.num)],
+                           ad * bd)
 
     def __rsub__(self, other):
         return -(self - other)
 
     def __mul__(self, other) -> "FieldElement":
         if isinstance(other, (int, Fraction)):
-            return FieldElement(self.field, [c * other for c in self.coords])
+            q = Fraction(other)
+            return _normalized(self.field, [n * q.numerator for n in self.num],
+                               self.den * q.denominator)
         other = self._coerce(other)
         if other is None:
             return NotImplemented
@@ -109,7 +152,11 @@ class FieldElement:
 
     def __truediv__(self, other) -> "FieldElement":
         if isinstance(other, (int, Fraction)):
-            return FieldElement(self.field, [c / other for c in self.coords])
+            q = Fraction(other)
+            if not q:
+                raise ZeroDivisionError("field element divided by zero")
+            return _normalized(self.field, [n * q.denominator for n in self.num],
+                               self.den * q.numerator)
         other = self._coerce(other)
         if other is None:
             return NotImplemented
@@ -139,47 +186,39 @@ class FieldElement:
     def denominator_cleared(self):
         """Return (B, c) with B an integer-coefficient Poly, c a positive
         integer, and self = B(theta)/c with gcd(content(B), c) = 1."""
-        den = 1
-        for c in self.coords:
-            den = den * c.denominator // int_gcd(den, c.denominator)
-        ints = [int(c * den) for c in self.coords]
-        g = 0
-        for c in ints:
-            g = int_gcd(g, abs(c))
-        g = int_gcd(g, den)
-        if g > 1:
-            ints = [c // g for c in ints]
-            den //= g
-        return Poly(ints), den
+        return Poly(self.num), self.den
 
     def __repr__(self):
         return f"FieldElement({list(self.coords)})"
 
 
 class Automorphism:
-    """Field automorphism, determined by the image of the generator."""
+    """Field automorphism, determined by the image of the generator.
 
-    __slots__ = ("field", "index", "theta_image", "_cols")
+    It acts on coordinates through the matrix whose column j holds the
+    coordinates of theta_image^j, stored row by row as integers over one
+    common denominator.
+    """
+
+    __slots__ = ("field", "index", "theta_image", "_rows", "_den")
 
     def __init__(self, field, index, theta_image):
         self.field = field
         self.index = index
         self.theta_image = theta_image
-        cols = []
-        power = field.one()
-        for _ in range(field.degree):
-            cols.append(power.coords)
-            power = power * theta_image
-        self._cols = tuple(cols)
+        powers = [field.one()]
+        for _ in range(field.degree - 1):
+            powers.append(powers[-1] * theta_image)
+        den = int_lcm(*(p.den for p in powers))
+        cols = [[n * (den // p.den) for n in p.num] for p in powers]
+        self._rows = tuple(zip(*cols))
+        self._den = den
 
     def __call__(self, a: FieldElement) -> FieldElement:
-        out = [Fraction(0)] * self.field.degree
-        for j, c in enumerate(a.coords):
-            if c:
-                col = self._cols[j]
-                for i in range(self.field.degree):
-                    out[i] += c * col[i]
-        return FieldElement(self.field, out)
+        num = a.num
+        return _normalized(self.field,
+                           [sum(map(mul, row, num)) for row in self._rows],
+                           a.den * self._den)
 
     def compose(self, other: "Automorphism") -> "Automorphism":
         """self after other."""
@@ -217,12 +256,12 @@ class WorkingField:
         self.precision_bits = precision_bits
         self.disc = discriminant(defining_poly)
         d = self.degree
-        # reduction rows: coords of theta^(d+k) for k = 0..d-2
+        # reduction rows: integer coords of theta^(d+k) for k = 0..d-2
         rows = []
-        current = [-c for c in defining_poly.coeffs[:-1]]  # theta^d
+        current = [-int(c) for c in defining_poly.coeffs[:-1]]  # theta^d
         rows.append(tuple(current))
         for _ in range(d - 2):
-            shifted = [Fraction(0)] + current[:-1]
+            shifted = [0] + current[:-1]
             top = current[-1]
             if top:
                 shifted = [s + top * m for s, m in zip(shifted, rows[0])]
@@ -230,6 +269,8 @@ class WorkingField:
             rows.append(tuple(current))
         self._red_rows = rows
         self.embeddings = None
+        # real embeddings and complex-conjugate pairs, as index lists
+        self.archimedean_classes = None
         self.automorphisms = None
         self.torsion_order = None
         self.torsion_generator = None
@@ -241,14 +282,16 @@ class WorkingField:
     # -- element constructors -------------------------------------------
 
     def element(self, coords) -> FieldElement:
-        cs = [Fraction(c) for c in coords]
+        cs = list(coords)
         if len(cs) > self.degree:
             raise ValueError("too many coordinates")
-        cs += [Fraction(0)] * (self.degree - len(cs))
+        cs += [0] * (self.degree - len(cs))
         return FieldElement(self, cs)
 
     def from_rational(self, q) -> FieldElement:
-        return self.element([Fraction(q)])
+        q = Fraction(q)
+        return _normalized(self, [q.numerator] + [0] * (self.degree - 1),
+                           q.denominator)
 
     def zero(self) -> FieldElement:
         return self.from_rational(0)
@@ -265,20 +308,17 @@ class WorkingField:
 
     def _mul(self, a: FieldElement, b: FieldElement) -> FieldElement:
         d = self.degree
-        conv = [Fraction(0)] * (2 * d - 1)
-        for i, x in enumerate(a.coords):
+        conv = [0] * (2 * d - 1)
+        bn = b.num
+        for i, x in enumerate(a.num):
             if x:
-                for j, y in enumerate(b.coords):
-                    if y:
-                        conv[i + j] += x * y
+                for k, y in enumerate(bn, i):
+                    conv[k] += x * y
         out = conv[:d]
-        for k in range(d, 2 * d - 1):
-            c = conv[k]
+        for c, row in zip(conv[d:], self._red_rows):
             if c:
-                row = self._red_rows[k - d]
-                for i in range(d):
-                    out[i] += c * row[i]
-        return FieldElement(self, out)
+                out = [o + c * r for o, r in zip(out, row)]
+        return _normalized(self, out, a.den * b.den)
 
     def _inverse(self, a: FieldElement) -> FieldElement:
         g, _, v = poly_xgcd(self.defining_poly, a.coord_poly())
@@ -350,52 +390,24 @@ def roots_in_field(p: Poly, field: WorkingField) -> list[FieldElement]:
 # -- minimal polynomials ---------------------------------------------------
 
 
-def _solve_exact(rows, target):
-    """Solve sum_j c_j rows[j] = target over Q, or return None."""
-    k = len(rows)
-    if k == 0:
-        return [] if all(t == 0 for t in target) else None
-    n = len(target)
-    aug = [[rows[j][i] for j in range(k)] + [target[i]] for i in range(n)]
-    piv_cols = []
-    r = 0
-    for col in range(k):
-        piv = next((i for i in range(r, n) if aug[i][col] != 0), None)
-        if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        inv = 1 / aug[r][col]
-        aug[r] = [x * inv for x in aug[r]]
-        for i in range(n):
-            if i != r and aug[i][col] != 0:
-                f = aug[i][col]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        piv_cols.append(col)
-        r += 1
-    for i in range(r, n):
-        if aug[i][k] != 0:
-            return None
-    sol = [Fraction(0)] * k
-    for i, col in enumerate(piv_cols):
-        sol[col] = aug[i][k]
-    return sol
-
-
 def minimal_polynomial(a: FieldElement, field: WorkingField | None = None) -> Poly:
-    """Monic minimal polynomial of a over Q; degree divides [F:Q]."""
+    """Monic minimal polynomial of a over Q: the product of (x - c) over the
+    distinct Galois conjugates c of a, expanded exactly in F[x].
+
+    Its degree is the number of distinct conjugates, which divides [F:Q].
+    Every coefficient must come out rational; WitnessFailure otherwise.
+    """
     field = field or a.field
-    d = field.degree
-    powers = [field.one()]
-    for k in range(1, d + 1):
-        powers.append(powers[-1] * a)
-        rows = [p.coords for p in powers[:k]]
-        sol = _solve_exact(rows, powers[k].coords)
-        if sol is not None:
-            coeffs = [-c for c in sol] + [Fraction(1)]
-            mp = Poly(coeffs)
-            assert d % mp.degree == 0
-            return mp
-    raise AssertionError("no minimal polynomial found")  # pragma: no cover
+    conjugates = dict.fromkeys(sigma(a) for sigma in field.automorphisms)
+    # coefficients of the partial product, lowest degree first
+    prod = [field.one()]
+    for c in conjugates:
+        prod = ([-c * prod[0]]
+                + [lo - c * hi for lo, hi in zip(prod[:-1], prod[1:])]
+                + [prod[-1]])
+    if not all(coeff.is_rational() for coeff in prod):
+        raise WitnessFailure("conjugate product has a non-rational coefficient")
+    return Poly([coeff.as_rational() for coeff in prod])
 
 
 # -- field construction ----------------------------------------------------
@@ -441,6 +453,7 @@ def _make_field_cached(int_coeffs: tuple, precision_bits: int) -> WorkingField:
         raise ReduciblePolynomial(f"{poly!r} is reducible over Q")
     field = WorkingField(poly, precision_bits)
     field.embeddings = certified_roots(poly, precision_bits)
+    field.archimedean_classes = archimedean_classes(field.embeddings)
 
     images = roots_in_field(poly, field)
     if len(images) != field.degree:
@@ -452,14 +465,10 @@ def _make_field_cached(int_coeffs: tuple, precision_bits: int) -> WorkingField:
     autos = [Automorphism(field, i, img) for i, img in enumerate(images)]
     field.automorphisms = tuple(autos)
 
-    by_coords = {a.theta_image.coords: a.index for a in autos}
+    by_image = {a.theta_image: a.index for a in autos}
     comp = []
     for s in autos:
-        row = []
-        for t in autos:
-            img = s(t.theta_image)
-            row.append(by_coords[img.coords])
-        comp.append(tuple(row))
+        comp.append(tuple(by_image[s(t.theta_image)] for t in autos))
     field._comp_table = tuple(comp)
     inv = [None] * len(autos)
     for i, row in enumerate(comp):

@@ -33,8 +33,8 @@ def _distinct_conjugates(a: FieldElement, k: Subfield):
     images = {}
     for sigma in k.fixing_group:
         img = sigma(a)
-        images.setdefault(img.coords, (img, sigma))
-    return [images[c] for c in sorted(images)]
+        images.setdefault(img, sigma)
+    return sorted(images.items(), key=lambda pair: pair[0].coords)
 
 
 def _orbit(a: FieldElement, k: Subfield):

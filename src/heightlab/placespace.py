@@ -26,7 +26,7 @@ from .errors import IndexDivisor, PrecisionExhausted, WitnessFailure, ZeroElemen
 from .heights import GElement
 from .numberfield import FieldElement, WorkingField, eval_at_embedding, eval_poly
 from .polynomials import Poly
-from .roots import archimedean_classes, locked_workprec
+from .roots import locked_workprec
 
 _FLOAT_SLACK = 1e-15
 
@@ -176,7 +176,9 @@ def _dedekind_index_check(field: WorkingField, p: int, factors) -> None:
 
 
 def _is_p_integral(a: FieldElement, p: int) -> bool:
-    return all(c.denominator % p != 0 for c in a.coords)
+    # the representation is in lowest terms, so this is every coordinate's
+    # denominator being prime to p
+    return a.den % p != 0
 
 
 def _valuation_with(a: FieldElement, tau: FieldElement, p: int, cap: int) -> int:
@@ -269,7 +271,7 @@ def places(field: WorkingField):
     through local_factorization)."""
     d = field.degree
     out = []
-    for idx, cls in enumerate(archimedean_classes(field.embeddings)):
+    for idx, cls in enumerate(field.archimedean_classes):
         out.append((PlaceId("arch", 0, idx), Fraction(len(cls), d)))
     return out
 
@@ -286,8 +288,7 @@ def f_vector(u: GElement) -> PlaceVector:
     entries = {}
 
     with locked_workprec(field.precision_bits):
-        classes = archimedean_classes(field.embeddings)
-        for idx, cls in enumerate(classes):
+        for idx, cls in enumerate(field.archimedean_classes):
             root = field.embeddings[cls[0]]
             w, delta = eval_at_embedding(beta, root)
             mag = abs(w)
@@ -339,7 +340,7 @@ def vector_error_bound(v: PlaceVector) -> float:
 
 def _arch_permutation(field: WorkingField, sigma):
     """perm[c] = class index of (embedding_c composed with sigma)."""
-    classes = archimedean_classes(field.embeddings)
+    classes = field.archimedean_classes
     class_of_embedding = {}
     for idx, cls in enumerate(classes):
         for i in cls:
@@ -370,8 +371,8 @@ def _finite_permutation(field: WorkingField, sigma, p: int):
         img = sigma(pd.uniformizer)
         if not _is_p_integral(img, p):
             raise WitnessFailure("automorphism image left the local order")
-        img_p = gf_from_int_poly([c.numerator * pow(c.denominator, -1, p)
-                                  for c in reversed(img.coords)], p)
+        den_inv = pow(img.den, -1, p)
+        img_p = gf_from_int_poly([n * den_inv for n in reversed(img.num)], p)
         hits = [j for j, qd in enumerate(data)
                 if not gf_rem(img_p, list(qd.gbar), p, ZZ)]
         if len(hits) != 1:

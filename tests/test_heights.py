@@ -237,3 +237,30 @@ def test_height_agrees_with_mahler_oracle(corpus):
         for el in elements:
             h, h_m = weil_height(el), _mahler_height(el)
             assert abs(h.value - h_m.value) <= h.abs_error + h_m.abs_error + 1e-12
+
+
+def test_archimedean_classes_computed_once_per_field(corpus, monkeypatch):
+    # the classes are stored on the field by make_field; heights and place
+    # vectors must not group the embeddings again
+    import sys
+
+    from heightlab.placespace import f_vector
+
+    def answers():
+        out = []
+        for sc in corpus:
+            for name in sorted(sc.elements)[:3]:
+                el = sc.elements[name]
+                if not el.is_zero():
+                    out.append((weil_height(el), f_vector(GElement.of(el)).as_dict()))
+        return out
+
+    expected = answers()
+
+    def refuse(*_args):
+        raise AssertionError("archimedean classes recomputed")
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("heightlab") and hasattr(module, "archimedean_classes"):
+            monkeypatch.setattr(module, "archimedean_classes", refuse)
+    assert answers() == expected

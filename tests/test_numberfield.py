@@ -1,10 +1,20 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from heightlab.errors import NotGalois, PrecisionExhausted, ReduciblePolynomial
+from heightlab.corpus import bundled_scenario, scenario_documents
+from heightlab.errors import (
+    NotGalois,
+    PrecisionExhausted,
+    ReduciblePolynomial,
+    WitnessFailure,
+)
 from heightlab.numberfield import (
+    FieldElement,
     eval_poly,
     galois_condition,
     make_field,
@@ -14,8 +24,10 @@ from heightlab.numberfield import (
     subfield,
     whole_field,
 )
-from heightlab.polynomials import Poly
+from heightlab.polynomials import Poly, is_irreducible
 from heightlab.roots import certified_roots
+
+CORPUS_NAMES = [doc["name"] for doc in scenario_documents()]
 
 
 def rand_elem(field, rng, span=4):
@@ -112,6 +124,53 @@ def test_division_and_rationals(field_sqrt2):
     t = f.theta()
     assert (2 / t) == t  # 2/sqrt2 = sqrt2
     assert (t / 2).coords == (0, Fraction(1, 2))
+    with pytest.raises(ZeroDivisionError):
+        t / 0
+
+
+# -- the integer representation ---------------------------------------------
+
+small_fractions = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+coordinate_lists = st.lists(small_fractions, min_size=6, max_size=6)
+
+
+def normal(x):
+    """x, after checking the lowest-terms form with a positive denominator."""
+    assert x.den > 0
+    assert math.gcd(x.den, *x.num) == 1
+    return x
+
+
+@pytest.mark.parametrize("name", CORPUS_NAMES)
+@settings(max_examples=25, deadline=None)
+@given(u=coordinate_lists, v=coordinate_lists, q=small_fractions)
+def test_representation_properties(name, u, v, q):
+    f = bundled_scenario(name).field
+    d = f.degree
+    a, b = normal(f.element(u[:d])), normal(f.element(v[:d]))
+    assert a.coords == tuple(u[:d])
+    # Poly (plain Fraction coefficients) is the independent oracle
+    m = f.defining_poly
+    assert normal(a * b).coord_poly() == (a.coord_poly() * b.coord_poly()) % m
+    for sigma in f.automorphisms:
+        assert normal(sigma(a)) == eval_poly(a.coord_poly(), sigma.theta_image)
+    pairs = list(zip(a.coords, b.coords))
+    assert normal(a + b).coords == tuple(x + y for x, y in pairs)
+    assert normal(a - b).coords == tuple(x - y for x, y in pairs)
+    assert normal(-a).coords == tuple(-x for x in a.coords)
+    assert normal(a * q).coords == tuple(x * q for x in a.coords)
+    assert normal(a + q).coords == (a.coords[0] + q,) + a.coords[1:]
+    if q:
+        assert normal(a / q).coords == tuple(x / q for x in a.coords)
+    # equal elements built by different routes are equal and hash equally
+    routes = [a, (a + b) - b, FieldElement(f, a.coords), a * f.one(), a * 3 / 3,
+              -(-a), (a * 2) + (-a)]
+    if q:
+        routes.append(a * q / q)
+    assert all(r == a for r in routes)
+    assert len({hash(r) for r in routes}) == 1
+    assert hash(a * b) == hash(b * a)
+    assert hash(f.from_rational(q)) == hash(f.element([q])) == hash(f.one() * q)
 
 
 # -- automorphism group -----------------------------------------------------
@@ -177,6 +236,46 @@ def test_minimal_polynomial_degree_divides(field_cbrt2):
         mp = minimal_polynomial(a, field_cbrt2)
         assert field_cbrt2.degree % mp.degree == 0
         assert eval_poly(mp, a).is_zero()
+
+
+def test_minimal_polynomial_sqrt2_plus_sqrt3(field_biquad_classic, field_biquad):
+    # the classic generator is sqrt2 + sqrt3 itself; with t = (sqrt2 +
+    # sqrt6)/2, sqrt2 = t^3 - 3t and sqrt3 = t^2 - 2
+    x4_10x2_1 = Poly([1, 0, -10, 0, 1])
+    assert minimal_polynomial(field_biquad_classic.theta()) == x4_10x2_1
+    f = field_biquad
+    sqrt2, sqrt3 = f.element([0, -3, 0, 1]), f.element([-2, 0, 1])
+    assert sqrt2 * sqrt2 == 2 and sqrt3 * sqrt3 == 3
+    assert minimal_polynomial(sqrt2 + sqrt3) == x4_10x2_1
+
+
+@pytest.mark.parametrize("name", CORPUS_NAMES)
+def test_minimal_polynomial_independent_checks(name):
+    # monic, vanishing at a, irreducible over Q (sympy's factorization),
+    # and of degree [Q(a):Q], the number of distinct conjugates
+    sc = bundled_scenario(name)
+    f = sc.field
+    rng = random.Random(f"minpoly:{name}")
+    elements = list(sc.elements.values())
+    for _ in range(10):
+        elements.append(f.element(
+            [Fraction(rng.randint(-3, 3), rng.choice((1, 2, 3)))
+             for _ in range(f.degree)]))
+    for a in elements:
+        mp = minimal_polynomial(a)
+        assert mp.is_monic()
+        assert eval_poly(mp, a).is_zero()
+        assert is_irreducible(mp)
+        assert mp.degree == len({s(a) for s in f.automorphisms})
+
+
+def test_minimal_polynomial_refuses_irrational_coefficients(field_sqrt2, monkeypatch):
+    # with the automorphism t -> -t missing, prod (x - c) is x - t, whose
+    # constant term is not rational
+    f = field_sqrt2
+    monkeypatch.setattr(f, "automorphisms", f.automorphisms[:1])
+    with pytest.raises(WitnessFailure):
+        minimal_polynomial(f.theta())
 
 
 def test_minimal_polynomial_of_conjugates_match(field_biquad):

@@ -1,5 +1,6 @@
 import json
 import math
+import time
 
 import pytest
 
@@ -236,6 +237,22 @@ def test_main_bad_scale_is_usage_error(tmp_path, capsys):
                              str(path), "--element", "a", "--scale", bad)
         assert code == 2
         assert json.loads(out)["error"]["kind"] == "SchemaError"
+
+
+def test_huge_scale_refused_fast(capsys):
+    # GElement raises the element to the scale's numerator, so --scale
+    # 100000000 would need about 10^8 coefficient bits
+    load_scenario("sqrt2")
+    start = time.perf_counter()
+    code = main(["fvector", "--scenario", "sqrt2", "--element", "1+t",
+                 "--scale", "100000000"])
+    assert time.perf_counter() - start < 0.5
+    assert code == 2
+    assert json.loads(capsys.readouterr().out)["error"]["kind"] == "EvalError"
+    for scale in ("2", "-2", "1/2", "-2/3"):
+        assert main(["fvector", "--scenario", "sqrt2", "--element", "1+t",
+                     f"--scale={scale}"]) == 0
+        capsys.readouterr()
 
 
 def test_main_zero_element_refused(tmp_path, capsys):
