@@ -54,7 +54,17 @@ COMMANDS = ("height", "torsion", "orbit", "delta", "width", "vk-bounds",
 
 
 def _frac(q) -> str:
-    return str(Fraction(q))
+    q = Fraction(q)
+    # Python refuses to convert an int of more decimal digits than this
+    # limit to a string (0: no limit; the getter is new in Python 3.10.7)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    for n in (q.numerator, q.denominator):
+        # fewer than 3 * limit bits means fewer than limit digits
+        if limit and n.bit_length() > 3 * limit and abs(n) >= 10 ** limit:
+            raise InputError(
+                f"a rational in the report has more than {limit} decimal "
+                "digits, Python's limit for converting an integer to a string")
+    return str(q)
 
 
 def _real(v: float) -> str:

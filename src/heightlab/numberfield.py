@@ -20,17 +20,28 @@ from math import lcm as int_lcm
 from operator import mul
 
 import mpmath
+import sympy
+from sympy.polys.domains import ZZ
+from sympy.polys.galoistools import (
+    gf_edf_zassenhaus,
+    gf_from_int_poly,
+    gf_gcd,
+    gf_pow_mod,
+    gf_sub,
+)
 
+from ._padic import ReducedLattice, eval_mod, hensel_lift
 from .errors import NotGalois, ReduciblePolynomial, WitnessFailure
 from .polynomials import (
     Poly,
+    content_and_primitive,
     cyclotomic,
     discriminant,
     euler_phi,
     is_irreducible,
     poly_xgcd,
     resultant,
-    roots_in_extension,
+    squarefree_part,
 )
 from .roots import DEFAULT_PRECISION_BITS, archimedean_classes, certified_roots
 
@@ -278,6 +289,11 @@ class WorkingField:
         self._inv_table = None
         # write-once cache of finite-place splittings, keyed by prime
         self._place_cache = {}
+        # write-once caches of the root finder: the roots of m_F mod each
+        # prime tried, and the reduced lattices keyed by (prime, precision)
+        self._split_roots = {}
+        self._lattice_cache = {}
+        self._dtheta_inverse = None
 
     # -- element constructors -------------------------------------------
 
@@ -369,22 +385,164 @@ def eval_at_embedding(a: FieldElement, root):
 # -- root finding inside the field ----------------------------------------
 
 
+def _split_prime(field: WorkingField, avoid: int):
+    """The least prime q not dividing disc(m_F) * avoid at which m_F has a
+    root mod q, with the least such root.
+
+    q is unramified and prime to the index of Z[theta], so the primes of F
+    above q all have the residue degree of any irreducible factor of m_F
+    mod q; a Galois field has one residue degree, so a root mod q means
+    that m_F splits into d distinct linear factors.  Anything less raises
+    NotGalois.
+    """
+    bad = int(field.disc) * avoid
+    m_ints = [int(c) for c in reversed(field.defining_poly.coeffs)]
+    q = 1
+    while True:
+        q = sympy.nextprime(q)
+        if bad % q == 0:
+            continue
+        roots = field._split_roots.get(q)
+        if roots is None:
+            roots = _roots_mod(m_ints, q)
+            if 0 < len(roots) < field.degree:
+                raise NotGalois(
+                    f"the defining polynomial has {len(roots)} of "
+                    f"{field.degree} roots mod the unramified prime {q}; "
+                    "supply the Galois closure")
+            field._split_roots[q] = roots
+        if roots:
+            return q, roots[0]
+
+
+def _roots_mod(ints_high_first, q: int) -> tuple:
+    """The distinct roots mod q of an integer polynomial (highest degree
+    first) whose leading coefficient is prime to q, in increasing order."""
+    fbar = gf_from_int_poly(ints_high_first, q)
+    frob = gf_pow_mod([1, 0], q, fbar, q, ZZ)
+    g = gf_gcd(fbar, gf_sub(frob, [1, 0], q, ZZ), q, ZZ)
+    if len(g) < 2:
+        return ()
+    return tuple(sorted(-lin[1] % q for lin in gf_edf_zassenhaus(g, 1, q, ZZ)))
+
+
+def _lattice(field: WorkingField, q: int, r1: int, k: int):
+    """(r1 lifted mod q^k, LLL-reduced basis of L_k), cached write-once:
+    L_k = {c in Z^d : sum c_i r1^i = 0 mod q^k} is the lattice of the
+    coordinate vectors of the elements of Z[theta] in P^k, for P the prime
+    above q at which theta = r1."""
+    key = (q, k)
+    cached = field._lattice_cache.get(key)
+    if cached is not None:
+        return cached
+    modulus = q ** k
+    lifted = hensel_lift([int(c) for c in field.defining_poly.coeffs], r1, q, k)
+    d = field.degree
+    rows = [[modulus] + [0] * (d - 1)]
+    power = 1
+    for i in range(1, d):
+        power = power * lifted % modulus
+        rows.append([-power % modulus] + [int(j == i) for j in range(1, d)])
+    result = (lifted, ReducedLattice(rows))
+    field._lattice_cache[key] = result
+    return result
+
+
+def _precision_bound(field: WorkingField, f_ints, q: int) -> int:
+    """The least k_max with q^k_max > ((2^(d/2) + 1) sqrt(d) B sqrt(S))^d.
+
+    Write m_F = sum a_i x^i and let gamma = l rho for a root rho in F of the
+    integer polynomial f with leading coefficient l, so gamma is an
+    algebraic integer.  Every conjugate of theta has modulus at most
+    R = 1 + max|a_i| and every conjugate of gamma at most l + max|f_i|
+    (Cauchy bounds).  With m_F(x) / (x - theta) = sum_j b_j x^j, that is
+    b_j = sum_i a_(i+j+1) theta^i, the trace dual of the power basis is
+    b_j / m_F'(theta) (Euler), so coordinate j of c = m_F'(theta) gamma is
+    Tr(gamma b_j).  It is an integer of modulus at most
+    B = max_j sum_i d (l + max|f_i|) R^i |a_(i+j+1)|, and |c| <= sqrt(d) B.
+
+    c lies in the coset of L_k that Babai's nearest plane searches, so the
+    residual x it returns has |x| <= 2^(d/2) |c|, and x - c is a vector of
+    L_k of length at most (2^(d/2) + 1) sqrt(d) B.  A nonzero v in L_k is
+    an element of P^k, so |N(v)| >= q^k, while each conjugate of v has
+    modulus at most |v| sqrt(S) with S = sum_(i<d) R^(2i) (Cauchy-Schwarz),
+    so |N(v)| <= (|v| sqrt(S))^d.  At k >= k_max this forces x = c: a
+    candidate that fails the exact check there proves that rho is not the
+    image of a root in F.  The bound is compared squared, in integers, with
+    2^ceil(d/2) in place of 2^(d/2).
+    """
+    a = [int(c) for c in field.defining_poly.coeffs]
+    d = field.degree
+    radius = 1 + max(abs(c) for c in a[:-1])
+    gamma = f_ints[-1] + max(abs(c) for c in f_ints[:-1])
+    coord = max(sum(d * gamma * radius ** i * abs(a[i + j + 1])
+                    for i in range(d - j))
+                for j in range(d))
+    s = sum(radius ** (2 * i) for i in range(d))
+    babai = 2 ** ((d + 1) // 2) + 1
+    bound = (babai * babai * d * coord * coord * s) ** d
+    k = 1
+    while q ** (2 * k) <= bound:
+        k += 1
+    return k
+
+
 def roots_in_field(p: Poly, field: WorkingField) -> list[FieldElement]:
     """All exact roots of p in F, each verified by substitution, without
     repetition and sorted by coordinates.
 
-    The roots are read off the linear factors of p over F, found by
-    sympy's factorization over the algebraic field Q[t]/(m_F).
+    The roots are found at one prime q (Belabas, Topics in computational
+    algebraic number theory, JTNB 2004).  Let f be the primitive integer
+    squarefree part of p with leading coefficient l, and q the least prime
+    prime to disc(m_F) l disc(f) at which m_F has a root r1 (so F embeds
+    in Q_q by theta -> r1).  A root of f in F maps to a root of f mod q,
+    so with none there is no root in F.  Otherwise each root rho of f mod q
+    is lifted to q^k, and l m_F'(theta) times the root of f in F above rho,
+    if any, has integer coordinates c with sum c_i r1^i = l m_F'(r1) rho
+    mod q^k.  Babai's nearest plane on the LLL-reduced lattice L_k of that
+    congruence gives a candidate; it is accepted only when p vanishes at it
+    exactly.  On a miss k doubles, up to the proven k_max of
+    _precision_bound, where a miss proves that no root of F lies above rho.
     """
     if p.is_zero():
         raise ValueError("roots of the zero polynomial")
-    roots = [field.element(coords)
-             for coords in roots_in_extension(p, field.defining_poly)]
-    for r in roots:
-        if not eval_poly(p, r).is_zero():
-            raise WitnessFailure("root candidate failed exact verification")
-    unique = {r.coords: r for r in roots}
-    return sorted(unique.values(), key=lambda r: r.coords)
+    _, f = content_and_primitive(squarefree_part(p))
+    if f.degree < 1:
+        return []
+    f_ints = [int(c) for c in f.coeffs]
+    lead = f_ints[-1]
+    q, r1 = _split_prime(field, lead * int(discriminant(f)))
+    pending = _roots_mod(f_ints[::-1], q)
+    if not pending:
+        return []
+    inv = field._dtheta_inverse
+    if inv is None:
+        inv = eval_poly(field.defining_poly.derivative(), field.theta()).inverse()
+        field._dtheta_inverse = inv
+    d = field.degree
+    dm_ints = [int(c) for c in field.defining_poly.derivative().coeffs]
+    k_max = _precision_bound(field, f_ints, q)
+    # first try q^k near 2^(d^2/2), where the reduced basis vectors (of
+    # length about q^(k/d)) outgrow Babai's factor 2^(d/2)
+    k = min(k_max, max(1, d * d // (2 * q.bit_length())))
+    roots = []
+    while pending:
+        lifted, lattice = _lattice(field, q, r1, k)
+        modulus = q ** k
+        scale = lead * eval_mod(dm_ints, lifted, modulus)
+        missed = []
+        for rho in pending:
+            target = scale * hensel_lift(f_ints, rho, q, k) % modulus
+            c = lattice.nearest_plane_residual([target] + [0] * (d - 1))
+            candidate = _normalized(field, c, lead) * inv
+            if eval_poly(p, candidate).is_zero():
+                roots.append(candidate)
+            else:
+                missed.append(rho)
+        if k == k_max:
+            break
+        pending, k = missed, min(2 * k, k_max)
+    return sorted(roots, key=lambda r: r.coords)
 
 
 # -- minimal polynomials ---------------------------------------------------

@@ -1,8 +1,8 @@
 """Dense univariate polynomials over the rationals.
 
 Coefficients are `fractions.Fraction`, stored lowest degree first.  All
-arithmetic is exact.  Factorization, over Q and over an algebraic number
-field, is delegated to sympy; everything else is implemented here.
+arithmetic is exact.  Factorization over Q is delegated to sympy;
+everything else is implemented here.
 """
 
 from __future__ import annotations
@@ -330,27 +330,6 @@ def factor_rational(p: Poly):
         out.append((q, int(mult)))
     out.sort(key=lambda fm: (fm[0].degree, fm[0].coeffs))
     return out
-
-
-def roots_in_extension(p: Poly, modulus: Poly) -> list[list[Fraction]]:
-    """Roots of p in the field Q[t]/(modulus), for a monic irreducible
-    modulus, as coordinate lists on the power basis 1, t, ..., t^(d-1).
-
-    p is factored over the algebraic field by sympy (Trager's norm
-    method); each linear factor gives one root.  The basis of sympy's field
-    is the power basis of the root passed with the modulus, so the
-    coordinates carry over unchanged.  Repeated roots appear once.
-    """
-    m = _to_sympy(modulus)
-    domain = sympy.QQ.algebraic_field((m, sympy.CRootOf(m, 0)))
-    _, factors = _to_sympy(p).set_domain(domain).factor_list()
-    roots = []
-    for f, _ in factors:
-        if f.degree() == 1:
-            lc, c0 = f.rep.to_list()
-            roots.append([Fraction(int(q.numerator), int(q.denominator))
-                          for q in reversed((-c0 / lc).to_list())])
-    return roots
 
 
 def is_irreducible(p: Poly) -> bool:

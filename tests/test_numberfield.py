@@ -3,9 +3,11 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from heightlab._padic import ReducedLattice, hensel_lift
 from heightlab.corpus import bundled_scenario, scenario_documents
 from heightlab.errors import (
     NotGalois,
@@ -15,6 +17,7 @@ from heightlab.errors import (
 )
 from heightlab.numberfield import (
     FieldElement,
+    _precision_bound,
     eval_poly,
     galois_condition,
     make_field,
@@ -24,7 +27,7 @@ from heightlab.numberfield import (
     subfield,
     whole_field,
 )
-from heightlab.polynomials import Poly, is_irreducible
+from heightlab.polynomials import Poly, cyclotomic, is_irreducible
 from heightlab.roots import certified_roots
 
 CORPUS_NAMES = [doc["name"] for doc in scenario_documents()]
@@ -327,6 +330,129 @@ def test_rational_roots(field_q):
     roots = roots_in_field(Poly([-6, 1, 1]), field_q)  # (x+3)(x-2)
     values = sorted(r.coords[0] for r in roots)
     assert values == [-3, 2]
+
+
+def _oracle_roots(p, field):
+    """Roots of p in F from sympy's factorization over Q[t]/(m_F): an
+    independent route, kept only here."""
+    x = sympy.Symbol("x")
+    m = sympy.Poly([int(c) for c in reversed(field.defining_poly.coeffs)], x)
+    domain = (sympy.QQ if field.degree == 1
+              else sympy.QQ.algebraic_field((m, sympy.CRootOf(m, 0))))
+    sp = sympy.Poly([sympy.Rational(c.numerator, c.denominator)
+                     for c in reversed(p.coeffs)], x, domain=domain)
+    roots = []
+    for fac, _ in sp.factor_list()[1]:
+        if fac.degree() == 1:
+            lc, c0 = fac.rep.to_list()
+            r = -c0 / lc
+            if field.degree == 1:
+                roots.append((Fraction(int(r.numerator), int(r.denominator)),))
+            else:
+                coords = [Fraction(int(q.numerator), int(q.denominator))
+                          for q in reversed(r.to_list())]
+                roots.append(tuple(coords + [0] * (field.degree - len(coords))))
+    return sorted(roots)
+
+
+@pytest.mark.parametrize("name", [doc["name"] for doc in scenario_documents()
+                                  if len(doc["field"]) <= 5])
+def test_roots_agree_with_algebraic_field_factorization(name):
+    field = bundled_scenario(name).field
+    polys = [field.defining_poly] + [cyclotomic(n) for n in (3, 4, 8, 12)]
+    polys.append(Poly([-2, 0, 4]))  # non-monic: roots +-1/sqrt2
+    polys += [Poly([-q, 0, 1]) for q in (2, 3, 5, 7, 11, 13)]
+    for p in polys:
+        roots = roots_in_field(p, field)
+        assert [r.coords for r in roots] == _oracle_roots(p, field), p
+        for r in roots:
+            assert eval_poly(p, r).is_zero()
+
+
+def test_miss_is_proven_at_the_precision_bound(field_sqrt2):
+    # at the split prime 7, x^2 - 11 has the roots +-2, but sqrt(11) is not
+    # in Q(sqrt2): both lifts miss up to k_max, where the miss is a proof
+    f = Poly([-11, 0, 1])
+    assert roots_in_field(f, field_sqrt2) == []
+    k_max = _precision_bound(field_sqrt2, [-11, 0, 1], 7)
+    assert (7, k_max) in field_sqrt2._lattice_cache
+    assert roots_in_field(Poly([-18, 0, 1]), field_sqrt2) == [
+        field_sqrt2.element([0, -3]), field_sqrt2.element([0, 3])]
+
+
+def _gram_schmidt(rows):
+    out = []
+    for v in rows:
+        w = [Fraction(x) for x in v]
+        for u in out:
+            mu = sum(a * b for a, b in zip(v, u)) / sum(b * b for b in u)
+            w = [a - mu * b for a, b in zip(w, u)]
+        out.append(w)
+    return out
+
+
+def test_lll_and_nearest_plane_on_random_lattices():
+    rng = random.Random(11)
+    for _ in range(40):
+        n = rng.randint(1, 6)
+        rows = [[rng.randint(-10 ** 6, 10 ** 6) for _ in range(n)] for _ in range(n)]
+        lattice = ReducedLattice(rows)
+        basis = lattice.basis
+        assert abs(sympy.Matrix(basis).det()) == abs(sympy.Matrix(rows).det())
+        star = _gram_schmidt(basis)
+        norms = [sum(x * x for x in v) for v in star]
+        for i in range(n):
+            mus = [sum(a * b for a, b in zip(basis[i], star[j])) / norms[j]
+                   for j in range(i)]
+            assert all(abs(mu) <= Fraction(1, 2) for mu in mus)
+            if i:
+                assert norms[i] >= (Fraction(3, 4) - mus[-1] ** 2) * norms[i - 1]
+        target = [rng.randint(-10 ** 8, 10 ** 8) for _ in range(n)]
+        residual = lattice.nearest_plane_residual(target)
+        # target - residual is a lattice vector, and the residual lies in
+        # the box spanned by half of each Gram-Schmidt vector
+        coeffs = sympy.Matrix(basis).T.solve(
+            sympy.Matrix([t - r for t, r in zip(target, residual)]))
+        assert all(c.is_integer for c in coeffs)
+        for v, norm in zip(star, norms):
+            assert abs(sum(a * b for a, b in zip(residual, v))) <= norm / 2
+
+
+def test_hensel_lift():
+    # x^2 - 2 has the simple root 3 mod 7
+    r = hensel_lift([-2, 0, 1], 3, 7, 40)
+    assert r % 7 == 3 and (r * r - 2) % 7 ** 40 == 0
+
+
+# x^3 - 2 is refused in test_make_field_rejects_non_galois
+@pytest.mark.parametrize("coeffs", [
+    pytest.param([-2, 0, 0, 0, 1], id="x^4-2"),
+    pytest.param([1, -1, 0, 0, 0, 1], id="x^5-x+1"),
+])
+def test_non_galois_fields_refused(coeffs):
+    with pytest.raises(NotGalois):
+        make_field(coeffs)
+
+
+@pytest.mark.parametrize("n, order", [(13, 26), (21, 42)])
+def test_degree_12_cyclotomic_fields(n, order):
+    field = make_field([int(c) for c in cyclotomic(n).coeffs])
+    assert field.torsion_order == order
+    autos = field.automorphisms
+    assert len(autos) == 12
+    for sigma in autos:
+        assert eval_poly(field.defining_poly, sigma.theta_image).is_zero()
+    comp = field._comp_table
+    indices = set(range(12))
+    assert autos[0].theta_image == field.theta()
+    for i in range(12):
+        assert set(comp[i]) == indices
+        assert comp[0][i] == comp[i][0] == i
+        for j in range(12):
+            assert (autos[comp[i][j]].theta_image
+                    == autos[i](autos[j].theta_image))
+            for k in range(12):
+                assert comp[comp[i][j]][k] == comp[i][comp[j][k]]
 
 
 # -- subfields and the Galois correspondence ---------------------------------

@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 import time
 
 import pytest
@@ -253,6 +254,31 @@ def test_huge_scale_refused_fast(capsys):
         assert main(["fvector", "--scenario", "sqrt2", "--element", "1+t",
                      f"--scale={scale}"]) == 0
         capsys.readouterr()
+
+
+@pytest.mark.parametrize("cmd, subfields", [
+    ("project", ["--K", "Q"]), ("member", ["--D", "Q"]), ("decompose", ["--D", "Q"]),
+])
+def test_unprintable_report_refused(cmd, subfields, capsys):
+    # (1+t)^15000 is within the power budget, but its coordinates have more
+    # decimal digits than Python converts to a string
+    code = main([cmd, "--scenario", "sqrt2", "--element", "(1+t)^15000", "--json"]
+                + subfields)
+    assert code == 2
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error["kind"] == "InputError"
+    assert str(sys.get_int_max_str_digits()) in error["message"]
+
+
+def test_large_printable_report_unchanged(capsys):
+    code = main(["project", "--scenario", "sqrt2", "--element", "(1+t)^100",
+                 "--K", "Q", "--json"])
+    assert code == 0
+    assert capsys.readouterr().out == (
+        '{"command":"project","scenario":"sqrt2","element":"(1+t)^100","K":"Q",'
+        '"op":"s","input":{"scale":"1","base":["9474112514963693341787307992090001'
+        '7937","66992092050551637663438906713182313772"]},"image":{"scale":"1",'
+        '"base":["1","0"]},"is_zero":true}\n')
 
 
 def test_main_zero_element_refused(tmp_path, capsys):
