@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import random
 import sys
@@ -52,6 +53,11 @@ COMMANDS = ("height", "torsion", "orbit", "delta", "width", "vk-bounds",
             "places", "fvector", "project", "member", "decompose",
             "commutes", "verify")
 
+# the largest --precision (and HEIGHTLAB_PRECISION) accepted: places on the
+# degree-6 bundled scenario cbrt2_split takes about 6 s at this cap on a
+# 2-core x86-64 host, and about ten times as long at 2^16 bits
+MAX_PRECISION_BITS = 1 << 14
+
 
 def _frac(q) -> str:
     q = Fraction(q)
@@ -83,13 +89,50 @@ def _gel(u: GElement) -> dict:
     return {"scale": _frac(u.scale), "base": _coords(u.base)}
 
 
+def _precision(text: str) -> int:
+    """Embedding precision in bits, from 1 to MAX_PRECISION_BITS."""
+    try:
+        bits = int(text)
+    except ValueError:
+        bits = 0
+    if not 1 <= bits <= MAX_PRECISION_BITS:
+        raise argparse.ArgumentTypeError(
+            f"precision must be an integer from 1 to {MAX_PRECISION_BITS} "
+            f"bits, not {text!r}")
+    return bits
+
+
+def _count(text: str) -> int:
+    """A positive number of elements."""
+    try:
+        n = int(text)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"count must be an integer >= 1, not {text!r}")
+    return n
+
+
+def _tolerance(text: str) -> float:
+    """A finite tolerance >= 0: NaN or infinity would pass every numeric
+    check, and a negative one would fail exact agreement."""
+    try:
+        tol = float(text)
+    except ValueError:
+        tol = math.nan
+    if not (math.isfinite(tol) and tol >= 0):
+        raise argparse.ArgumentTypeError(
+            f"tolerance must be a finite number >= 0, not {text!r}")
+    return tol
+
+
 def _default_precision() -> int:
     env = os.environ.get("HEIGHTLAB_PRECISION")
     if env:
         try:
-            return int(env)
-        except ValueError as exc:
-            raise SchemaError(f"bad HEIGHTLAB_PRECISION value {env!r}") from exc
+            return _precision(env)
+        except argparse.ArgumentTypeError as exc:
+            raise SchemaError(f"bad HEIGHTLAB_PRECISION value: {exc}") from exc
     return DEFAULT_PRECISION_BITS
 
 
@@ -295,6 +338,39 @@ def run_command(cmd: str, scenario: Scenario | None, args: dict) -> dict:
     raise SchemaError(f"unknown command {cmd!r}")  # pragma: no cover
 
 
+_ELEMENT_COMMANDS = ("height", "torsion", "orbit", "delta", "width",
+                     "vk-bounds", "fvector", "project", "member", "decompose")
+_SUBFIELD_COMMANDS = ("orbit", "delta", "width", "vk-bounds", "project")
+_SPEC_COMMANDS = ("member", "decompose")
+
+# every option with the commands that read it; any other command refuses it
+_OPTIONS = (
+    ("--scenario", COMMANDS, {"help": "scenario JSON file or bundled name"}),
+    ("--element", _ELEMENT_COMMANDS,
+     {"help": "element name from the scenario, or an expression"}),
+    ("--scale", ("fvector", "project") + _SPEC_COMMANDS,
+     {"help": "rational scale for the group element (default 1)"}),
+    ("--K", _SUBFIELD_COMMANDS, {"help": "subfield name"}),
+    ("--D", _SPEC_COMMANDS, {"help": "comma-separated image-side subfield names"}),
+    ("--E", _SPEC_COMMANDS, {"help": "comma-separated kernel-side subfield names"}),
+    ("--strict-condition", _SPEC_COMMANDS,
+     {"dest": "strict_condition", "action": "store_true",
+      "help": "refuse condition-violating projection specs"}),
+    ("--op", ("project",), {"help": "projection kind: s or t"}),
+    ("--field-list", ("commutes",),
+     {"dest": "field_list", "help": "comma-separated subfield names"}),
+    ("--count", ("commutes",),
+     {"type": _count, "help": "random elements tested (default 50)"}),
+    ("--tolerance", ("verify",),
+     {"type": _tolerance, "help": "verification tolerance (finite, >= 0)"}),
+    ("--precision", COMMANDS,
+     {"type": _precision,
+      "help": f"embedding precision in bits, 1 to {MAX_PRECISION_BITS} "
+              f"(default {DEFAULT_PRECISION_BITS})"}),
+    ("--json", COMMANDS, {"action": "store_true", "help": "compact JSON output"}),
+)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="heightlab",
@@ -303,24 +379,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for cmd in COMMANDS:
         p = sub.add_parser(cmd)
-        p.add_argument("--scenario", help="scenario JSON file or bundled name")
-        p.add_argument("--element", help="element name from the scenario, or an expression")
-        p.add_argument("--scale", help="rational scale for the group element (default 1)")
-        p.add_argument("--K", help="subfield name")
-        p.add_argument("--D", help="comma-separated image-side subfield names")
-        p.add_argument("--E", help="comma-separated kernel-side subfield names")
-        p.add_argument("--field-list", dest="field_list",
-                       help="comma-separated subfield names (commutes)")
-        p.add_argument("--op", help="projection kind for 'project': s or t")
-        p.add_argument("--precision", type=int, help="embedding precision in bits")
-        p.add_argument("--tolerance", type=float, help="verification tolerance")
-        p.add_argument("--strict-condition", dest="strict_condition",
-                       action="store_true",
-                       help="refuse condition-violating projection specs")
-        p.add_argument("--json", action="store_true", help="compact JSON output")
-        if cmd == "commutes":
-            p.add_argument("--count", type=int,
-                           help="random elements tested (default 50)")
+        for flag, commands, kwargs in _OPTIONS:
+            if cmd in commands:
+                p.add_argument(flag, **kwargs)
         if cmd == "verify":
             p.add_argument("suite", nargs="?", default="all",
                            help="suite name or 'all'")
@@ -330,10 +391,13 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     ns = parser.parse_args(argv)
+    if ns.command == "verify" and ns.precision is not None and not ns.scenario:
+        # the bundled corpus is built at the default precision
+        parser.error("verify --precision needs --scenario")
     compact = ns.json
 
     try:
-        precision = ns.precision if ns.precision else _default_precision()
+        precision = ns.precision if ns.precision is not None else _default_precision()
         scenario = None
         if ns.scenario:
             scenario = load_scenario(ns.scenario, precision)

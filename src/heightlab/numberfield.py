@@ -40,7 +40,6 @@ from .polynomials import (
     euler_phi,
     is_irreducible,
     poly_xgcd,
-    resultant,
     squarefree_part,
 )
 from .roots import DEFAULT_PRECISION_BITS, archimedean_classes, certified_roots
@@ -189,15 +188,13 @@ class FieldElement:
         return result
 
     def norm(self) -> Fraction:
-        """Field norm N_{F/Q}, exact."""
-        if self.is_zero():
-            return Fraction(0)
-        return resultant(self.field.defining_poly, self.coord_poly())
-
-    def denominator_cleared(self):
-        """Return (B, c) with B an integer-coefficient Poly, c a positive
-        integer, and self = B(theta)/c with gcd(content(B), c) = 1."""
-        return Poly(self.num), self.den
+        """Field norm N_{F/Q}, exact: the product of the conjugates, so the
+        field must come from make_field.  WitnessFailure unless the product
+        is rational."""
+        n = rational_subfield(self.field).norm(self)
+        if not n.is_rational():
+            raise WitnessFailure("conjugate product is not rational")
+        return n.as_rational()
 
     def __repr__(self):
         return f"FieldElement({list(self.coords)})"
@@ -680,6 +677,12 @@ class Subfield:
 
     def contains(self, a: FieldElement) -> bool:
         return all(self.field.automorphisms[i](a) == a for i in self.fixing_indices)
+
+    def norm(self, a: FieldElement) -> FieldElement:
+        """Relative norm N_{F/K}(a), the product of sigma(a) over Gal(F/K)
+        (Cohen, GTM 138, section 4.3); it lies in K."""
+        autos = self.field.automorphisms
+        return functools.reduce(mul, (autos[i](a) for i in self.fixing_indices))
 
     def __eq__(self, other):
         return (isinstance(other, Subfield) and other.field is self.field

@@ -242,20 +242,20 @@ def local_factorization(field: WorkingField, a: FieldElement, p: int) -> LocalFa
     if not sympy.isprime(p):
         raise ValueError(f"{p} is not prime")
     data = _prime_splitting(field, p)
-    B, den = a.denominator_cleared()
-    b = field.element(B.coeffs)
+    den = a.den
+    b = a * den
     vden = _int_valuation(den, p) if den % p == 0 else 0
     norm_b = abs(int(b.norm()))
-    cap = _int_valuation(norm_b, p) + 1 if norm_b % p == 0 else 1
+    vnorm_b = _int_valuation(norm_b, p) if norm_b % p == 0 else 0
 
     factors = []
     for pd in data:
-        vb = _valuation_with(b, pd.anti_uniformizer, p, cap)
+        vb = _valuation_with(b, pd.anti_uniformizer, p, vnorm_b + 1)
         factors.append(LocalFactor(e=pd.e, f=pd.f, valuation=vb - pd.e * vden))
 
     total = sum(f.f * f.valuation for f in factors)
-    norm_a = a.norm()
-    vnorm = _int_valuation(norm_a.numerator, p) - _int_valuation(norm_a.denominator, p)
+    # N(a) = N(b) / den^d
+    vnorm = vnorm_b - field.degree * vden
     if total != vnorm:
         raise WitnessFailure(
             f"valuation/norm mismatch at p={p}: sum f*v = {total}, "
@@ -301,11 +301,9 @@ def f_vector(u: GElement) -> PlaceVector:
             entries[PlaceId("arch", 0, idx)] = PlaceEntry(
                 value=value, abs_error=err, weight=Fraction(len(cls), d))
 
-    B, den = beta.denominator_cleared()
-    b = field.element(B.coeffs)
+    den = beta.den
     support = set(sympy.factorint(den))
-    nb = abs(int(b.norm()))
-    support |= set(sympy.factorint(nb))
+    support |= set(sympy.factorint(abs(int((beta * den).norm()))))
     for p in sorted(support):
         lf = local_factorization(field, beta, p)
         for j, fac in enumerate(lf.factors):

@@ -28,11 +28,7 @@ from .placespace import f_vector, l1_norm
 def s_project(u: GElement, k: Subfield) -> GElement:
     """Projection onto the span of K's image: the 1/[F:K]-scaled relative
     norm of the base."""
-    group = k.fixing_group
-    prod = u.field.one()
-    for sigma in group:
-        prod = prod * sigma(u.base)
-    return GElement(u.field, u.scale / len(group), prod)
+    return GElement(u.field, u.scale / len(k.fixing_indices), k.norm(u.base))
 
 
 def t_project(u: GElement, k: Subfield) -> GElement:

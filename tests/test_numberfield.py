@@ -27,7 +27,7 @@ from heightlab.numberfield import (
     subfield,
     whole_field,
 )
-from heightlab.polynomials import Poly, cyclotomic, is_irreducible
+from heightlab.polynomials import Poly, cyclotomic, is_irreducible, resultant
 from heightlab.roots import certified_roots
 
 CORPUS_NAMES = [doc["name"] for doc in scenario_documents()]
@@ -548,6 +548,48 @@ def test_norm_multiplicative(field_biquad):
     for _ in range(10):
         a, b = rand_elem(field_biquad, rng), rand_elem(field_biquad, rng)
         assert (a * b).norm() == a.norm() * b.norm()
+
+
+def _norm_field(name):
+    if name == "phi13":
+        return make_field([int(c) for c in cyclotomic(13).coeffs])
+    return bundled_scenario(name).field
+
+
+@pytest.mark.parametrize("name", CORPUS_NAMES + ["phi13"])
+def test_norm_matches_resultant(name):
+    # the conjugate product against Res(m_F, A), A the coordinate polynomial
+    f = _norm_field(name)
+    rng = random.Random(f"norm:{name}")
+    elements = [f.zero(), f.one(), f.from_rational(Fraction(-7, 3)),
+                f.torsion_generator, -f.torsion_generator ** 2]
+    for _ in range(8):
+        elements.append(f.element([Fraction(rng.randint(-5, 5), rng.choice((1, 2, 3)))
+                                   for _ in range(f.degree)]))
+    for a in elements:
+        assert a.norm() == resultant(f.defining_poly, a.coord_poly())
+    assert f.from_rational(Fraction(-7, 3)).norm() == Fraction(-7, 3) ** f.degree
+    assert abs(f.torsion_generator.norm()) == 1
+
+
+@pytest.mark.parametrize("name", CORPUS_NAMES)
+def test_relative_norm_lies_in_subfield(name):
+    sc = bundled_scenario(name)
+    rng = random.Random(f"relnorm:{name}")
+    for k in sc.subfields.values():
+        for _ in range(4):
+            a = rand_elem(sc.field, rng)
+            n = k.norm(a)
+            assert k.contains(n)
+            assert n.norm() == a.norm() ** len(k.fixing_indices)
+
+
+def test_norm_refuses_irrational_product(field_sqrt2, monkeypatch):
+    # with the automorphism t -> -t missing, the product is t itself
+    f = field_sqrt2
+    monkeypatch.setattr(f, "automorphisms", f.automorphisms[:1])
+    with pytest.raises(WitnessFailure):
+        f.theta().norm()
 
 
 def test_minpoly_divides_characteristic_poly(field_biquad):

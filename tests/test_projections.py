@@ -2,11 +2,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from heightlab.corpus import bundled_scenario, scenario_documents
 from heightlab.errors import NotConjugate, ZeroElement
 from heightlab.heights import GElement, g_combine, g_equal
 from heightlab.numberfield import rational_subfield, subfield
-from heightlab.orbits import in_kdiv
+from heightlab.orbits import delta_K, in_kdiv
 from heightlab.projections import (
     ProjectionSpec,
     check_commutes,
@@ -89,6 +92,30 @@ def test_projection_laws_random(biquad_setup):
             assert g_equal(s_project(su, k), su)
             assert g_equal(g_combine([su, tu]), u)
             assert s_project(tu, k).is_zero()
+
+
+@pytest.mark.parametrize("name", [doc["name"] for doc in scenario_documents()])
+@settings(max_examples=15, deadline=None)
+@given(coords=st.lists(st.integers(-4, 4), min_size=6, max_size=6),
+       scale=st.fractions(min_value=-3, max_value=3, max_denominator=3),
+       data=st.data())
+def test_projection_laws_on_corpus(name, coords, scale, data):
+    sc = bundled_scenario(name)
+    f = sc.field
+    a = f.element(coords[:f.degree])
+    assume(not a.is_zero() and scale)
+    u = GElement(f, scale, a)
+    k = sc.subfields[data.draw(st.sampled_from(sorted(sc.subfields)))]
+    sigma = data.draw(st.sampled_from(f.automorphisms))
+    zeta = f.torsion_generator ** data.draw(st.integers(0, f.torsion_order - 1))
+    su, tu = s_project(u, k), t_project(u, k)
+    assert g_equal(s_project(su, k), su)
+    assert g_equal(g_combine([su, tu]), u)
+    assert s_project(tu, k).is_zero()
+    # sigma o S_K = S_{sigma K} o sigma
+    sigma_k = subfield(f, [sigma(g) for g in k.generators])
+    assert g_equal(su.apply(sigma), s_project(u.apply(sigma), sigma_k))
+    assert delta_K(a * zeta, k) == delta_K(a, k)
 
 
 def test_fixed_point_characterization(biquad_setup):

@@ -370,3 +370,106 @@ def test_precision_env_override(tmp_path, capsys, monkeypatch):
     assert code == 0
     report = json.loads(out)
     assert abs(float(report["value"]) - 0.4406867935097715) < 1e-12
+
+
+# -- hostile numbers and per-command options ---------------------------------
+
+
+def _usage_error(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    return exc.value.code == 2
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+def test_tolerance_must_be_finite_and_nonnegative(value, capsys):
+    # NaN or inf would pass every numeric check; a negative one fails them all
+    assert _usage_error(["verify", "product-formula", "--scenario", "sqrt2",
+                         f"--tolerance={value}"])
+    assert main(["verify", "product-formula", "--scenario", "sqrt2",
+                 "--tolerance", "0", "--json"]) == 0
+
+
+@pytest.mark.parametrize("value", ["0", "-5", "16385", "100000000"])
+def test_precision_outside_its_range_refused(value, capsys):
+    start = time.perf_counter()
+    assert _usage_error(["places", "--scenario", "sqrt2", f"--precision={value}"])
+    assert time.perf_counter() - start < 0.5
+
+
+@pytest.mark.parametrize("value", ["-3", "0", "16385"])
+def test_precision_env_outside_its_range_refused(value, monkeypatch, capsys):
+    monkeypatch.setenv("HEIGHTLAB_PRECISION", value)
+    assert main(["places", "--scenario", "sqrt2", "--json"]) == 2
+    assert json.loads(capsys.readouterr().out)["error"]["kind"] == "SchemaError"
+
+
+def test_lowest_precision_is_a_typed_refusal(capsys):
+    # 1 bit is accepted, and refused by the root certification, not a crash
+    code = main(["places", "--scenario", "cbrt2_split", "--precision", "1", "--json"])
+    assert code == 1
+    assert json.loads(capsys.readouterr().out)["error"]["kind"] == "PrecisionExhausted"
+
+
+def test_verify_precision_needs_scenario(capsys):
+    # the bundled corpus is built at the default precision, so without
+    # --scenario the flag would be ignored
+    assert _usage_error(["verify", "product-formula", "--precision", "300"])
+
+
+@pytest.mark.parametrize("value", ["-1", "0"])
+def test_count_must_be_positive(value, capsys):
+    assert _usage_error(["commutes", "--scenario", "sqrt2_sqrt3", "--field-list",
+                         "K1,K2", f"--count={value}"])
+
+
+# the options each command reads, with a value that works on sqrt2_sqrt3
+_COMMON = {"--scenario": "sqrt2_sqrt3", "--precision": "256", "--json": None}
+_READS = {
+    "height": {"--element": "u12"},
+    "torsion": {"--element": "u12"},
+    "orbit": {"--element": "u12", "--K": "K1"},
+    "delta": {"--element": "u12", "--K": "K1"},
+    "width": {"--element": "u12", "--K": "K1"},
+    "vk-bounds": {"--element": "u12", "--K": "K1"},
+    "places": {},
+    "fvector": {"--element": "u12", "--scale": "1/2"},
+    "project": {"--element": "u12", "--scale": "1/2", "--K": "K2", "--op": "t"},
+    "member": {"--element": "sqrt6", "--scale": "1/2", "--D": "K1,K2", "--E": "K3",
+               "--strict-condition": None},
+    "decompose": {"--element": "sqrt6", "--scale": "1/2", "--D": "K1,K2",
+                  "--E": "K3", "--strict-condition": None},
+    "commutes": {"--field-list": "K1,K2", "--count": "2"},
+    "verify": {"--tolerance": "1e-9"},
+}
+# report fields that show the options took effect
+_SHOWS = {
+    "fvector": lambda r: r["element"]["scale"] == "1/2",
+    "project": lambda r: (r["input"]["scale"], r["K"], r["op"]) == ("1/2", "K2", "t"),
+    "member": lambda r: (r["D"], r["E"]) == (["K1", "K2"], ["K3"]),
+    "decompose": lambda r: (r["D"], r["E"]) == (["K1", "K2"], ["K3"]),
+    "commutes": lambda r: r["elements_tested"] == 2,
+    "verify": lambda r: r["scenario"] == "sqrt2_sqrt3" and r["passed"],
+}
+_ALL_FLAGS = {flag: value for reads in [_COMMON, *_READS.values()]
+              for flag, value in reads.items()}
+
+
+def _argv(options):
+    out = []
+    for flag, value in options.items():
+        out += [flag] if value is None else [f"{flag}={value}"]
+    return out
+
+
+@pytest.mark.parametrize("cmd", list(_READS))
+def test_each_command_takes_only_the_options_it_reads(cmd, capsys):
+    reads = {**_COMMON, **_READS[cmd]}
+    for flag in _ALL_FLAGS.keys() - reads.keys():
+        assert _usage_error([cmd, *_argv(_COMMON), *_argv({flag: _ALL_FLAGS[flag]})]), flag
+    capsys.readouterr()
+    suite = ["product-formula"] if cmd == "verify" else []
+    assert main([cmd, *suite, *_argv(reads)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["command"] == cmd
+    assert _SHOWS.get(cmd, lambda r: True)(report)
