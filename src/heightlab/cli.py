@@ -58,6 +58,12 @@ COMMANDS = ("height", "torsion", "orbit", "delta", "width", "vk-bounds",
 # 2-core x86-64 host, and about ten times as long at 2^16 bits
 MAX_PRECISION_BITS = 1 << 14
 
+# the largest --count accepted: commutes builds the whole test set before
+# it checks a pair, and 1000 elements take about 3 s over the six subfield
+# pairs of the bundled degree-6 scenario cbrt2_split on a 2-core x86-64 host
+MAX_COUNT = 1000
+DEFAULT_COUNT = 50
+
 
 def _frac(q) -> str:
     q = Fraction(q)
@@ -102,14 +108,20 @@ def _precision(text: str) -> int:
     return bits
 
 
-def _count(text: str) -> int:
-    """A positive number of elements."""
-    try:
-        n = int(text)
-    except ValueError:
-        n = 0
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"count must be an integer >= 1, not {text!r}")
+def _count(value) -> int:
+    """A number of elements from 1 to MAX_COUNT, from the command line's
+    text or run_command's int."""
+    n = 0
+    if isinstance(value, str):
+        try:
+            n = int(value)
+        except ValueError:
+            pass
+    elif isinstance(value, int) and not isinstance(value, bool):
+        n = value
+    if not 1 <= n <= MAX_COUNT:
+        raise argparse.ArgumentTypeError(
+            f"count must be an integer from 1 to {MAX_COUNT}, not {value!r}")
     return n
 
 
@@ -210,7 +222,11 @@ def run_command(cmd: str, scenario: Scenario | None, args: dict) -> dict:
         names = _split_names(args.get("field_list") or "")
         if len(names) < 2:
             raise SchemaError("commutes requires --field-list with at least two names")
-        count = args.get("count") or 50
+        count = args.get("count")
+        try:
+            count = DEFAULT_COUNT if count is None else _count(count)
+        except argparse.ArgumentTypeError as exc:
+            raise SchemaError(str(exc)) from exc
         rng = random.Random(f"cli-commutes:{scenario.name}")
         testset = [GElement.of(verify_mod.random_element(scenario.field, rng))
                    for _ in range(count)]
@@ -360,7 +376,8 @@ _OPTIONS = (
     ("--field-list", ("commutes",),
      {"dest": "field_list", "help": "comma-separated subfield names"}),
     ("--count", ("commutes",),
-     {"type": _count, "help": "random elements tested (default 50)"}),
+     {"type": _count, "help": f"random elements tested, 1 to {MAX_COUNT} "
+                              f"(default {DEFAULT_COUNT})"}),
     ("--tolerance", ("verify",),
      {"type": _tolerance, "help": "verification tolerance (finite, >= 0)"}),
     ("--precision", COMMANDS,
@@ -397,6 +414,10 @@ def main(argv=None) -> int:
     compact = ns.json
 
     try:
+        if ns.command == "verify" and not ns.scenario \
+                and os.environ.get("HEIGHTLAB_PRECISION"):
+            raise SchemaError("HEIGHTLAB_PRECISION needs --scenario with verify: "
+                              "the bundled corpus is built at the default precision")
         precision = ns.precision if ns.precision is not None else _default_precision()
         scenario = None
         if ns.scenario:

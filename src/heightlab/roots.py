@@ -1,15 +1,26 @@
 """Certified complex roots of rational polynomials.
 
-Roots are approximated with mpmath at a configurable working precision and
-certified by Henrici inclusion disks: for any z, the disk of radius
-d*|p(z)/p'(z)| centered at z contains at least one root of p.  When the d
-disks around the d approximations are pairwise disjoint, each contains
-exactly one true root, which certifies both the approximation error and the
-pairwise separation.
+Roots are approximated by Durand-Kerner (Weierstrass) iteration: a global
+phase in binary64 from Newton-polygon starting points, then one sweep at
+each doubling precision (quadratic convergence doubles the correct bits
+per sweep), then sweeps at the working precision bits + 32 until the
+corrections fall below 2^-(bits + 32) or stop shrinking at the rounding
+level.  Polynomials that binary64 cannot represent start from the same
+points at the working precision instead.
+
+The approximations are certified by Henrici inclusion disks: for any z,
+the disk of radius d*|p(z)/p'(z)| centered at z contains at least one
+root of p (Henrici, Applied and Computational Complex Analysis I, 6.4).
+p(z) and p'(z) are evaluated with a running error bound, so the radius is
+an upper bound whatever the rounding.  When the d disks around the d
+approximations are pairwise disjoint, each contains exactly one true
+root, which certifies both the approximation error and the pairwise
+separation; the Sturm count then says which roots are real.
 """
 
 from __future__ import annotations
 
+import cmath
 import contextlib
 import dataclasses
 import math
@@ -41,11 +52,124 @@ class CertifiedRoot:
     is_real: bool
 
 
-def _eval_exact_coeffs(coeffs, z):
-    acc = mpmath.mpc(0)
-    for c in reversed(coeffs):
-        acc = acc * z + mpmath.mpf(c.numerator) / mpmath.mpf(c.denominator)
-    return acc
+# binary64 sweeps allowed for the starting approximations; they stop early
+# once the largest relative correction falls below _FLOAT_TOLERANCE
+_FLOAT_SWEEPS = 100
+_FLOAT_TOLERANCE = 1e-12
+# sweeps allowed at the working precision before the iteration is refused.
+# Every certified case of the stress set in tests/test_roots.py (degree up
+# to 24, 8 to 1100 bits) needs at most 17 multiprecision sweeps in all, the
+# close pairs of Mignotte polynomials being the slowest; a refusal costs at
+# most this many.
+_MAX_SWEEPS = 100
+
+
+def _dk_sweep(c, z) -> float:
+    """One Durand-Kerner (Weierstrass) sweep for the monic polynomial with
+    coefficients c, lowest degree first.
+
+    Each z_i is replaced in place by z_i - p(z_i) / prod_{j != i} (z_i - z_j),
+    with p evaluated by Horner's rule; the return value is the largest
+    correction relative to max(1, |z_i|).  The arithmetic is whatever c and
+    z hold: Python complex numbers or mpmath numbers at the current
+    precision.
+    """
+    worst = 0
+    for i, zi in enumerate(z):
+        num = c[-1]
+        for a in reversed(c[:-1]):
+            num = num * zi + a
+        den = 1
+        for j, zj in enumerate(z):
+            if j != i:
+                den *= zi - zj
+        delta = num / den
+        z[i] = zi - delta
+        worst = max(worst, abs(delta) / max(1, abs(zi)))
+    return worst
+
+
+def _starts(p: Poly) -> list[tuple[float, float]]:
+    """(log2 of the modulus, argument) of a starting point for each root.
+
+    The moduli come from the upper convex hull of the points
+    (i, log2 |c_i|), Bini's Newton-polygon start (Numer. Algorithms 13,
+    1996): a hull edge from i to j stands for j - i roots of modulus about
+    |c_i / c_j|^(1/(j - i)), so roots of very different sizes start near
+    their own circles.  The points of one circle are spread evenly, turned
+    by Bini's 0.7 radians so that the starts are not symmetric about the
+    real axis; a zero root (c_0 = 0) starts at 0 itself.
+    """
+    d = p.degree
+    points = [(i, math.log2(abs(c.numerator)) - math.log2(c.denominator))
+              for i, c in enumerate(p.coeffs) if c]
+    hull = []
+    for q in points:
+        # drop the last hull point while it lies on or below the chord to q
+        while len(hull) >= 2 and ((hull[-1][0] - hull[-2][0]) * (q[1] - hull[-2][1])
+                                  >= (hull[-1][1] - hull[-2][1]) * (q[0] - hull[-2][0])):
+            hull.pop()
+        hull.append(q)
+    starts = [(-math.inf, 0.0)] * points[0][0]
+    for (i, y), (j, w) in zip(hull, hull[1:]):
+        m = j - i
+        starts += [((y - w) / m, 2 * math.pi * (k / m + i / d) + 0.7) for k in range(m)]
+    return starts
+
+
+def _float_starts(p: Poly):
+    """Durand-Kerner approximations in binary64 from the Newton-polygon
+    starts, or None when a start or a monic coefficient lies outside the
+    float range or the iteration does not settle to finite values."""
+    lc = p.coeffs[-1]
+    try:
+        c = [float(a / lc) for a in p.coeffs]
+        z = [cmath.rect(2.0 ** e, arg) for e, arg in _starts(p)]
+    except OverflowError:
+        return None
+    if any(a and not f for a, f in zip(p.coeffs, c)):
+        return None  # a coefficient underflows to 0
+    try:
+        for _ in range(_FLOAT_SWEEPS):
+            if _dk_sweep(c, z) < _FLOAT_TOLERANCE:
+                break
+    except (ZeroDivisionError, OverflowError):
+        return None
+    if not all(cmath.isfinite(w) for w in z):
+        return None
+    return z
+
+
+def _approximate_roots(p: Poly, monic, bits: int):
+    """Durand-Kerner approximations of the roots of p to about bits + 32
+    bits, from binary64 starts refined at doubling precision (one sweep per
+    level, each with 32 guard bits) or, when binary64 cannot represent p,
+    from the Newton-polygon starts at full precision.  Call under
+    locked_workprec(bits + 32)."""
+    starts = _float_starts(p)
+    tolerance = mpmath.mpf(2) ** -(bits + 32)
+    try:
+        if starts is None:
+            z = [mpmath.mpf(2) ** e * mpmath.expj(arg) for e, arg in _starts(p)]
+        else:
+            z = [mpmath.mpc(w) for w in starts]
+            level = 2 * 53
+            while level < bits + 32:
+                with mpmath.workprec(level + 32):
+                    _dk_sweep(monic, z)
+                level *= 2
+        floor = mpmath.mpf(2) ** -bits
+        previous = math.inf
+        for _ in range(_MAX_SWEEPS):
+            worst = _dk_sweep(monic, z)
+            # below 2^-bits a correction that stops shrinking is rounding
+            # noise of an ill-conditioned root; the certificate judges it
+            if worst < tolerance or floor > worst >= previous:
+                return z
+            previous = worst
+    except ZeroDivisionError:
+        pass  # two approximations coincide
+    raise PrecisionExhausted(f"root iteration did not converge at {bits} bits")
 
 
 def _float_upper(x) -> float:
@@ -55,6 +179,64 @@ def _float_upper(x) -> float:
     return math.nextafter(r, math.inf) if r < x else r
 
 
+def _gamma(k: int, u):
+    """Higham's gamma_k = k u / (1 - k u), for k u < 1 (here k is about 8
+    times the degree and u at most 2^-32)."""
+    return k * u / (1 - k * u)
+
+
+def _horner_with_bound(c, z, az, u):
+    """p(z) by Horner's rule for the mpf coefficients c (lowest degree
+    first, each at most 3 roundings from its exact rational), with a bound
+    on the error of the computed value; az is |z| and u the unit roundoff.
+
+    The bound is gamma_{8n+16} sum |c_i| |z|^i for degree n (Higham,
+    Accuracy and Stability of Numerical Algorithms, 2nd ed., eq. 5.3 with
+    the complex arithmetic of Lemma 3.5): each Horner step is a complex
+    multiply, with relative error at most sqrt(2) gamma_2 <= gamma_3, and
+    an add, u, so the evaluation contributes gamma_{4n} and the coefficient
+    conversions gamma_3.  The sum of magnitudes is accumulated beside p(z)
+    in rounded arithmetic from a rounded |z|, which can lose another
+    gamma_{4n+3} of it; the constant covers that and the rounding of the
+    bound itself.
+    """
+    value = mpmath.mpc(0)
+    magnitude = mpmath.mpf(0)
+    for a in reversed(c):
+        value = value * z + a
+        magnitude = magnitude * az + abs(a)
+    return value, _gamma(8 * (len(c) - 1) + 16, u) * magnitude
+
+
+def _henrici_radius(cs, dcs, z, bits: int, prec: int) -> float:
+    """A float upper bound on d |p(z)| / |p'(z)| + 2^-bits, the radius of
+    Henrici's inclusion disk around z plus the precision floor.
+
+    p and p' (coefficients cs and dcs) are evaluated with running error
+    bounds, so |p(z)| <= |p~| + e_p and |p'(z)| >= |p~'| - e_p'; the
+    latter must be positive.  u is one unit in the last place at prec
+    bits, which bounds the relative error of one rounding in any
+    direction.  Call under locked_workprec(prec).
+    """
+    u = mpmath.mpf(2) ** (1 - prec)
+    az = abs(z)
+    value, e_value = _horner_with_bound(cs, z, az, u)
+    slope, e_slope = _horner_with_bound(dcs, z, az, u)
+    # the factors 1 -+ 4u keep the two bounds on their safe side through
+    # the rounding of abs and of the product; gamma_8 covers the rest
+    upper = abs(value) * (1 + 4 * u) + e_value
+    lower = abs(slope) * (1 - 4 * u) - e_slope
+    if lower <= 0:
+        raise PrecisionExhausted("derivative vanished at an approximate root")
+    d = len(cs) - 1
+    radius = (d * upper / lower + mpmath.mpf(2) ** (-bits)) * (1 + _gamma(8, u))
+    return _float_upper(radius)
+
+
+def _to_mpf(coeffs):
+    return [mpmath.mpf(c.numerator) / c.denominator for c in coeffs]
+
+
 def certified_roots(p: Poly, bits: int = DEFAULT_PRECISION_BITS) -> list[CertifiedRoot]:
     """All complex roots of a squarefree polynomial, certified and sorted
     by (real part, imaginary part)."""
@@ -62,30 +244,15 @@ def certified_roots(p: Poly, bits: int = DEFAULT_PRECISION_BITS) -> list[Certifi
         return []
     if not is_squarefree(p):
         raise ValueError("certified_roots requires a squarefree polynomial")
-    d = p.degree
-    dp = p.derivative()
+    prec = bits + 32
     n_real = real_root_count(p)
 
-    with locked_workprec(bits + 32):
-        try:
-            approx = mpmath.polyroots(
-                [mpmath.mpf(c.numerator) / mpmath.mpf(c.denominator)
-                 for c in reversed(p.coeffs)],
-                maxsteps=200, extraprec=bits // 2)
-        except mpmath.libmp.libhyper.NoConvergence as exc:
-            raise PrecisionExhausted(
-                f"root iteration did not converge at {bits} bits") from exc
-
-        roots = []
-        for z in approx:
-            z = mpmath.mpc(z)
-            num = _eval_exact_coeffs(p.coeffs, z)
-            den = _eval_exact_coeffs(dp.coeffs, z)
-            if den == 0:
-                raise PrecisionExhausted("derivative vanished at an approximate root")
-            # factor 2 absorbs evaluation rounding at working precision
-            radius = 2 * d * abs(num) / abs(den) + mpmath.mpf(2) ** (-bits)
-            roots.append((z, _float_upper(radius)))
+    with locked_workprec(prec):
+        cs = _to_mpf(p.coeffs)
+        dcs = _to_mpf(p.derivative().coeffs)
+        monic = [a / cs[-1] for a in cs]
+        approx = _approximate_roots(p, monic, bits)
+        roots = [(z, _henrici_radius(cs, dcs, z, bits, prec)) for z in approx]
 
         for i in range(len(roots)):
             for j in range(i + 1, len(roots)):

@@ -1,6 +1,16 @@
+import os
+
 import pytest
+from hypothesis import settings
 
 from heightlab.numberfield import make_field, rational_subfield, subfield
+
+# In CI every property test draws the same examples on every run and prints
+# the blob that replays a failure, so a red build can be reproduced locally
+# with CI=1.
+settings.register_profile("ci", derandomize=True, deadline=None, print_blob=True)
+if os.environ.get("CI"):
+    settings.load_profile("ci")
 
 
 @pytest.fixture(scope="session")

@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from heightlab.cli import load_scenario, main, run_command
+from heightlab.cli import MAX_COUNT, load_scenario, main, run_command
 from heightlab.errors import ReduciblePolynomial, SchemaError
 from heightlab.scenario import parse_scenario
 
@@ -421,6 +421,30 @@ def test_verify_precision_needs_scenario(capsys):
 def test_count_must_be_positive(value, capsys):
     assert _usage_error(["commutes", "--scenario", "sqrt2_sqrt3", "--field-list",
                          "K1,K2", f"--count={value}"])
+
+
+def test_count_above_its_cap_refused(capsys):
+    # commutes builds the whole test set before it checks a pair
+    start = time.perf_counter()
+    assert _usage_error(["commutes", "--scenario", "sqrt2_sqrt3", "--field-list",
+                         "K1,K2", f"--count={MAX_COUNT + 1}"])
+    assert time.perf_counter() - start < 0.5
+
+
+@pytest.mark.parametrize("value", [-1, 0, MAX_COUNT + 1, 2.5, True, "many"])
+def test_run_command_checks_the_count(value):
+    # the dict entry applies the command line's check: -1 used to report
+    # "commutes": true over no elements, and 0 used to become 50
+    sc = load_scenario("sqrt2_sqrt3")
+    with pytest.raises(SchemaError):
+        run_command("commutes", sc, {"field_list": "K1,K2", "count": value})
+
+
+def test_verify_precision_env_needs_scenario(monkeypatch, capsys):
+    # like --precision, HEIGHTLAB_PRECISION would be ignored by the corpus
+    monkeypatch.setenv("HEIGHTLAB_PRECISION", "64")
+    assert main(["verify", "product-formula", "--json"]) == 2
+    assert json.loads(capsys.readouterr().out)["error"]["kind"] == "SchemaError"
 
 
 # the options each command reads, with a value that works on sqrt2_sqrt3
