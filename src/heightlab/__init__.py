@@ -5,6 +5,7 @@ field over Q."""
 from .errors import (
     ConditionViolated,
     EvalError,
+    FactorizationExhausted,
     HeightlabError,
     IndexDivisor,
     InputError,

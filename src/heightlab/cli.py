@@ -252,11 +252,11 @@ def run_command(cmd: str, scenario: Scenario | None, args: dict) -> dict:
     report["element"] = element_ref
 
     if cmd == "height":
-        report.update(_hv(weil_height(el, scenario.field)))
+        report.update(_hv(weil_height(el)))
         return report
 
     if cmd == "torsion":
-        report["is_torsion"] = is_torsion(el, scenario.field)
+        report["is_torsion"] = is_torsion(el)
         return report
 
     if cmd in ("orbit", "delta", "width", "vk-bounds"):

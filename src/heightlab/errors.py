@@ -30,6 +30,10 @@ class PrecisionExhausted(MathRefusal):
     """Numeric roots could not be certified at the configured precision."""
 
 
+class FactorizationExhausted(MathRefusal):
+    """An integer has a composite cofactor beyond the factoring budget."""
+
+
 class IndexDivisor(MathRefusal):
     """Prime divides the index of the power-basis order; splitting refused."""
 

@@ -67,14 +67,14 @@ def _log_big(n: int) -> float:
     return math.log(n >> shift) + shift * math.log(2)
 
 
-def weil_height(a: FieldElement, field: WorkingField | None = None) -> HeightValue:
+def weil_height(a: FieldElement) -> HeightValue:
     """Absolute logarithmic Weil height of a nonzero field element."""
-    field = field or a.field
+    field = a.field
     if a.is_zero():
         raise ZeroElement("height of zero is undefined")
-    if is_torsion(a, field):
+    if is_torsion(a):
         return HeightValue.exact_zero()
-    mp = minimal_polynomial(a, field)
+    mp = minimal_polynomial(a)
     _, P = content_and_primitive(mp)
     e = mp.degree
     lead = int(P.coeffs[-1])
@@ -100,12 +100,11 @@ def weil_height(a: FieldElement, field: WorkingField | None = None) -> HeightVal
     return HeightValue(value, err / d + _FLOAT_SLACK * (1.0 + abs(value)))
 
 
-def is_torsion(a: FieldElement, field: WorkingField | None = None) -> bool:
+def is_torsion(a: FieldElement) -> bool:
     """Exact root-of-unity test: a^w == 1 for the field torsion order w."""
-    field = field or a.field
     if a.is_zero():
         raise ZeroElement("torsion test of zero is undefined")
-    p = a ** field.torsion_order
+    p = a ** a.field.torsion_order
     return p.is_rational() and p.as_rational() == 1
 
 
@@ -125,7 +124,7 @@ class GElement:
             raise ValueError("base element from a different field")
         if base.is_zero():
             raise ZeroElement("GElement base must be nonzero")
-        if scale == 0 or is_torsion(base, field):
+        if scale == 0 or is_torsion(base):
             self.field = field
             self.scale = Fraction(1)
             self.base = field.one()
@@ -144,7 +143,7 @@ class GElement:
         return GElement(field, 1, field.one())
 
     def is_zero(self) -> bool:
-        return is_torsion(self.base, self.field)
+        return is_torsion(self.base)
 
     def negate(self) -> "GElement":
         return GElement(self.field, -self.scale, self.base)
@@ -174,14 +173,14 @@ def g_equal(u: GElement, v: GElement) -> bool:
         raise ValueError("elements of different working fields")
     s1, s2 = u.scale.denominator, v.scale.denominator
     ratio = u.base ** s2 * v.base ** (-s1)
-    return is_torsion(ratio, u.field)
+    return is_torsion(ratio)
 
 
 def g_height(u: GElement) -> HeightValue:
     """Height of the vector-space element: |scale| * h(base)."""
     if u.is_zero():
         return HeightValue.exact_zero()
-    return weil_height(u.base, u.field).scaled(u.scale)
+    return weil_height(u.base).scaled(u.scale)
 
 
 def g_combine(terms) -> GElement:

@@ -38,8 +38,8 @@ from .polynomials import (
     cyclotomic,
     discriminant,
     euler_phi,
+    inverse_mod,
     is_irreducible,
-    poly_xgcd,
     squarefree_part,
 )
 from .roots import DEFAULT_PRECISION_BITS, archimedean_classes, certified_roots
@@ -334,11 +334,7 @@ class WorkingField:
         return _normalized(self, out, a.den * b.den)
 
     def _inverse(self, a: FieldElement) -> FieldElement:
-        g, _, v = poly_xgcd(self.defining_poly, a.coord_poly())
-        if g.degree != 0:
-            raise ZeroDivisionError("non-invertible element (bad field?)")
-        inv_poly = v % self.defining_poly
-        return self.element(inv_poly.coeffs)
+        return self.element(inverse_mod(a.coord_poly(), self.defining_poly).coeffs)
 
     def identity_automorphism(self) -> Automorphism:
         return self.automorphisms[0]
@@ -545,14 +541,14 @@ def roots_in_field(p: Poly, field: WorkingField) -> list[FieldElement]:
 # -- minimal polynomials ---------------------------------------------------
 
 
-def minimal_polynomial(a: FieldElement, field: WorkingField | None = None) -> Poly:
+def minimal_polynomial(a: FieldElement) -> Poly:
     """Monic minimal polynomial of a over Q: the product of (x - c) over the
     distinct Galois conjugates c of a, expanded exactly in F[x].
 
     Its degree is the number of distinct conjugates, which divides [F:Q].
     Every coefficient must come out rational; WitnessFailure otherwise.
     """
-    field = field or a.field
+    field = a.field
     conjugates = dict.fromkeys(sigma(a) for sigma in field.automorphisms)
     # coefficients of the partial product, lowest degree first
     prod = [field.one()]

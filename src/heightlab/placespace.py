@@ -22,13 +22,24 @@ import sympy
 from sympy.polys.domains import ZZ
 from sympy.polys.galoistools import gf_factor, gf_from_int_poly, gf_gcd, gf_rem
 
-from .errors import IndexDivisor, PrecisionExhausted, WitnessFailure, ZeroElement
+from .errors import (
+    FactorizationExhausted,
+    IndexDivisor,
+    PrecisionExhausted,
+    WitnessFailure,
+    ZeroElement,
+)
 from .heights import GElement
 from .numberfield import FieldElement, WorkingField, eval_at_embedding, eval_poly
 from .polynomials import Poly
 from .roots import locked_workprec
 
 _FLOAT_SLACK = 1e-15
+
+# trial division bound for sympy.factorint, which with a limit also bounds
+# its Pollard rho and p - 1 rounds: a product of two 25-digit primes is
+# refused in about 0.4 s instead of taking about 40 s to split
+_FACTOR_LIMIT = 2 ** 16
 
 
 @dataclasses.dataclass(frozen=True, order=True)
@@ -302,9 +313,7 @@ def f_vector(u: GElement) -> PlaceVector:
                 value=value, abs_error=err, weight=Fraction(len(cls), d))
 
     den = beta.den
-    support = set(sympy.factorint(den))
-    support |= set(sympy.factorint(abs(int((beta * den).norm()))))
-    for p in sorted(support):
+    for p in sorted(prime_support(den, int((beta * den).norm()))):
         lf = local_factorization(field, beta, p)
         for j, fac in enumerate(lf.factors):
             if fac.valuation == 0:
@@ -317,6 +326,21 @@ def f_vector(u: GElement) -> PlaceVector:
                 weight=Fraction(fac.e * fac.f, d),
                 e=fac.e, f=fac.f, valuation=fac.valuation)
     return PlaceVector(field, u, entries)
+
+
+def prime_support(*ints) -> set:
+    """The primes dividing any of the given nonzero integers.
+
+    FactorizationExhausted when sympy.factorint, held to _FACTOR_LIMIT,
+    leaves a composite factor."""
+    support = set()
+    for n in ints:
+        support.update(sympy.factorint(abs(n), limit=_FACTOR_LIMIT))
+    for p in support:
+        if not sympy.isprime(p):
+            raise FactorizationExhausted(
+                f"{p} has no prime factor below {_FACTOR_LIMIT} and is not prime")
+    return support
 
 
 def l1_norm(v: PlaceVector) -> float:

@@ -1,8 +1,9 @@
 """Dense univariate polynomials over the rationals.
 
 Coefficients are `fractions.Fraction`, stored lowest degree first.  All
-arithmetic is exact.  Factorization over Q is delegated to sympy;
-everything else is implemented here.
+arithmetic is exact.  Ring arithmetic and division are implemented here;
+every Euclidean algorithm (inverse, gcd, resultant, Sturm sequence) and
+factorization come from sympy's dense univariate layer over QQ and ZZ.
 """
 
 from __future__ import annotations
@@ -12,6 +13,12 @@ from fractions import Fraction
 from math import gcd as int_gcd
 
 import sympy
+from sympy.polys.domains import QQ, ZZ
+from sympy.polys.euclidtools import dup_discriminant, dup_invert, dup_resultant
+from sympy.polys.factortools import dup_factor_list, dup_zz_cyclotomic_poly
+from sympy.polys.polyerrors import NotInvertible
+from sympy.polys.rootisolation import dup_count_real_roots
+from sympy.polys.sqfreetools import dup_sqf_p, dup_sqf_part
 
 
 class Poly:
@@ -120,17 +127,8 @@ class Poly:
                 rem[i - dd + j] -= f * oc
         return Poly(q), Poly(rem)
 
-    def __floordiv__(self, other: "Poly") -> "Poly":
-        return divmod(self, other)[0]
-
     def __mod__(self, other: "Poly") -> "Poly":
         return divmod(self, other)[1]
-
-    def monic(self) -> "Poly":
-        if self.is_zero():
-            return self
-        inv = 1 / self.lc
-        return Poly([c * inv for c in self.coeffs])
 
     def derivative(self) -> "Poly":
         return Poly([i * c for i, c in enumerate(self.coeffs)][1:])
@@ -159,27 +157,31 @@ class Poly:
         return "Poly(" + " + ".join(parts) + ")"
 
 
-def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """Monic gcd over Q."""
-    while not b.is_zero():
-        a, b = b, a % b
-    return a.monic() if not a.is_zero() else a
+def _to_dense(p: Poly) -> list:
+    """Coefficients of p over sympy's QQ, highest degree first."""
+    return [QQ(c.numerator, c.denominator) for c in reversed(p.coeffs)]
 
 
-def poly_xgcd(a: Poly, b: Poly):
-    """Extended gcd: returns (g, u, v) with u*a + v*b = g, g monic."""
-    r0, r1 = a, b
-    u0, u1 = Poly.one(), Poly.zero()
-    v0, v1 = Poly.zero(), Poly.one()
-    while not r1.is_zero():
-        q, r = divmod(r0, r1)
-        r0, r1 = r1, r
-        u0, u1 = u1, u0 - q * u1
-        v0, v1 = v1, v0 - q * v1
-    if r0.is_zero():
-        return r0, u0, v0
-    inv = 1 / r0.lc
-    return r0 * inv, u0 * inv, v0 * inv
+def _fraction(c) -> Fraction:
+    """A QQ or ZZ element as a Fraction; int() also unwraps gmpy2 and
+    flint ground types."""
+    return Fraction(int(c.numerator), int(c.denominator))
+
+
+def _from_dense(f) -> Poly:
+    """The Poly of a dense sympy list, highest degree first."""
+    return Poly([_fraction(c) for c in reversed(f)])
+
+
+def inverse_mod(a: Poly, m: Poly) -> Poly:
+    """The inverse of a modulo m, of degree below deg m.
+
+    ZeroDivisionError when gcd(a, m) is not constant."""
+    try:
+        return _from_dense(dup_invert(_to_dense(a), _to_dense(m), QQ))
+    except NotInvertible:
+        raise ZeroDivisionError(
+            "non-invertible modulo the polynomial (reducible modulus?)") from None
 
 
 def lagrange_interpolate(points) -> Poly:
@@ -201,40 +203,30 @@ def lagrange_interpolate(points) -> Poly:
 
 
 def is_squarefree(p: Poly) -> bool:
-    return poly_gcd(p, p.derivative()).degree <= 0
+    """True when p has no repeated factor over Q."""
+    return dup_sqf_p(_to_dense(p), QQ)
 
 
 def squarefree_part(p: Poly) -> Poly:
-    g = poly_gcd(p, p.derivative())
-    if g.degree <= 0:
-        return p.monic()
-    return (p // g).monic()
+    """Monic squarefree part of p."""
+    return _from_dense(dup_sqf_part(_to_dense(p), QQ))
 
 
 def resultant(a: Poly, b: Poly) -> Fraction:
-    """Res(a, b) by the Euclidean recursion, exact over Q."""
-    if a.is_zero() or b.is_zero():
-        return Fraction(0)
-    if a.degree == 0:
-        return a.coeffs[0] ** b.degree
-    if b.degree == 0:
-        return b.coeffs[0] ** a.degree
-    r = a % b
-    if r.is_zero():
-        return Fraction(0)
-    sign = -1 if (a.degree % 2 == 1 and b.degree % 2 == 1) else 1
-    return sign * b.lc ** (a.degree - r.degree) * resultant(b, r)
+    """Res(a, b), exact over Q; 0 when either is zero."""
+    if a.degree < b.degree:
+        # sympy's subresultant PRS swaps such arguments without the sign
+        # (-1)^(deg a deg b) and so returns Res(b, a)
+        r = resultant(b, a)
+        return -r if a.degree * b.degree % 2 else r
+    return _fraction(dup_resultant(_to_dense(a), _to_dense(b), QQ))
 
 
 def discriminant(p: Poly) -> Fraction:
     """disc(p) = (-1)^{d(d-1)/2} Res(p, p') / lc(p)."""
-    d = p.degree
-    if d < 1:
+    if p.degree < 1:
         raise ValueError("discriminant needs degree >= 1")
-    if d == 1:
-        return Fraction(1)
-    sign = -1 if (d * (d - 1) // 2) % 2 else 1
-    return sign * resultant(p, p.derivative()) / p.lc
+    return _fraction(dup_discriminant(_to_dense(p), QQ))
 
 
 def content_and_primitive(p: Poly):
@@ -259,56 +251,19 @@ def content_and_primitive(p: Poly):
 
 def real_root_count(p: Poly) -> int:
     """Number of distinct real roots, by Sturm's theorem (exact)."""
-    p = squarefree_part(p)
-    if p.degree == 0:
-        return 0
-    chain = [p, p.derivative()]
-    while not chain[-1].is_zero():
-        chain.append(-(chain[-2] % chain[-1]))
-    chain.pop()
-
-    def signs_at_inf(positive: bool):
-        out = []
-        for q in chain:
-            s = q.lc
-            if not positive and q.degree % 2 == 1:
-                s = -s
-            out.append(1 if s > 0 else -1)
-        return out
-
-    def variations(seq):
-        return sum(1 for x, y in zip(seq, seq[1:]) if x != y)
-
-    return variations(signs_at_inf(False)) - variations(signs_at_inf(True))
+    return dup_count_real_roots(_to_dense(p), QQ)
 
 
 @functools.lru_cache(maxsize=None)
 def cyclotomic(n: int) -> Poly:
-    """The n-th cyclotomic polynomial, by repeated exact division."""
+    """The n-th cyclotomic polynomial."""
     if n < 1:
         raise ValueError("n must be positive")
-    num = Poly([-1] + [0] * (n - 1) + [1])  # x^n - 1
-    for d in range(1, n):
-        if n % d == 0:
-            num = num // cyclotomic(d)
-    return num
+    return _from_dense(dup_zz_cyclotomic_poly(n, ZZ))
 
 
 def euler_phi(n: int) -> int:
     return int(sympy.totient(n))
-
-
-_X = sympy.Symbol("x")
-
-
-def _to_sympy(p: Poly):
-    return sympy.Poly([sympy.Rational(c.numerator, c.denominator)
-                       for c in reversed(p.coeffs)], _X, domain="QQ")
-
-
-def _from_sympy(sp) -> Poly:
-    return Poly([Fraction(c.numerator, c.denominator)
-                 for c in reversed(sp.all_coeffs())])
 
 
 def factor_rational(p: Poly):
@@ -322,12 +277,10 @@ def factor_rational(p: Poly):
         raise ValueError("cannot factor the zero polynomial")
     if p.degree == 0:
         return []
-    _, factors = _to_sympy(p).factor_list()
-    out = []
-    for f, mult in factors:
-        q = _from_sympy(f)
-        _, q = content_and_primitive(q)
-        out.append((q, int(mult)))
+    # over QQ, sympy factors the primitive integer part over ZZ
+    _, factors = dup_factor_list(_to_dense(p), QQ)
+    out = [(content_and_primitive(_from_dense(f))[1], int(mult))
+           for f, mult in factors]
     out.sort(key=lambda fm: (fm[0].degree, fm[0].coeffs))
     return out
 

@@ -3,10 +3,11 @@
 Roots are approximated by Durand-Kerner (Weierstrass) iteration: a global
 phase in binary64 from Newton-polygon starting points, then one sweep at
 each doubling precision (quadratic convergence doubles the correct bits
-per sweep), then sweeps at the working precision bits + 32 until the
-corrections fall below 2^-(bits + 32) or stop shrinking at the rounding
-level.  Polynomials that binary64 cannot represent start from the same
-points at the working precision instead.
+per sweep), then sweeps at the working precision bits + 32.  The binary64
+and the working-precision sweeps stop by one rule: when the corrections
+fall below a tolerance, or stop shrinking at the rounding level.
+Polynomials that binary64 cannot represent start from the same points at
+the working precision instead.
 
 The approximations are certified by Henrici inclusion disks: for any z,
 the disk of radius d*|p(z)/p'(z)| centered at z contains at least one
@@ -53,12 +54,15 @@ class CertifiedRoot:
 
 
 # binary64 sweeps allowed for the starting approximations; they stop early
-# once the largest relative correction falls below _FLOAT_TOLERANCE
+# once the largest relative correction falls below _FLOAT_TOLERANCE, or
+# stops shrinking below _FLOAT_FLOOR = 2^32 units of roundoff, the same
+# margin as 2^-bits at the working precision bits + 32
 _FLOAT_SWEEPS = 100
 _FLOAT_TOLERANCE = 1e-12
+_FLOAT_FLOOR = 2.0 ** (32 - 53)
 # sweeps allowed at the working precision before the iteration is refused.
 # Every certified case of the stress set in tests/test_roots.py (degree up
-# to 24, 8 to 1100 bits) needs at most 17 multiprecision sweeps in all, the
+# to 24, 8 to 1100 bits) needs at most 22 multiprecision sweeps in all, the
 # close pairs of Mignotte polynomials being the slowest; a refusal costs at
 # most this many.
 _MAX_SWEEPS = 100
@@ -87,6 +91,20 @@ def _dk_sweep(c, z) -> float:
         z[i] = zi - delta
         worst = max(worst, abs(delta) / max(1, abs(zi)))
     return worst
+
+
+def _sweep_until_settled(c, z, sweeps: int, tolerance, floor) -> bool:
+    """Durand-Kerner sweeps on z until the largest relative correction is
+    below tolerance or, below floor, stops shrinking: there it is rounding
+    noise of an ill-conditioned root, which the certificate judges.  False
+    when all the sweeps ran without settling."""
+    previous = math.inf
+    for _ in range(sweeps):
+        worst = _dk_sweep(c, z)
+        if worst < tolerance or floor > worst >= previous:
+            return True
+        previous = worst
+    return False
 
 
 def _starts(p: Poly) -> list[tuple[float, float]]:
@@ -130,9 +148,7 @@ def _float_starts(p: Poly):
     if any(a and not f for a, f in zip(p.coeffs, c)):
         return None  # a coefficient underflows to 0
     try:
-        for _ in range(_FLOAT_SWEEPS):
-            if _dk_sweep(c, z) < _FLOAT_TOLERANCE:
-                break
+        _sweep_until_settled(c, z, _FLOAT_SWEEPS, _FLOAT_TOLERANCE, _FLOAT_FLOOR)
     except (ZeroDivisionError, OverflowError):
         return None
     if not all(cmath.isfinite(w) for w in z):
@@ -158,15 +174,9 @@ def _approximate_roots(p: Poly, monic, bits: int):
                 with mpmath.workprec(level + 32):
                     _dk_sweep(monic, z)
                 level *= 2
-        floor = mpmath.mpf(2) ** -bits
-        previous = math.inf
-        for _ in range(_MAX_SWEEPS):
-            worst = _dk_sweep(monic, z)
-            # below 2^-bits a correction that stops shrinking is rounding
-            # noise of an ill-conditioned root; the certificate judges it
-            if worst < tolerance or floor > worst >= previous:
-                return z
-            previous = worst
+        if _sweep_until_settled(monic, z, _MAX_SWEEPS, tolerance,
+                                mpmath.mpf(2) ** -bits):
+            return z
     except ZeroDivisionError:
         pass  # two approximations coincide
     raise PrecisionExhausted(f"root iteration did not converge at {bits} bits")

@@ -15,7 +15,6 @@ from fractions import Fraction
 from pathlib import Path
 
 import mpmath
-import sympy
 
 from .corpus import bundled_corpus
 from .heights import GElement, HeightValue, g_combine, g_equal, g_height
@@ -26,6 +25,7 @@ from .placespace import (
     integral,
     l1_norm,
     local_factorization,
+    prime_support,
     vector_error_bound,
 )
 from .polynomials import content_and_primitive, resultant
@@ -107,7 +107,7 @@ def _mahler_height(a: FieldElement) -> HeightValue:
     roots r of P of log+|r|) / deg P, with the roots certified afresh
     rather than taken from the field's embeddings."""
     field = a.field
-    _, P = content_and_primitive(minimal_polynomial(a, field))
+    _, P = content_and_primitive(minimal_polynomial(a))
     roots = certified_roots(P, field.precision_bits)
     with locked_workprec(field.precision_bits):
         total = mpmath.log(int(P.coeffs[-1]))
@@ -402,9 +402,7 @@ def suite_valuations(scenarios, **_):
         field = sc.field
         for name, el in _nonzero_named(sc):
             norm = resultant(field.defining_poly, el.coord_poly())
-            support = (set(sympy.factorint(el.den))
-                       | set(sympy.factorint(abs(norm.numerator))))
-            for p in sorted(support):
+            for p in sorted(prime_support(el.den, norm.numerator)):
                 lf = local_factorization(field, el, p)
                 total = sum(f.f * f.valuation for f in lf.factors)
                 vnorm = 0

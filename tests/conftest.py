@@ -3,6 +3,8 @@ import os
 import pytest
 from hypothesis import settings
 
+from heightlab import verify
+from heightlab.cli import run_command
 from heightlab.numberfield import make_field, rational_subfield, subfield
 
 # In CI every property test draws the same examples on every run and prints
@@ -11,6 +13,32 @@ from heightlab.numberfield import make_field, rational_subfield, subfield
 settings.register_profile("ci", derandomize=True, deadline=None, print_blob=True)
 if os.environ.get("CI"):
     settings.load_profile("ci")
+
+VERIFY_TOLERANCE = 1e-9
+
+
+def run_verify_all():
+    """run_command's `verify all` report at VERIFY_TOLERANCE, and the
+    SuiteResult behind each of its suites, by name."""
+    results = {}
+    run_suite = verify.run_suite
+
+    def recording(name, *args, **options):
+        results[name] = run_suite(name, *args, **options)
+        return results[name]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(verify, "run_suite", recording)
+        report = run_command("verify", None, {"suite": "all",
+                                              "tolerance": VERIFY_TOLERANCE})
+    return report, results
+
+
+@pytest.fixture(scope="session")
+def verify_all():
+    """One run of the ten suites per session, shared by the acceptance
+    criteria and the golden digest of the report."""
+    return run_verify_all()
 
 
 @pytest.fixture(scope="session")

@@ -17,6 +17,7 @@ from heightlab.errors import (
 )
 from heightlab.numberfield import (
     FieldElement,
+    WorkingField,
     _precision_bound,
     eval_poly,
     galois_condition,
@@ -131,6 +132,14 @@ def test_division_and_rationals(field_sqrt2):
         t / 0
 
 
+def test_reducible_working_field_refuses_inverse():
+    # make_field would refuse x^2 - 1; built directly, 1 + t is a zero divisor
+    f = WorkingField(Poly([-1, 0, 1]), 64)
+    with pytest.raises(ZeroDivisionError):
+        f.element([1, 1]).inverse()
+    assert f.element([2, 1]).inverse() == f.element([Fraction(2, 3), Fraction(-1, 3)])
+
+
 # -- the integer representation ---------------------------------------------
 
 small_fractions = st.fractions(min_value=-5, max_value=5, max_denominator=6)
@@ -226,17 +235,17 @@ def test_apply_automorphism_linear_sub(field_sqrt2):
 
 def test_minimal_polynomial_examples(field_sqrt2):
     f = field_sqrt2
-    assert minimal_polynomial(f.theta(), f) == Poly([-2, 0, 1])
-    assert minimal_polynomial(f.element([1, 1]), f) == Poly([-1, -2, 1])
-    assert minimal_polynomial(f.from_rational(5), f) == Poly([-5, 1])
-    assert minimal_polynomial(f.zero(), f) == Poly([0, 1])
+    assert minimal_polynomial(f.theta()) == Poly([-2, 0, 1])
+    assert minimal_polynomial(f.element([1, 1])) == Poly([-1, -2, 1])
+    assert minimal_polynomial(f.from_rational(5)) == Poly([-5, 1])
+    assert minimal_polynomial(f.zero()) == Poly([0, 1])
 
 
 def test_minimal_polynomial_degree_divides(field_cbrt2):
     rng = random.Random(5)
     for _ in range(10):
         a = rand_elem(field_cbrt2, rng, span=2)
-        mp = minimal_polynomial(a, field_cbrt2)
+        mp = minimal_polynomial(a)
         assert field_cbrt2.degree % mp.degree == 0
         assert eval_poly(mp, a).is_zero()
 
@@ -284,7 +293,7 @@ def test_minimal_polynomial_refuses_irrational_coefficients(field_sqrt2, monkeyp
 def test_minimal_polynomial_of_conjugates_match(field_biquad):
     rng = random.Random(6)
     a = rand_elem(field_biquad, rng)
-    mps = {minimal_polynomial(s(a), field_biquad).coeffs
+    mps = {minimal_polynomial(s(a)).coeffs
            for s in field_biquad.automorphisms}
     assert len(mps) == 1
 
@@ -572,6 +581,17 @@ def test_norm_matches_resultant(name):
     assert abs(f.torsion_generator.norm()) == 1
 
 
+@pytest.mark.parametrize("name", CORPUS_NAMES + ["phi13"])
+@settings(max_examples=25, deadline=None)
+@given(u=st.lists(small_fractions, min_size=12, max_size=12))
+def test_inverse_is_inverse(name, u):
+    f = _norm_field(name)
+    a = f.element(u[:f.degree])
+    if a.is_zero():
+        return
+    assert normal(a.inverse()) * a == f.one()
+
+
 @pytest.mark.parametrize("name", CORPUS_NAMES)
 def test_relative_norm_lies_in_subfield(name):
     sc = bundled_scenario(name)
@@ -613,6 +633,6 @@ def test_minpoly_divides_characteristic_poly(field_biquad):
             assert c.is_rational()
             coeffs.append(c.as_rational())
         char = Poly(coeffs)
-        mp = minimal_polynomial(a, f)
+        mp = minimal_polynomial(a)
         assert (char % mp).is_zero()
         assert eval_poly(mp, a).is_zero()

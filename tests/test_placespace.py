@@ -125,6 +125,13 @@ def test_f_vector_sqrt2(field_sqrt2):
     assert ent.weight == 1
 
 
+def test_f_vector_of_large_smooth_norm(field_q):
+    # the factoring budget still splits a 246-digit norm with small primes
+    vec = f_vector(GElement.of(field_q.from_rational(2 ** 500 * 3 ** 200)))
+    assert [pid.p for pid, _ in vec.finite_items()] == [2, 3]
+    assert math.isclose(l1_norm(vec), 2 * (500 * LOG2 + 200 * math.log(3)))
+
+
 def test_f_vector_torsion_is_empty(field_zeta3):
     zeta6 = -(field_zeta3.theta() ** 2)
     assert f_vector(GElement.of(zeta6)).entries == {}

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from heightlab.polynomials import (
@@ -14,8 +14,6 @@ from heightlab.polynomials import (
     is_irreducible,
     is_squarefree,
     lagrange_interpolate,
-    poly_gcd,
-    poly_xgcd,
     real_root_count,
     resultant,
 )
@@ -57,24 +55,6 @@ def test_divmod_roundtrip():
         assert r.degree < b.degree or r.is_zero()
 
 
-def test_gcd_common_factor():
-    f = poly_of(-1, 0, 1)   # x^2 - 1
-    g = poly_of(1, 1)       # x + 1
-    assert poly_gcd(f * g, g) == g.monic()
-    assert poly_gcd(f, poly_of(7)).degree == 0
-
-
-def test_xgcd_bezout():
-    rng = random.Random(2)
-    for _ in range(30):
-        a = Poly([rng.randint(-5, 5) for _ in range(4)])
-        b = Poly([rng.randint(-5, 5) for _ in range(3)])
-        if a.is_zero() or b.is_zero():
-            continue
-        g, u, v = poly_xgcd(a, b)
-        assert u * a + v * b == g
-
-
 def test_resultant_shares_root_iff_zero():
     # x - 2 and x^2 - 4 share the root 2
     assert resultant(poly_of(-2, 1), poly_of(-4, 0, 1)) == 0
@@ -86,6 +66,52 @@ def test_resultant_multiplicative():
     b = poly_of(-2, 0, 1)
     c = poly_of(3, 1, 1)
     assert resultant(a, b * c) == resultant(a, b) * resultant(a, c)
+
+
+def _determinant(rows) -> Fraction:
+    """Exact determinant by Gaussian elimination over Fraction."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    det = Fraction(1)
+    for i in range(len(m)):
+        pivot = next((r for r in range(i, len(m)) if m[r][i]), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != i:
+            m[i], m[pivot] = m[pivot], m[i]
+            det = -det
+        det *= m[i][i]
+        for r in range(i + 1, len(m)):
+            f = m[r][i] / m[i][i]
+            m[r] = [x - f * y for x, y in zip(m[r], m[i])]
+    return det
+
+
+def _sylvester(a: Poly, b: Poly):
+    """Sylvester matrix of a and b: deg b shifted rows of a's coefficients
+    (highest degree first) above deg a shifted rows of b's."""
+    m, n = a.degree, b.degree
+    rows = []
+    for p, count in ((a, n), (b, m)):
+        high_first = list(reversed(p.coeffs))
+        for i in range(count):
+            rows.append([0] * i + high_first + [0] * (count - 1 - i))
+    return rows
+
+
+nonzero_polys = st.lists(st.fractions(min_value=-6, max_value=6, max_denominator=4),
+                         min_size=1, max_size=6).map(Poly).filter(bool)
+
+
+@settings(max_examples=100, deadline=None)
+@given(nonzero_polys, nonzero_polys)
+@example(Poly([1, 1]), Poly([0, 0, 0, 1]))  # deg a < deg b, both odd: Res = -1
+def test_resultant_is_sylvester_determinant(a, b):
+    assert resultant(a, b) == _determinant(_sylvester(a, b))
+    if a.degree >= 1:
+        d = a.degree
+        sign = -1 if d * (d - 1) // 2 % 2 else 1
+        expected = sign * _determinant(_sylvester(a, a.derivative())) / a.lc
+        assert discriminant(a) == expected
 
 
 def test_discriminant_values():

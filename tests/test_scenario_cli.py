@@ -256,6 +256,18 @@ def test_huge_scale_refused_fast(capsys):
         capsys.readouterr()
 
 
+def test_unfactorable_norm_refused_fast(capsys):
+    # the product of two 25-digit primes has no factor within the budget
+    load_scenario("rationals")
+    start = time.perf_counter()
+    code = main(["fvector", "--scenario", "rationals", "--element",
+                 "10000000000000000000000083000000000000000000000091"])
+    assert time.perf_counter() - start < 2
+    assert code == 1
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error["kind"] == "FactorizationExhausted"
+
+
 @pytest.mark.parametrize("cmd, subfields", [
     ("project", ["--K", "Q"]), ("member", ["--D", "Q"]), ("decompose", ["--D", "Q"]),
 ])
