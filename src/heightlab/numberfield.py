@@ -319,11 +319,12 @@ class WorkingField:
 
     # -- arithmetic backend ----------------------------------------------
 
-    def _mul(self, a: FieldElement, b: FieldElement) -> FieldElement:
+    def _mul_num(self, an, bn) -> list:
+        """The integer coordinates of the product of two integer
+        coordinate vectors, reduced by the rows of theta^(d+k)."""
         d = self.degree
         conv = [0] * (2 * d - 1)
-        bn = b.num
-        for i, x in enumerate(a.num):
+        for i, x in enumerate(an):
             if x:
                 for k, y in enumerate(bn, i):
                     conv[k] += x * y
@@ -331,7 +332,10 @@ class WorkingField:
         for c, row in zip(conv[d:], self._red_rows):
             if c:
                 out = [o + c * r for o, r in zip(out, row)]
-        return _normalized(self, out, a.den * b.den)
+        return out
+
+    def _mul(self, a: FieldElement, b: FieldElement) -> FieldElement:
+        return _normalized(self, self._mul_num(a.num, b.num), a.den * b.den)
 
     def _inverse(self, a: FieldElement) -> FieldElement:
         return self.element(inverse_mod(a.coord_poly(), self.defining_poly).coeffs)
@@ -347,11 +351,24 @@ class WorkingField:
 
 
 def eval_poly(p: Poly, a: FieldElement) -> FieldElement:
-    """Evaluate a rational polynomial at a field element (Horner)."""
-    acc = a.field.zero()
-    for c in reversed(p.coeffs):
-        acc = acc * a + c
-    return acc
+    """Evaluate a rational polynomial at a field element.
+
+    With p = sum (n_i / D) x^i over one denominator D and a = A / e,
+    Horner runs on integer coordinates, D e^n p(a) = sum n_i e^(n-i) A^i
+    for n = deg p, and the result is brought to lowest terms once.
+    """
+    field = a.field
+    if p.is_zero():
+        return field.zero()
+    den = int_lcm(*(c.denominator for c in p.coeffs))
+    nums = [c.numerator * (den // c.denominator) for c in p.coeffs]
+    acc = [nums[-1]] + [0] * (field.degree - 1)
+    e_power = 1
+    for c in reversed(nums[:-1]):
+        e_power *= a.den
+        acc = field._mul_num(acc, a.num)
+        acc[0] += c * e_power
+    return _normalized(field, acc, den * e_power)
 
 
 def eval_at_embedding(a: FieldElement, root):
@@ -408,9 +425,34 @@ def _split_prime(field: WorkingField, avoid: int):
             return q, roots[0]
 
 
+# below this prime, roots mod q are found by evaluating the polynomial at
+# every residue: on random polynomials of degree 2 to 24 that beat the gcd
+# with x^q - x and sympy 1.14's equal-degree factorization by 1.1x to 40x
+# up to q = 521, and lost to them by up to 2.7x at q = 2053 (pure Python
+# 3.11 on a shared x86-64 host)
+_EVAL_PRIME_BOUND = 512
+
+
 def _roots_mod(ints_high_first, q: int) -> tuple:
     """The distinct roots mod q of an integer polynomial (highest degree
-    first) whose leading coefficient is prime to q, in increasing order."""
+    first) whose leading coefficient is prime to q, in increasing order.
+
+    Below _EVAL_PRIME_BOUND they are the residues where it vanishes (at most
+    its degree of them); above, the linear factors of its gcd with x^q - x,
+    from equal-degree factorization."""
+    if q < _EVAL_PRIME_BOUND:
+        n = len(ints_high_first) - 1
+        cs = [c % q for c in ints_high_first]
+        roots = []
+        for r in range(q):
+            acc = 0
+            for c in cs:
+                acc = (acc * r + c) % q
+            if not acc:
+                roots.append(r)
+                if len(roots) == n:
+                    break
+        return tuple(roots)
     fbar = gf_from_int_poly(ints_high_first, q)
     frob = gf_pow_mod([1, 0], q, fbar, q, ZZ)
     g = gf_gcd(fbar, gf_sub(frob, [1, 0], q, ZZ), q, ZZ)
@@ -420,14 +462,17 @@ def _roots_mod(ints_high_first, q: int) -> tuple:
 
 
 def _lattice(field: WorkingField, q: int, r1: int, k: int):
-    """(r1 lifted mod q^k, LLL-reduced basis of L_k), cached write-once:
+    """(k', r1 lifted mod q^k', LLL-reduced basis of L_k') for the least
+    k' >= k already cached, else for k' = k, cached write-once:
     L_k = {c in Z^d : sum c_i r1^i = 0 mod q^k} is the lattice of the
     coordinate vectors of the elements of Z[theta] in P^k, for P the prime
-    above q at which theta = r1."""
-    key = (q, k)
-    cached = field._lattice_cache.get(key)
-    if cached is not None:
-        return cached
+    above q at which theta = r1.  A finer lattice serves as well, since
+    L_k' lies in L_k and its precision bound is only larger."""
+    # a snapshot of the keys, as another thread may be adding one
+    finer = [kk for qq, kk in list(field._lattice_cache) if qq == q and kk >= k]
+    if finer:
+        k = min(finer)
+        return (k,) + field._lattice_cache[q, k]
     modulus = q ** k
     lifted = hensel_lift([int(c) for c in field.defining_poly.coeffs], r1, q, k)
     d = field.degree
@@ -437,8 +482,8 @@ def _lattice(field: WorkingField, q: int, r1: int, k: int):
         power = power * lifted % modulus
         rows.append([-power % modulus] + [int(j == i) for j in range(1, d)])
     result = (lifted, ReducedLattice(rows))
-    field._lattice_cache[key] = result
-    return result
+    field._lattice_cache[q, k] = result
+    return (k,) + result
 
 
 def _precision_bound(field: WorkingField, f_ints, q: int) -> int:
@@ -496,16 +541,23 @@ def roots_in_field(p: Poly, field: WorkingField) -> list[FieldElement]:
     congruence gives a candidate; it is accepted only when p vanishes at it
     exactly.  On a miss k doubles, up to the proven k_max of
     _precision_bound, where a miss proves that no root of F lies above rho.
+    When p is m_F itself, which make_field proved irreducible, its
+    discriminant and its roots mod q are the field's own.
     """
     if p.is_zero():
         raise ValueError("roots of the zero polynomial")
-    _, f = content_and_primitive(squarefree_part(p))
-    if f.degree < 1:
-        return []
+    own = p == field.defining_poly
+    if own:
+        f, disc = p, field.disc
+    else:
+        _, f = content_and_primitive(squarefree_part(p))
+        if f.degree < 1:
+            return []
+        disc = discriminant(f)
     f_ints = [int(c) for c in f.coeffs]
     lead = f_ints[-1]
-    q, r1 = _split_prime(field, lead * int(discriminant(f)))
-    pending = _roots_mod(f_ints[::-1], q)
+    q, r1 = _split_prime(field, lead * int(disc))
+    pending = field._split_roots[q] if own else _roots_mod(f_ints[::-1], q)
     if not pending:
         return []
     inv = field._dtheta_inverse
@@ -520,7 +572,7 @@ def roots_in_field(p: Poly, field: WorkingField) -> list[FieldElement]:
     k = min(k_max, max(1, d * d // (2 * q.bit_length())))
     roots = []
     while pending:
-        lifted, lattice = _lattice(field, q, r1, k)
+        k, lifted, lattice = _lattice(field, q, r1, k)
         modulus = q ** k
         scale = lead * eval_mod(dm_ints, lifted, modulus)
         missed = []
@@ -532,7 +584,7 @@ def roots_in_field(p: Poly, field: WorkingField) -> list[FieldElement]:
                 roots.append(candidate)
             else:
                 missed.append(rho)
-        if k == k_max:
+        if k >= k_max:
             break
         pending, k = missed, min(2 * k, k_max)
     return sorted(roots, key=lambda r: r.coords)
@@ -570,25 +622,41 @@ def _torsion_structure(field: WorkingField):
     The roots of unity of F form a cyclic group of order w_F, so w_F is the
     product over primes p of the largest p^k with zeta_{p^k} in F, and the
     product of those zeta_{p^k} generates the group.  Beyond +-1 they are
-    non-real, so a totally real field stops at w_F = 2.  Otherwise the chain
-    for p climbs while phi(p^k) divides d (which needs (p - 1) | d) and stops
-    at its first miss, since zeta_{p^(k+1)} in F gives zeta_{p^k} =
-    zeta_{p^(k+1)}^p in F.
+    non-real, so a totally real field stops at w_F = 2.
+
+    Otherwise w_F is bounded at the split primes of _split_prime.  At such
+    a prime q the residue fields are F_q, into which the roots of unity of
+    order prime to q inject, and zeta_q in F would ramify q; so w_F divides
+    q - 1.  At q = 2 this leaves +-1, since zeta_4 in F would ramify 2 too.
+    With g = gcd(q1 - 1, q2 - 1) over the two least split primes, the p-part
+    of w_F is the largest p^k dividing g with phi(p^k) | d and zeta_{p^k}
+    in F (at least 2 for p = 2, as -1 is in F), found by trying Phi_{p^k}
+    from the top: zeta_{p^k} in F gives zeta_{p^j} = zeta_{p^k}^(p^(k-j))
+    for j < k.
     """
+    minus_one = field.from_rational(-1)
     if field.is_totally_real():
-        return 2, field.from_rational(-1)
+        return 2, minus_one
+    q1, _ = _split_prime(field, 1)
+    if q1 == 2:
+        return 2, minus_one
+    q2, _ = _split_prime(field, q1)
+    g = int_gcd(q1 - 1, q2 - 1)
     d = field.degree
     w, gen = 1, field.one()
-    for p in range(2, d + 2):
-        if euler_phi(p) != p - 1 or d % (p - 1):
-            continue  # p is not prime, or zeta_p would need phi(p) | d
-        q, zeta = (2, field.from_rational(-1)) if p == 2 else (1, field.one())
-        while d % euler_phi(q * p) == 0:
-            roots = roots_in_field(cyclotomic(q * p), field)
-            if not roots:
+    for p in sympy.primefactors(g):
+        order, zeta = (2, minus_one) if p == 2 else (1, field.one())
+        powers = []
+        power = order * p
+        while g % power == 0 and d % euler_phi(power) == 0:
+            powers.append(power)
+            power *= p
+        for power in reversed(powers):
+            roots = roots_in_field(cyclotomic(power), field)
+            if roots:
+                order, zeta = power, roots[0]
                 break
-            q, zeta = q * p, roots[0]
-        w, gen = w * q, gen * zeta
+        w, gen = w * order, gen * zeta
     assert (gen ** w).is_rational() and (gen ** w).as_rational() == 1
     return w, gen
 

@@ -252,11 +252,17 @@ def local_factorization(field: WorkingField, a: FieldElement, p: int) -> LocalFa
         raise ZeroElement("valuations of zero are undefined")
     if not sympy.isprime(p):
         raise ValueError(f"{p} is not prime")
+    return _local_factorization(field, a, p, abs(int((a * a.den).norm())))
+
+
+def _local_factorization(field: WorkingField, a: FieldElement, p: int,
+                         norm_b: int) -> LocalFactorization:
+    """local_factorization of a nonzero a at a prime p, given
+    norm_b = |N(a den)| for the denominator den of a."""
     data = _prime_splitting(field, p)
     den = a.den
     b = a * den
     vden = _int_valuation(den, p) if den % p == 0 else 0
-    norm_b = abs(int(b.norm()))
     vnorm_b = _int_valuation(norm_b, p) if norm_b % p == 0 else 0
 
     factors = []
@@ -313,8 +319,9 @@ def f_vector(u: GElement) -> PlaceVector:
                 value=value, abs_error=err, weight=Fraction(len(cls), d))
 
     den = beta.den
-    for p in sorted(prime_support(den, int((beta * den).norm()))):
-        lf = local_factorization(field, beta, p)
+    norm_b = abs(int((beta * den).norm()))
+    for p in sorted(prime_support(den, norm_b)):
+        lf = _local_factorization(field, beta, p, norm_b)
         for j, fac in enumerate(lf.factors):
             if fac.valuation == 0:
                 continue

@@ -7,6 +7,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from heightlab import numberfield
 from heightlab._padic import ReducedLattice, hensel_lift
 from heightlab.corpus import bundled_scenario, scenario_documents
 from heightlab.errors import (
@@ -18,7 +19,11 @@ from heightlab.errors import (
 from heightlab.numberfield import (
     FieldElement,
     WorkingField,
+    _lattice,
+    _make_field_cached,
     _precision_bound,
+    _roots_mod,
+    _split_prime,
     eval_poly,
     galois_condition,
     make_field,
@@ -29,7 +34,7 @@ from heightlab.numberfield import (
     whole_field,
 )
 from heightlab.polynomials import Poly, cyclotomic, is_irreducible, resultant
-from heightlab.roots import certified_roots
+from heightlab.roots import DEFAULT_PRECISION_BITS, certified_roots
 
 CORPUS_NAMES = [doc["name"] for doc in scenario_documents()]
 
@@ -91,6 +96,39 @@ def test_torsion_structure(coeffs, order, gen_coords):
     for r in (2, 3, 5, 7):
         if order % r == 0:
             assert gen ** (order // r) != f.one()
+
+
+@pytest.mark.parametrize("n", [5, 7, 8, 9, 12, 13, 15, 16, 20, 21, 45])
+def test_cyclotomic_torsion(n):
+    # Q(zeta_n) holds exactly the roots of unity of order lcm(2, n)
+    f = make_field([int(c) for c in cyclotomic(n).coeffs])
+    w = f.torsion_order
+    assert w == (n if n % 2 == 0 else 2 * n)
+    gen = f.torsion_generator
+    assert gen ** w == f.one()
+    for r in sympy.primefactors(w):
+        assert gen ** (w // r) != f.one()
+
+
+def test_torsion_tries_only_prime_powers_dividing_split_primes(monkeypatch):
+    # Phi45 splits first at 181 and 271, and gcd(180, 270) = 90 leaves
+    # zeta_9 and zeta_5 to try; zeta_4, which would need a proof of absence
+    # at the largest precision, is ruled out without a search
+    coeffs = tuple(int(c) for c in cyclotomic(45).coeffs)
+    tried = []
+    search = numberfield.roots_in_field
+
+    def recording(p, field):
+        tried.append(p)
+        return search(p, field)
+
+    monkeypatch.setattr(numberfield, "roots_in_field", recording)
+    field = _make_field_cached.__wrapped__(coeffs, DEFAULT_PRECISION_BITS)
+    assert field.torsion_order == 90
+    assert tried == [field.defining_poly, cyclotomic(9), cyclotomic(5)]
+    assert cyclotomic(4) not in tried
+    assert _split_prime(field, 1)[0] == 181
+    assert _split_prime(field, 181)[0] == 271
 
 
 def test_make_field_rejects_reducible():
@@ -387,6 +425,74 @@ def test_miss_is_proven_at_the_precision_bound(field_sqrt2):
     assert (7, k_max) in field_sqrt2._lattice_cache
     assert roots_in_field(Poly([-18, 0, 1]), field_sqrt2) == [
         field_sqrt2.element([0, -3]), field_sqrt2.element([0, 3])]
+
+
+def test_miss_is_proven_with_a_finer_cached_lattice():
+    # with only a lattice beyond both precision bounds cached, a miss there
+    # is still the proof and the hits are still found, without new lattices
+    field = WorkingField(Poly([-2, 0, 1]), DEFAULT_PRECISION_BITS)
+    q, r1 = _split_prime(field, 1)
+    assert q == 7
+    k_max = max(_precision_bound(field, [-11, 0, 1], q),
+                _precision_bound(field, [-18, 0, 1], q))
+    assert _lattice(field, q, r1, 2 * k_max)[0] == 2 * k_max
+    assert _lattice(field, q, r1, 1)[0] == 2 * k_max
+    assert roots_in_field(Poly([-11, 0, 1]), field) == []
+    assert roots_in_field(Poly([-18, 0, 1]), field) == [
+        field.element([0, -3]), field.element([0, 3])]
+    assert list(field._lattice_cache) == [(q, 2 * k_max)]
+
+
+def _roots_mod_by_evaluation(ints_high_first, q):
+    return tuple(r for r in range(q)
+                 if sympy.Poly(ints_high_first, sympy.Symbol("x")).eval(r) % q == 0)
+
+
+@pytest.mark.parametrize("q", [2, 3, 13, 131, 509, 521, 2053])
+def test_roots_mod_both_routes_agree(q, monkeypatch):
+    # evaluation at every residue and equal-degree factorization find the
+    # same sorted roots, on both sides of the bound between them
+    rng = random.Random(q)
+    cases = []
+    for _ in range(25):
+        n = rng.randint(1, 12)
+        ints = [rng.choice([1, -1]) * rng.randint(1, q - 1) if q > 2 else 1]
+        ints += [rng.randint(-10 ** 6, 10 ** 6) for _ in range(n)]
+        if rng.random() < 0.5:  # a product of linear factors mod q
+            ints = [1]
+            for r in rng.sample(range(q), min(n, q)):
+                ints = [a - r * b for a, b in zip(ints + [0], [0] + ints)]
+        cases.append(ints)
+    default = [_roots_mod(ints, q) for ints in cases]
+    monkeypatch.setattr(numberfield, "_EVAL_PRIME_BOUND",
+                        10 ** 9 if q >= numberfield._EVAL_PRIME_BOUND else 2)
+    other = [_roots_mod(ints, q) for ints in cases]
+    assert default == other
+    if q < 200:
+        assert default == [_roots_mod_by_evaluation(ints, q) for ints in cases]
+
+
+_EVAL_FIELDS = [(-2, 0, 1), (1, 1, 1), (1, -3, 0, 5, 0, -3, 1), (-1, 1)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(_EVAL_FIELDS),
+       st.lists(st.fractions(max_denominator=50).filter(lambda c: abs(c) < 10 ** 4),
+                min_size=1, max_size=6),
+       st.lists(st.fractions(max_denominator=12).filter(lambda c: abs(c) < 100),
+                min_size=0, max_size=9))
+def test_eval_poly_matches_fraction_horner(coeffs, a_coords, p_coeffs):
+    field = make_field(list(coeffs))
+    a = field.element(a_coords[:field.degree])
+    p = Poly(p_coeffs)
+    # Horner over Q[x] with Fraction coefficients, reduced mod m_F each step
+    acc = Poly()
+    for c in reversed(p.coeffs):
+        acc = divmod(acc * a.coord_poly() + Poly([c]), field.defining_poly)[1]
+    expected = list(acc.coeffs) + [0] * (field.degree - len(acc.coeffs))
+    value = eval_poly(p, a)
+    assert list(value.coords) == expected
+    assert value == field.element(expected)
 
 
 def _gram_schmidt(rows):

@@ -6,7 +6,7 @@ import pytest
 
 from heightlab.errors import IndexDivisor, ZeroElement
 from heightlab.heights import GElement, g_combine, g_height
-from heightlab.numberfield import subfield
+from heightlab.numberfield import FieldElement, subfield
 from heightlab.placespace import (
     PlaceId,
     f_vector,
@@ -130,6 +130,31 @@ def test_f_vector_of_large_smooth_norm(field_q):
     vec = f_vector(GElement.of(field_q.from_rational(2 ** 500 * 3 ** 200)))
     assert [pid.p for pid, _ in vec.finite_items()] == [2, 3]
     assert math.isclose(l1_norm(vec), 2 * (500 * LOG2 + 200 * math.log(3)))
+
+
+def test_f_vector_takes_one_norm(field_biquad, monkeypatch):
+    # the norm that gives the support primes also serves every prime's
+    # valuation check, and the vector matches the public per-prime route;
+    # the first call fills the field's cache of prime splittings, whose
+    # construction takes norms of its own
+    a = field_biquad.element([Fraction(3, 10), 7, Fraction(-1, 5), 2])
+    f_vector(GElement.of(a))
+    calls = []
+    norm = FieldElement.norm
+
+    def counting(self):
+        calls.append(self)
+        return norm(self)
+
+    monkeypatch.setattr(FieldElement, "norm", counting)
+    vec = f_vector(GElement.of(a))
+    assert len(calls) == 1
+    primes = {pid.p for pid, _ in vec.finite_items()}
+    assert len(primes) >= 3
+    for p in primes:
+        lf = local_factorization(field_biquad, a, p)
+        for j, fac in enumerate(lf.factors):
+            assert (PlaceId("finite", p, j) in vec.entries) == bool(fac.valuation)
 
 
 def test_f_vector_torsion_is_empty(field_zeta3):
