@@ -9,6 +9,15 @@ that equal elements have equal representations.  Because m_F is monic over
 Z, products reduce with integer rows and are normalized once (Cohen, A
 Course in Computational Algebraic Number Theory, ch. 4).  Everything here
 is immutable after construction and safe for concurrent reads.
+
+make_field builds a field in four steps.  It proves m_F irreducible over
+Q.  It finds the Galois group at the least prime q where m_F splits: it
+lifts one root of m_F to F above each root mod q that the automorphisms
+found so far do not cover, and closes them under composition.  A field
+that is not Galois is refused there, before any multiprecision work.  It
+certifies the d complex embeddings (roots.py), without a second
+squarefree test.  Last it finds the roots of unity, with one lift for each
+prime power that it tries.
 """
 
 from __future__ import annotations
@@ -42,7 +51,13 @@ from .polynomials import (
     is_irreducible,
     squarefree_part,
 )
-from .roots import DEFAULT_PRECISION_BITS, archimedean_classes, certified_roots
+from .roots import (
+    DEFAULT_PRECISION_BITS,
+    _certified_roots,
+    _float_upper,
+    _gamma,
+    archimedean_classes,
+)
 
 
 def _normalized(field: "WorkingField", num, den: int) -> "FieldElement":
@@ -338,6 +353,8 @@ class WorkingField:
         return _normalized(self, self._mul_num(a.num, b.num), a.den * b.den)
 
     def _inverse(self, a: FieldElement) -> FieldElement:
+        if a.is_rational():
+            return self.from_rational(Fraction(a.den, a.num[0]))
         return self.element(inverse_mod(a.coord_poly(), self.defining_poly).coeffs)
 
     def identity_automorphism(self) -> Automorphism:
@@ -371,25 +388,43 @@ def eval_poly(p: Poly, a: FieldElement) -> FieldElement:
     return _normalized(field, acc, den * e_power)
 
 
-def eval_at_embedding(a: FieldElement, root):
-    """The image of a under the embedding t -> root, with a bound on its
-    distance from the true image.
+@functools.lru_cache(maxsize=None)
+def _embedding_gammas(n: int, prec: int):
+    """(gamma_{8n+16}, 1 + gamma_{4n+12}) at prec bits, the two factors of
+    eval_at_embedding's bound; call at that precision."""
+    u = mpmath.mpf(2) ** (1 - prec)
+    return _gamma(8 * n + 16, u), 1 + _gamma(4 * n + 12, u)
 
-    The true root lies within root.radius of root.value, and on that disk
-    |A'| <= sum k |c_k| (|root.value| + radius)^(k-1) for the coordinate
-    polynomial A, so the bound is that sum times the radius.  Call under
-    roots.locked_workprec.
+
+def eval_at_embedding(a: FieldElement, root):
+    """The image of a under the embedding t -> root, with a rigorous bound
+    on its distance from the true image.
+
+    For the coordinate polynomial A = sum c_k x^k of degree n < d, the true
+    root lies within r = root.radius of z = root.value, and on that disk
+    |A'| <= D = sum k |c_k| R^(k-1) with R = |z| + r, so |A(z) - A(true)|
+    <= D r.  Horner computes A(z) to within gamma_{8n+16} M, with
+    M = sum |c_k| R^k, as in roots._horner_with_bound.  D and M are
+    accumulated beside A(z) from rounded |c_k| and R, sums of products of
+    nonnegative numbers with at most 4n + 4 roundings along any term, and
+    the bound (D r + gamma_{8n+16} M) takes 4 more; 1 + gamma_{4n+12}
+    covers them, and the result is rounded up to a float.  The arithmetic
+    runs at the current precision, but at no fewer than 53 bits, so that
+    every gamma is below 1.  Call under roots.locked_workprec.
     """
-    z = root.value
-    az = abs(z) + root.radius
-    acc = mpmath.mpc(0)
-    majorant = deriv_bound = mpmath.mpf(0)
-    for c in reversed(a.coords):
-        cf = mpmath.mpf(c.numerator) / c.denominator
-        acc = acc * z + cf
-        deriv_bound = deriv_bound * az + majorant
-        majorant = majorant * az + abs(cf)
-    return acc, float(deriv_bound * root.radius)
+    with mpmath.workprec(max(mpmath.mp.prec, 53)):
+        z = root.value
+        az = abs(z) + root.radius
+        acc = mpmath.mpc(0)
+        majorant = deriv_bound = mpmath.mpf(0)
+        for c in reversed(a.coords):
+            cf = mpmath.mpf(c.numerator) / c.denominator
+            acc = acc * z + cf
+            deriv_bound = deriv_bound * az + majorant
+            majorant = majorant * az + abs(cf)
+        e_eval, widen = _embedding_gammas(len(a.coords) - 1, mpmath.mp.prec)
+        bound = (deriv_bound * root.radius + e_eval * majorant) * widen
+        return acc, _float_upper(bound)
 
 
 # -- root finding inside the field ----------------------------------------
@@ -525,6 +560,44 @@ def _precision_bound(field: WorkingField, f_ints, q: int) -> int:
     return k
 
 
+def _lift_root(field: WorkingField, f: Poly, q: int, r1: int, rho: int, k_max: int):
+    """The root of the primitive integer polynomial f in F above its simple
+    root rho mod q, verified by substitution, or None when F has none.
+
+    The field embeds in Q_q by theta -> r1 (q prime to disc(m_F), to the
+    leading coefficient l of f and to disc(f)).  l m_F'(theta) times the
+    root of f in F above rho, if any, has integer coordinates c with
+    sum c_i r1^i = l m_F'(r1) rho mod q^k.  Babai's nearest plane on the
+    LLL-reduced lattice L_k of that congruence gives a candidate, accepted
+    only when f vanishes at it exactly.  On a miss k doubles, up to the
+    proven k_max of _precision_bound, where a miss proves that no root of f
+    in F lies above rho.
+    """
+    d = field.degree
+    f_ints = [int(c) for c in f.coeffs]
+    lead = f_ints[-1]
+    inv = field._dtheta_inverse
+    if inv is None:
+        inv = eval_poly(field.defining_poly.derivative(), field.theta()).inverse()
+        field._dtheta_inverse = inv
+    dm_ints = [int(c) for c in field.defining_poly.derivative().coeffs]
+    # first try q^k near 2^(d^2/2), where the reduced basis vectors (of
+    # length about q^(k/d)) outgrow Babai's factor 2^(d/2)
+    k = min(k_max, max(1, d * d // (2 * q.bit_length())))
+    while True:
+        k, lifted, lattice = _lattice(field, q, r1, k)
+        modulus = q ** k
+        scale = lead * eval_mod(dm_ints, lifted, modulus)
+        target = scale * hensel_lift(f_ints, rho, q, k) % modulus
+        c = lattice.nearest_plane_residual([target] + [0] * (d - 1))
+        candidate = _normalized(field, c, lead) * inv
+        if eval_poly(f, candidate).is_zero():
+            return candidate
+        if k >= k_max:
+            return None
+        k = min(2 * k, k_max)
+
+
 def roots_in_field(p: Poly, field: WorkingField) -> list[FieldElement]:
     """All exact roots of p in F, each verified by substitution, without
     repetition and sorted by coordinates.
@@ -534,60 +607,20 @@ def roots_in_field(p: Poly, field: WorkingField) -> list[FieldElement]:
     squarefree part of p with leading coefficient l, and q the least prime
     prime to disc(m_F) l disc(f) at which m_F has a root r1 (so F embeds
     in Q_q by theta -> r1).  A root of f in F maps to a root of f mod q,
-    so with none there is no root in F.  Otherwise each root rho of f mod q
-    is lifted to q^k, and l m_F'(theta) times the root of f in F above rho,
-    if any, has integer coordinates c with sum c_i r1^i = l m_F'(r1) rho
-    mod q^k.  Babai's nearest plane on the LLL-reduced lattice L_k of that
-    congruence gives a candidate; it is accepted only when p vanishes at it
-    exactly.  On a miss k doubles, up to the proven k_max of
-    _precision_bound, where a miss proves that no root of F lies above rho.
-    When p is m_F itself, which make_field proved irreducible, its
-    discriminant and its roots mod q are the field's own.
+    so with none there is no root in F; each root mod q is lifted once by
+    _lift_root.
     """
     if p.is_zero():
         raise ValueError("roots of the zero polynomial")
-    own = p == field.defining_poly
-    if own:
-        f, disc = p, field.disc
-    else:
-        _, f = content_and_primitive(squarefree_part(p))
-        if f.degree < 1:
-            return []
-        disc = discriminant(f)
-    f_ints = [int(c) for c in f.coeffs]
-    lead = f_ints[-1]
-    q, r1 = _split_prime(field, lead * int(disc))
-    pending = field._split_roots[q] if own else _roots_mod(f_ints[::-1], q)
-    if not pending:
+    _, f = content_and_primitive(squarefree_part(p))
+    if f.degree < 1:
         return []
-    inv = field._dtheta_inverse
-    if inv is None:
-        inv = eval_poly(field.defining_poly.derivative(), field.theta()).inverse()
-        field._dtheta_inverse = inv
-    d = field.degree
-    dm_ints = [int(c) for c in field.defining_poly.derivative().coeffs]
+    f_ints = [int(c) for c in f.coeffs]
+    q, r1 = _split_prime(field, f_ints[-1] * int(discriminant(f)))
     k_max = _precision_bound(field, f_ints, q)
-    # first try q^k near 2^(d^2/2), where the reduced basis vectors (of
-    # length about q^(k/d)) outgrow Babai's factor 2^(d/2)
-    k = min(k_max, max(1, d * d // (2 * q.bit_length())))
-    roots = []
-    while pending:
-        k, lifted, lattice = _lattice(field, q, r1, k)
-        modulus = q ** k
-        scale = lead * eval_mod(dm_ints, lifted, modulus)
-        missed = []
-        for rho in pending:
-            target = scale * hensel_lift(f_ints, rho, q, k) % modulus
-            c = lattice.nearest_plane_residual([target] + [0] * (d - 1))
-            candidate = _normalized(field, c, lead) * inv
-            if eval_poly(p, candidate).is_zero():
-                roots.append(candidate)
-            else:
-                missed.append(rho)
-        if k >= k_max:
-            break
-        pending, k = missed, min(2 * k, k_max)
-    return sorted(roots, key=lambda r: r.coords)
+    lifts = (_lift_root(field, f, q, r1, rho, k_max)
+             for rho in _roots_mod(f_ints[::-1], q))
+    return sorted((r for r in lifts if r is not None), key=lambda r: r.coords)
 
 
 # -- minimal polynomials ---------------------------------------------------
@@ -616,6 +649,90 @@ def minimal_polynomial(a: FieldElement) -> Poly:
 # -- field construction ----------------------------------------------------
 
 
+def _residue(a: FieldElement, q: int, r1: int) -> int:
+    """a mod the prime above q at which theta = r1; a's denominator is
+    prime to q."""
+    return eval_mod(a.num, r1, q) * pow(a.den, -1, q) % q
+
+
+def _galois_group(field: WorkingField):
+    """The automorphisms of F and their composition and inverse tables,
+    built from generators; NotGalois when F is not Galois.
+
+    At the least split prime q of _split_prime, with theta = r1 at the
+    prime P above q, an automorphism sigma is determined by the root
+    sigma(theta) mod P of m_F mod q, and as q is prime to disc(m_F) the d
+    automorphisms of a Galois F cover the d roots once each.  So starting
+    from the identity, the least root rho mod q that no automorphism found
+    so far covers is lifted to the root of m_F in F above it (_lift_root),
+    and the set is closed under composition, whose results are exact and
+    need no check, until it has d elements.  Every product is computed on
+    the way, which fills the composition table.  When F is Galois every rho
+    has a lift, so a rho with none proves that F is not.
+    """
+    d = field.degree
+    q, r1 = _split_prime(field, 1)
+    m_ints = [int(c) for c in field.defining_poly.coeffs]
+    k_max = _precision_bound(field, m_ints, q)
+    theta = field.theta()
+    autos = [Automorphism(field, None, theta)]
+    found = {theta: 0}
+    covered = {r1}
+    products = {(0, 0): 0}  # (i, j) -> index of autos[i] after autos[j]
+
+    def add(image):
+        i = found[image] = len(autos)
+        autos.append(Automorphism(field, None, image))
+        covered.add(_residue(image, q, r1))
+        products[0, i] = products[i, 0] = i
+        return i
+
+    while len(autos) < d:
+        rho = min(r for r in field._split_roots[q] if r not in covered)
+        image = _lift_root(field, field.defining_poly, q, r1, rho, k_max)
+        if image is None:
+            raise NotGalois(
+                f"no root of the defining polynomial in the field lies above "
+                f"its root {rho} mod {q}; supply the Galois closure")
+        frontier = [add(image)]
+        while frontier:
+            i = frontier.pop()
+            for j in range(1, len(autos)):
+                for a, b in ((i, j), (j, i)):
+                    if (a, b) not in products:
+                        image = autos[a](autos[b].theta_image)
+                        if image not in found:
+                            frontier.append(add(image))
+                        products[a, b] = found[image]
+    order = sorted(range(d), key=lambda i: (i != 0, autos[i].theta_image.coords))
+    for new, old in enumerate(order):
+        autos[old].index = new
+    comp = tuple(tuple(autos[products[a, b]].index for b in order) for a in order)
+    inv = tuple(row.index(0) for row in comp)
+    return tuple(autos[i] for i in order), comp, inv
+
+
+def _root_of_unity(field: WorkingField, n: int, q: int, r1: int):
+    """The primitive n-th root of unity of F with the least coordinates, or
+    None when F has none, for n dividing q - 1 at the split prime q.
+
+    Phi_n splits into distinct linear factors mod q, and Q(zeta_n) in F
+    puts a root of F above each of them, so one lift above the least root
+    decides; the others are the powers zeta^j with gcd(j, n) = 1."""
+    cyc = cyclotomic(n)
+    f_ints = [int(c) for c in cyc.coeffs]
+    rho = _roots_mod(f_ints[::-1], q)[0]
+    zeta = _lift_root(field, cyc, q, r1, rho, _precision_bound(field, f_ints, q))
+    if zeta is None:
+        return None
+    best, power = zeta, zeta
+    for j in range(2, n):
+        power = power * zeta
+        if int_gcd(j, n) == 1 and power.coords < best.coords:
+            best = power
+    return best
+
+
 def _torsion_structure(field: WorkingField):
     """Torsion order w_F and a generating root of unity, one prime at a time.
 
@@ -628,20 +745,21 @@ def _torsion_structure(field: WorkingField):
     a prime q the residue fields are F_q, into which the roots of unity of
     order prime to q inject, and zeta_q in F would ramify q; so w_F divides
     q - 1.  At q = 2 this leaves +-1, since zeta_4 in F would ramify 2 too.
-    With g = gcd(q1 - 1, q2 - 1) over the two least split primes, the p-part
-    of w_F is the largest p^k dividing g with phi(p^k) | d and zeta_{p^k}
-    in F (at least 2 for p = 2, as -1 is in F), found by trying Phi_{p^k}
-    from the top: zeta_{p^k} in F gives zeta_{p^j} = zeta_{p^k}^(p^(k-j))
-    for j < k.
+    With g = gcd(q1 - 1, q2 - 1, q3 - 1) over the three least split primes,
+    the p-part of w_F is the largest p^k dividing g with phi(p^k) | d and
+    zeta_{p^k} in F (at least 2 for p = 2, as -1 is in F), found by trying
+    zeta_{p^k} from the top with _root_of_unity at q1: zeta_{p^k} in F
+    gives zeta_{p^j} = zeta_{p^k}^(p^(k-j)) for j < k.
     """
     minus_one = field.from_rational(-1)
     if field.is_totally_real():
         return 2, minus_one
-    q1, _ = _split_prime(field, 1)
+    q1, r1 = _split_prime(field, 1)
     if q1 == 2:
         return 2, minus_one
     q2, _ = _split_prime(field, q1)
-    g = int_gcd(q1 - 1, q2 - 1)
+    q3, _ = _split_prime(field, q1 * q2)
+    g = int_gcd(q1 - 1, q2 - 1, q3 - 1)
     d = field.degree
     w, gen = 1, field.one()
     for p in sympy.primefactors(g):
@@ -652,9 +770,9 @@ def _torsion_structure(field: WorkingField):
             powers.append(power)
             power *= p
         for power in reversed(powers):
-            roots = roots_in_field(cyclotomic(power), field)
-            if roots:
-                order, zeta = power, roots[0]
+            root = _root_of_unity(field, power, q1, r1)
+            if root is not None:
+                order, zeta = power, root
                 break
         w, gen = w * order, gen * zeta
     assert (gen ** w).is_rational() and (gen ** w).as_rational() == 1
@@ -671,35 +789,21 @@ def _make_field_cached(int_coeffs: tuple, precision_bits: int) -> WorkingField:
     if not is_irreducible(poly):
         raise ReduciblePolynomial(f"{poly!r} is reducible over Q")
     field = WorkingField(poly, precision_bits)
-    field.embeddings = certified_roots(poly, precision_bits)
+    field.automorphisms, field._comp_table, field._inv_table = _galois_group(field)
+    # m_F is irreducible, hence squarefree
+    field.embeddings = _certified_roots(poly, precision_bits)
     field.archimedean_classes = archimedean_classes(field.embeddings)
-
-    images = roots_in_field(poly, field)
-    if len(images) != field.degree:
-        raise NotGalois(
-            f"only {len(images)} of {field.degree} roots of the defining "
-            "polynomial lie in the field; supply the Galois closure")
-    theta = field.theta()
-    images.sort(key=lambda r: (r != theta, r.coords))
-    autos = [Automorphism(field, i, img) for i, img in enumerate(images)]
-    field.automorphisms = tuple(autos)
-
-    by_image = {a.theta_image: a.index for a in autos}
-    comp = []
-    for s in autos:
-        comp.append(tuple(by_image[s(t.theta_image)] for t in autos))
-    field._comp_table = tuple(comp)
-    inv = [None] * len(autos)
-    for i, row in enumerate(comp):
-        inv[i] = row.index(0)
-    field._inv_table = tuple(inv)
-
     field.torsion_order, field.torsion_generator = _torsion_structure(field)
     return field
 
 
 def make_field(defining_poly, precision_bits: int | None = None) -> WorkingField:
     """Build (and cache) the working field for a monic integer polynomial.
+
+    The steps run in this order: the irreducibility proof; the Galois group
+    from generators (_galois_group), which raises NotGalois before any
+    embedding is computed; the certified embeddings and their archimedean
+    classes; and the torsion order and generator (_torsion_structure).
 
     Raises ReduciblePolynomial, NotGalois, or PrecisionExhausted when the
     input cannot be certified.

@@ -28,6 +28,22 @@ import math
 import threading
 
 import mpmath
+from mpmath.libmp import (
+    fone,
+    fzero,
+    mpc_abs,
+    mpc_add_mpf,
+    mpc_div,
+    mpc_mul,
+    mpc_mul_mpf,
+    mpc_sub,
+    mpf_abs,
+    mpf_add,
+    mpf_div,
+    mpf_gt,
+    mpf_mul,
+    round_nearest,
+)
 
 from .errors import PrecisionExhausted
 from .polynomials import Poly, is_squarefree, real_root_count
@@ -69,14 +85,12 @@ _MAX_SWEEPS = 100
 
 
 def _dk_sweep(c, z) -> float:
-    """One Durand-Kerner (Weierstrass) sweep for the monic polynomial with
-    coefficients c, lowest degree first.
+    """One Durand-Kerner (Weierstrass) sweep in binary64 for the monic
+    polynomial with coefficients c, lowest degree first.
 
     Each z_i is replaced in place by z_i - p(z_i) / prod_{j != i} (z_i - z_j),
     with p evaluated by Horner's rule; the return value is the largest
-    correction relative to max(1, |z_i|).  The arithmetic is whatever c and
-    z hold: Python complex numbers or mpmath numbers at the current
-    precision.
+    correction relative to max(1, |z_i|).
     """
     worst = 0
     for i, zi in enumerate(z):
@@ -93,14 +107,52 @@ def _dk_sweep(c, z) -> float:
     return worst
 
 
-def _sweep_until_settled(c, z, sweeps: int, tolerance, floor) -> bool:
-    """Durand-Kerner sweeps on z until the largest relative correction is
-    below tolerance or, below floor, stops shrinking: there it is rounding
-    noise of an ill-conditioned root, which the certificate judges.  False
-    when all the sweeps ran without settling."""
+def _mp_sweep(c, z, prec: int):
+    """The sweep of _dk_sweep at prec bits on mpmath's raw values: the mpf
+    tuples c and the mpc tuples z, updated in place.
+
+    Each step is the libmp operation that mpmath's operators call for the
+    same expression on mpf and mpc numbers, in the same order and rounded
+    to nearest at prec bits, so the result is bit for bit theirs without
+    the cost of the number objects.  Only the products by the integer 1
+    that start the product of differences and divide a degree-1 correction
+    are skipped: each returns its operand, which is already rounded to
+    prec bits.  Returns the largest relative correction as an mpf.
+    """
+    rnd = round_nearest
+    top = c[-1]
+    rest = c[-2::-1]
+    worst = fzero
+    for i, zi in enumerate(z):
+        num = mpc_mul_mpf(zi, top, prec, rnd)
+        num = mpc_add_mpf(num, rest[0], prec, rnd)
+        for a in rest[1:]:
+            num = mpc_add_mpf(mpc_mul(num, zi, prec, rnd), a, prec, rnd)
+        den = None
+        for j, zj in enumerate(z):
+            if j != i:
+                diff = mpc_sub(zi, zj, prec, rnd)
+                den = diff if den is None else mpc_mul(den, diff, prec, rnd)
+        delta = num if den is None else mpc_div(num, den, prec, rnd)
+        z[i] = mpc_sub(zi, delta, prec, rnd)
+        scale = mpc_abs(zi, prec, rnd)
+        if not mpf_gt(scale, fone):
+            scale = fone
+        step = mpf_div(mpc_abs(delta, prec, rnd), scale, prec, rnd)
+        if mpf_gt(step, worst):
+            worst = step
+    return mpmath.mp.make_mpf(worst)
+
+
+def _sweep_until_settled(sweep, sweeps: int, tolerance, floor) -> bool:
+    """Durand-Kerner sweeps, each a call of sweep, until the largest
+    relative correction it returns is below tolerance or, below floor,
+    stops shrinking: there it is rounding noise of an ill-conditioned root,
+    which the certificate judges.  False when all the sweeps ran without
+    settling."""
     previous = math.inf
     for _ in range(sweeps):
-        worst = _dk_sweep(c, z)
+        worst = sweep()
         if worst < tolerance or floor > worst >= previous:
             return True
         previous = worst
@@ -148,7 +200,8 @@ def _float_starts(p: Poly):
     if any(a and not f for a, f in zip(p.coeffs, c)):
         return None  # a coefficient underflows to 0
     try:
-        _sweep_until_settled(c, z, _FLOAT_SWEEPS, _FLOAT_TOLERANCE, _FLOAT_FLOOR)
+        _sweep_until_settled(lambda: _dk_sweep(c, z), _FLOAT_SWEEPS,
+                             _FLOAT_TOLERANCE, _FLOAT_FLOOR)
     except (ZeroDivisionError, OverflowError):
         return None
     if not all(cmath.isfinite(w) for w in z):
@@ -160,23 +213,24 @@ def _approximate_roots(p: Poly, monic, bits: int):
     """Durand-Kerner approximations of the roots of p to about bits + 32
     bits, from binary64 starts refined at doubling precision (one sweep per
     level, each with 32 guard bits) or, when binary64 cannot represent p,
-    from the Newton-polygon starts at full precision.  Call under
+    from the Newton-polygon starts at full precision; monic holds the raw
+    mpf coefficients of p over its leading one.  Call under
     locked_workprec(bits + 32)."""
     starts = _float_starts(p)
     tolerance = mpmath.mpf(2) ** -(bits + 32)
     try:
         if starts is None:
-            z = [mpmath.mpf(2) ** e * mpmath.expj(arg) for e, arg in _starts(p)]
+            z = [(mpmath.mpf(2) ** e * mpmath.expj(arg))._mpc_ for e, arg in _starts(p)]
         else:
-            z = [mpmath.mpc(w) for w in starts]
+            z = [mpmath.mpc(w)._mpc_ for w in starts]
             level = 2 * 53
             while level < bits + 32:
-                with mpmath.workprec(level + 32):
-                    _dk_sweep(monic, z)
+                _mp_sweep(monic, z, level + 32)
                 level *= 2
-        if _sweep_until_settled(monic, z, _MAX_SWEEPS, tolerance,
-                                mpmath.mpf(2) ** -bits):
-            return z
+        prec = bits + 32
+        if _sweep_until_settled(lambda: _mp_sweep(monic, z, prec), _MAX_SWEEPS,
+                                tolerance, mpmath.mpf(2) ** -bits):
+            return [mpmath.mp.make_mpc(w) for w in z]
     except ZeroDivisionError:
         pass  # two approximations coincide
     raise PrecisionExhausted(f"root iteration did not converge at {bits} bits")
@@ -195,10 +249,13 @@ def _gamma(k: int, u):
     return k * u / (1 - k * u)
 
 
-def _horner_with_bound(c, z, az, u):
+def _horner_with_bound(c, z, az, u, prec: int):
     """p(z) by Horner's rule for the mpf coefficients c (lowest degree
     first, each at most 3 roundings from its exact rational), with a bound
     on the error of the computed value; az is |z| and u the unit roundoff.
+    c, z and az are mpmath's raw tuples, and the loop runs on them with the
+    libmp operations that mpmath's operators would call at prec bits, as
+    in _mp_sweep.
 
     The bound is gamma_{8n+16} sum |c_i| |z|^i for degree n (Higham,
     Accuracy and Stability of Numerical Algorithms, 2nd ed., eq. 5.3 with
@@ -210,28 +267,31 @@ def _horner_with_bound(c, z, az, u):
     gamma_{4n+3} of it; the constant covers that and the rounding of the
     bound itself.
     """
-    value = mpmath.mpc(0)
-    magnitude = mpmath.mpf(0)
+    rnd = round_nearest
+    value = (fzero, fzero)
+    magnitude = fzero
     for a in reversed(c):
-        value = value * z + a
-        magnitude = magnitude * az + abs(a)
-    return value, _gamma(8 * (len(c) - 1) + 16, u) * magnitude
+        value = mpc_add_mpf(mpc_mul(value, z, prec, rnd), a, prec, rnd)
+        magnitude = mpf_add(mpf_mul(magnitude, az, prec, rnd),
+                            mpf_abs(a, prec, rnd), prec, rnd)
+    return (mpmath.mp.make_mpc(value),
+            _gamma(8 * (len(c) - 1) + 16, u) * mpmath.mp.make_mpf(magnitude))
 
 
 def _henrici_radius(cs, dcs, z, bits: int, prec: int) -> float:
     """A float upper bound on d |p(z)| / |p'(z)| + 2^-bits, the radius of
     Henrici's inclusion disk around z plus the precision floor.
 
-    p and p' (coefficients cs and dcs) are evaluated with running error
+    p and p' (raw mpf coefficients cs and dcs) are evaluated with running error
     bounds, so |p(z)| <= |p~| + e_p and |p'(z)| >= |p~'| - e_p'; the
     latter must be positive.  u is one unit in the last place at prec
     bits, which bounds the relative error of one rounding in any
     direction.  Call under locked_workprec(prec).
     """
     u = mpmath.mpf(2) ** (1 - prec)
-    az = abs(z)
-    value, e_value = _horner_with_bound(cs, z, az, u)
-    slope, e_slope = _horner_with_bound(dcs, z, az, u)
+    az = abs(z)._mpf_
+    value, e_value = _horner_with_bound(cs, z._mpc_, az, u, prec)
+    slope, e_slope = _horner_with_bound(dcs, z._mpc_, az, u, prec)
     # the factors 1 -+ 4u keep the two bounds on their safe side through
     # the rounding of abs and of the product; gamma_8 covers the rest
     upper = abs(value) * (1 + 4 * u) + e_value
@@ -244,7 +304,8 @@ def _henrici_radius(cs, dcs, z, bits: int, prec: int) -> float:
 
 
 def _to_mpf(coeffs):
-    return [mpmath.mpf(c.numerator) / c.denominator for c in coeffs]
+    """Raw mpf tuples of the rational coefficients at the current precision."""
+    return [(mpmath.mpf(c.numerator) / c.denominator)._mpf_ for c in coeffs]
 
 
 def certified_roots(p: Poly, bits: int = DEFAULT_PRECISION_BITS) -> list[CertifiedRoot]:
@@ -254,13 +315,19 @@ def certified_roots(p: Poly, bits: int = DEFAULT_PRECISION_BITS) -> list[Certifi
         return []
     if not is_squarefree(p):
         raise ValueError("certified_roots requires a squarefree polynomial")
+    return _certified_roots(p, bits)
+
+
+def _certified_roots(p: Poly, bits: int) -> list[CertifiedRoot]:
+    """certified_roots for a p of degree >= 1 already known to be
+    squarefree, such as an irreducible defining polynomial."""
     prec = bits + 32
     n_real = real_root_count(p)
 
     with locked_workprec(prec):
         cs = _to_mpf(p.coeffs)
         dcs = _to_mpf(p.derivative().coeffs)
-        monic = [a / cs[-1] for a in cs]
+        monic = [mpf_div(a, cs[-1], prec, round_nearest) for a in cs]
         approx = _approximate_roots(p, monic, bits)
         roots = [(z, _henrici_radius(cs, dcs, z, bits, prec)) for z in approx]
 

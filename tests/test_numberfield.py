@@ -2,10 +2,13 @@ import math
 import random
 from fractions import Fraction
 
+import mpmath
 import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+from test_golden import LADDER
 
 from heightlab import numberfield
 from heightlab._padic import ReducedLattice, hensel_lift
@@ -24,6 +27,7 @@ from heightlab.numberfield import (
     _precision_bound,
     _roots_mod,
     _split_prime,
+    eval_at_embedding,
     eval_poly,
     galois_condition,
     make_field,
@@ -34,7 +38,7 @@ from heightlab.numberfield import (
     whole_field,
 )
 from heightlab.polynomials import Poly, cyclotomic, is_irreducible, resultant
-from heightlab.roots import DEFAULT_PRECISION_BITS, certified_roots
+from heightlab.roots import DEFAULT_PRECISION_BITS, certified_roots, locked_workprec
 
 CORPUS_NAMES = [doc["name"] for doc in scenario_documents()]
 
@@ -111,24 +115,38 @@ def test_cyclotomic_torsion(n):
 
 
 def test_torsion_tries_only_prime_powers_dividing_split_primes(monkeypatch):
-    # Phi45 splits first at 181 and 271, and gcd(180, 270) = 90 leaves
-    # zeta_9 and zeta_5 to try; zeta_4, which would need a proof of absence
-    # at the largest precision, is ruled out without a search
-    coeffs = tuple(int(c) for c in cyclotomic(45).coeffs)
+    # Phi45 splits first at 181, 271 and 541, and gcd(180, 270, 540) = 90
+    # leaves zeta_9 and zeta_5 to try; zeta_4, which would need a proof of
+    # absence at the largest precision, is ruled out without a search.
+    # Phi48 splits first at 97, 193 and 241: 32 divides 96 and 192 but not
+    # 240, so zeta_32 is ruled out without a search too
     tried = []
-    search = numberfield.roots_in_field
+    lift = numberfield._lift_root
 
-    def recording(p, field):
-        tried.append(p)
-        return search(p, field)
+    def recording(field, f, *args):
+        tried.append(f)
+        return lift(field, f, *args)
 
-    monkeypatch.setattr(numberfield, "roots_in_field", recording)
+    monkeypatch.setattr(numberfield, "_lift_root", recording)
+    coeffs = tuple(int(c) for c in cyclotomic(45).coeffs)
     field = _make_field_cached.__wrapped__(coeffs, DEFAULT_PRECISION_BITS)
     assert field.torsion_order == 90
-    assert tried == [field.defining_poly, cyclotomic(9), cyclotomic(5)]
+    assert list(dict.fromkeys(tried)) == [field.defining_poly, cyclotomic(9),
+                                          cyclotomic(5)]
     assert cyclotomic(4) not in tried
     assert _split_prime(field, 1)[0] == 181
     assert _split_prime(field, 181)[0] == 271
+
+    tried.clear()
+    coeffs = tuple(int(c) for c in cyclotomic(48).coeffs)
+    field = _make_field_cached.__wrapped__(coeffs, DEFAULT_PRECISION_BITS)
+    assert field.torsion_order == 48
+    assert list(dict.fromkeys(tried)) == [field.defining_poly, cyclotomic(16),
+                                          cyclotomic(3)]
+    assert cyclotomic(32) not in tried
+    assert _split_prime(field, 1)[0] == 97
+    assert _split_prime(field, 97)[0] == 193
+    assert _split_prime(field, 97 * 193)[0] == 241
 
 
 def test_make_field_rejects_reducible():
@@ -495,6 +513,45 @@ def test_eval_poly_matches_fraction_horner(coeffs, a_coords, p_coeffs):
     assert value == field.element(expected)
 
 
+def _exact(x) -> Fraction:
+    sign, man, exp, _ = x._mpf_
+    return (-1) ** sign * Fraction(man) * Fraction(2) ** exp
+
+
+@pytest.mark.parametrize("name", CORPUS_NAMES)
+@pytest.mark.parametrize("bits", [53, DEFAULT_PRECISION_BITS])
+def test_embedding_bound_covers_the_exact_majorant(name, bits):
+    # with A the coordinate polynomial, z = x + iy the root's center and r
+    # its radius, the bound must cover D r + |w - A(z)| for
+    # D = sum k |c_k| (|z| + r)^(k-1), all in exact rationals; |z| is
+    # rounded up at 2^-1100
+    field = make_field(bundled_scenario(name).field.defining_poly, bits)
+    rng = random.Random(name)
+    elements = [field.theta(), field.from_rational(Fraction(1, 3))]
+    elements += [field.element([Fraction(rng.randint(-9, 9), rng.randint(1, 7))
+                                for _ in range(field.degree)]) for _ in range(4)]
+    scale = 2 ** 1100
+    for a in elements:
+        cs = a.coords
+        for root in field.embeddings:
+            with locked_workprec(bits):
+                w, delta = eval_at_embedding(a, root)
+            x, y = _exact(mpmath.re(root.value)), _exact(mpmath.im(root.value))
+            r = Fraction(root.radius)
+            sq = (x * x + y * y) * scale * scale
+            big_r = Fraction(math.isqrt(sq.numerator // sq.denominator) + 1, scale) + r
+            deriv = sum(k * abs(c) * big_r ** (k - 1) for k, c in enumerate(cs) if k)
+            majorant = sum(abs(c) * big_r ** k for k, c in enumerate(cs))
+            ar, ai = Fraction(0), Fraction(0)
+            for c in reversed(cs):
+                ar, ai = ar * x - ai * y + c, ar * y + ai * x
+            err = (_exact(mpmath.re(w)) - ar) ** 2 + (_exact(mpmath.im(w)) - ai) ** 2
+            slack = Fraction(delta) - deriv * r
+            assert slack >= 0 and slack * slack >= err
+            assert Fraction(delta) <= (deriv * r * (1 + Fraction(1, 2 ** 40))
+                                       + majorant / 2 ** (bits - 20))
+
+
 def _gram_schmidt(rows):
     out = []
     for v in rows:
@@ -547,6 +604,80 @@ def test_hensel_lift():
 def test_non_galois_fields_refused(coeffs):
     with pytest.raises(NotGalois):
         make_field(coeffs)
+
+
+@pytest.mark.parametrize("coeffs", [
+    pytest.param((-2, 0, 0, 1), id="x^3-2"),
+    pytest.param((-2, 0, 0, 0, 1), id="x^4-2"),
+    pytest.param((-2, 0, 0, 0, 0, 0, 1), id="x^6-2"),
+    pytest.param((3, -1, 0, 1), id="x^3-x+3"),
+])
+def test_not_galois_refused_before_the_embeddings(coeffs, monkeypatch):
+    def fail(*args):
+        raise AssertionError("embeddings certified before the Galois check")
+
+    monkeypatch.setattr(numberfield, "_certified_roots", fail)
+    with pytest.raises(NotGalois):
+        _make_field_cached.__wrapped__(coeffs, DEFAULT_PRECISION_BITS)
+
+
+def test_not_galois_refused_by_a_lift_that_misses():
+    # x^3 - x + 3 has a root mod 3 at every residue, so _split_prime takes
+    # q = 3, and only the lift above another root than theta's, which has
+    # none in the field, tells that the field is not Galois
+    assert _split_prime(WorkingField(Poly([3, -1, 0, 1]), 64), 1) == (3, 0)
+    with pytest.raises(NotGalois, match="above its root 1 mod 3"):
+        make_field([3, -1, 0, 1])
+
+
+def _reference_structure(field):
+    """The automorphism images, composition and inverse tables and torsion
+    generator as built from every root of m_F in F, and from every root of
+    each Phi_{p^k} dividing the torsion order."""
+    theta = field.theta()
+    images = sorted(roots_in_field(field.defining_poly, field),
+                    key=lambda r: (r != theta, r.coords))
+    autos = [numberfield.Automorphism(field, i, img) for i, img in enumerate(images)]
+    by_image = {img: i for i, img in enumerate(images)}
+    comp = tuple(tuple(by_image[s(img)] for img in images) for s in autos)
+    inv = tuple(row.index(0) for row in comp)
+    gen = field.one()
+    for p, k in sympy.factorint(field.torsion_order).items():
+        if p ** k == 2:
+            gen = -gen
+        else:
+            gen = gen * roots_in_field(cyclotomic(p ** k), field)[0]
+    return images, comp, inv, gen
+
+
+_LADDER = [tuple(doc["field"]) for doc in scenario_documents()] + list(LADDER)
+_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
+galois_fields = st.one_of(
+    st.sampled_from(_LADDER),
+    # Q(sqrt(d))
+    st.integers(-60, 60).filter(
+        lambda d: d not in (0, 1) and max(sympy.factorint(d).values()) == 1
+    ).map(lambda d: (-d, 0, 1)),
+    # Shanks' simplest cubics, cyclic
+    st.integers(0, 60).map(lambda a: (-1, -(a + 3), -a, 1)),
+    # Q(sqrt(p), sqrt(q)) and Q(sqrt(-p), sqrt(q))
+    st.lists(st.sampled_from(_PRIMES), min_size=2, max_size=2, unique=True).map(
+        lambda pq: ((pq[0] - pq[1]) ** 2, 0, -2 * (pq[0] + pq[1]), 0, 1)),
+    st.lists(st.sampled_from(_PRIMES[2:]), min_size=2, max_size=2, unique=True).map(
+        lambda pq: ((pq[0] + pq[1]) ** 2, 0, 2 * (pq[0] - pq[1]), 0, 1)),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(galois_fields)
+def test_group_from_generators_matches_all_roots(coeffs):
+    field = make_field(list(coeffs))
+    images, comp, inv, gen = _reference_structure(field)
+    assert [a.theta_image for a in field.automorphisms] == images
+    assert [a.index for a in field.automorphisms] == list(range(field.degree))
+    assert field._comp_table == comp
+    assert field._inv_table == inv
+    assert field.torsion_generator == gen
 
 
 @pytest.mark.parametrize("n, order", [(13, 26), (21, 42)])
