@@ -26,7 +26,6 @@ from .numberfield import (
     Poly,
     Subfield,
     WorkingField,
-    apply_automorphism,
     galois_condition,
     make_field,
     minimal_polynomial,

@@ -56,6 +56,8 @@ from .roots import (
     _certified_roots,
     _float_upper,
     _gamma,
+    _horner_with_bound,
+    _to_mpf,
     archimedean_classes,
 )
 
@@ -388,43 +390,27 @@ def eval_poly(p: Poly, a: FieldElement) -> FieldElement:
     return _normalized(field, acc, den * e_power)
 
 
-@functools.lru_cache(maxsize=None)
-def _embedding_gammas(n: int, prec: int):
-    """(gamma_{8n+16}, 1 + gamma_{4n+12}) at prec bits, the two factors of
-    eval_at_embedding's bound; call at that precision."""
-    u = mpmath.mpf(2) ** (1 - prec)
-    return _gamma(8 * n + 16, u), 1 + _gamma(4 * n + 12, u)
-
-
 def eval_at_embedding(a: FieldElement, root):
     """The image of a under the embedding t -> root, with a rigorous bound
     on its distance from the true image.
 
-    For the coordinate polynomial A = sum c_k x^k of degree n < d, the true
-    root lies within r = root.radius of z = root.value, and on that disk
-    |A'| <= D = sum k |c_k| R^(k-1) with R = |z| + r, so |A(z) - A(true)|
-    <= D r.  Horner computes A(z) to within gamma_{8n+16} M, with
-    M = sum |c_k| R^k, as in roots._horner_with_bound.  D and M are
-    accumulated beside A(z) from rounded |c_k| and R, sums of products of
-    nonnegative numbers with at most 4n + 4 roundings along any term, and
-    the bound (D r + gamma_{8n+16} M) takes 4 more; 1 + gamma_{4n+12}
-    covers them, and the result is rounded up to a float.  The arithmetic
-    runs at the current precision, but at no fewer than 53 bits, so that
-    every gamma is below 1.  Call under roots.locked_workprec.
+    For the coordinate polynomial A of degree n < d, the true root lies
+    within r = root.radius of z = root.value, where |A'| <= D, so
+    |A(z) - A(true)| <= D r; roots._horner_with_bound computes A(z) to
+    within gamma_{8n+16} M and D and M from rounded |c_k| and R = |z| + r,
+    with at most 4n + 4 roundings along any term.  The bound
+    (D r + gamma_{8n+16} M) takes 4 more, 1 + gamma_{4n+12} covers them,
+    and the result is rounded up to a float.  The arithmetic runs at the
+    current precision, but at no fewer than 53 bits, so that every gamma
+    is below 1.  Call under roots.locked_workprec.
     """
-    with mpmath.workprec(max(mpmath.mp.prec, 53)):
-        z = root.value
-        az = abs(z) + root.radius
-        acc = mpmath.mpc(0)
-        majorant = deriv_bound = mpmath.mpf(0)
-        for c in reversed(a.coords):
-            cf = mpmath.mpf(c.numerator) / c.denominator
-            acc = acc * z + cf
-            deriv_bound = deriv_bound * az + majorant
-            majorant = majorant * az + abs(cf)
-        e_eval, widen = _embedding_gammas(len(a.coords) - 1, mpmath.mp.prec)
-        bound = (deriv_bound * root.radius + e_eval * majorant) * widen
-        return acc, _float_upper(bound)
+    prec = max(mpmath.mp.prec, 53)
+    with mpmath.workprec(prec):
+        reach = abs(root.value) + root.radius
+        value, error, slope = _horner_with_bound(
+            _to_mpf(a.coords), root.value._mpc_, reach._mpf_, prec)
+        widen = 1 + _gamma(4 * (len(a.coords) - 1) + 12, prec)
+        return value, _float_upper((slope * root.radius + error) * widen)
 
 
 # -- root finding inside the field ----------------------------------------
@@ -918,8 +904,3 @@ def galois_condition(k1: Subfield, k2: Subfield) -> bool:
     h2 = frozenset(k2.fixing_indices)
     joint = _closure(field, h1 | h2)
     return _is_normal_in(field, h1, joint) or _is_normal_in(field, h2, joint)
-
-
-def apply_automorphism(sigma: Automorphism, a: FieldElement) -> FieldElement:
-    """Image of a under sigma (substitution into the coordinate polynomial)."""
-    return sigma(a)

@@ -32,7 +32,7 @@ from .errors import (
 from .heights import GElement
 from .numberfield import FieldElement, WorkingField, eval_at_embedding, eval_poly
 from .polynomials import Poly
-from .roots import locked_workprec
+from .roots import _disk, _meeting_disk, locked_workprec
 
 _FLOAT_SLACK = 1e-15
 
@@ -368,27 +368,18 @@ def vector_error_bound(v: PlaceVector) -> float:
 
 
 def _arch_permutation(field: WorkingField, sigma):
-    """perm[c] = class index of (embedding_c composed with sigma)."""
+    """perm[c] = class index of (embedding_c composed with sigma), the
+    embedding whose disk alone meets the disk about the image of theta."""
     classes = field.archimedean_classes
-    class_of_embedding = {}
-    for idx, cls in enumerate(classes):
-        for i in cls:
-            class_of_embedding[i] = idx
-    sigma_theta = sigma.theta_image
+    class_of_embedding = {i: idx for idx, cls in enumerate(classes) for i in cls}
+    disks = [_disk(r.value, r.radius) for r in field.embeddings]
     perm = []
     with locked_workprec(field.precision_bits):
         for cls in classes:
-            root = field.embeddings[cls[0]]
-            w, delta = eval_at_embedding(sigma_theta, root)
-            best, best_dist = None, None
-            for j, rj in enumerate(field.embeddings):
-                dist = abs(w - rj.value)
-                if best is None or dist < best_dist:
-                    best, best_dist = j, dist
-            if float(best_dist) > delta + field.embeddings[best].radius:
-                raise PrecisionExhausted(
-                    "could not certify the embedding permutation")
-            perm.append(class_of_embedding[best])
+            w, delta = eval_at_embedding(sigma.theta_image, field.embeddings[cls[0]])
+            j = _meeting_disk(disks, _disk(w, delta),
+                              "could not certify the embedding permutation")
+            perm.append(class_of_embedding[j])
     return perm
 
 
@@ -412,7 +403,11 @@ def _finite_permutation(field: WorkingField, sigma, p: int):
 
 def permute_by_automorphism(v: PlaceVector, sigma) -> PlaceVector:
     """The vector of the sigma-image element, realized as a weight-preserving
-    permutation of entries within each fiber."""
+    permutation of entries within each fiber.
+
+    PrecisionExhausted when the image of an embedding may lie in two
+    certified disks, as for two automorphisms of cbrt2_split at 8 bits.
+    """
     field = v.field
     new_element = v.element.apply(sigma)
     if not v.entries:

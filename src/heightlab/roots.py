@@ -16,7 +16,8 @@ p(z) and p'(z) are evaluated with a running error bound, so the radius is
 an upper bound whatever the rounding.  When the d disks around the d
 approximations are pairwise disjoint, each contains exactly one true
 root, which certifies both the approximation error and the pairwise
-separation; the Sturm count then says which roots are real.
+separation; one rule, _meeting_disk, then tells which disk holds the
+conjugate of a root or the image of an embedding under an automorphism.
 """
 
 from __future__ import annotations
@@ -24,12 +25,14 @@ from __future__ import annotations
 import cmath
 import contextlib
 import dataclasses
+import functools
 import math
 import threading
 
 import mpmath
 from mpmath.libmp import (
     fone,
+    from_float,
     fzero,
     mpc_abs,
     mpc_add_mpf,
@@ -42,11 +45,15 @@ from mpmath.libmp import (
     mpf_div,
     mpf_gt,
     mpf_mul,
+    mpf_neg,
+    mpf_sub,
+    round_down,
     round_nearest,
+    round_up,
 )
 
 from .errors import PrecisionExhausted
-from .polynomials import Poly, is_squarefree, real_root_count
+from .polynomials import Poly, is_squarefree
 
 DEFAULT_PRECISION_BITS = 256
 
@@ -243,19 +250,22 @@ def _float_upper(x) -> float:
     return math.nextafter(r, math.inf) if r < x else r
 
 
-def _gamma(k: int, u):
-    """Higham's gamma_k = k u / (1 - k u), for k u < 1 (here k is about 8
-    times the degree and u at most 2^-32)."""
-    return k * u / (1 - k * u)
+@functools.lru_cache(maxsize=None)
+def _gamma(k: int, prec: int):
+    """Higham's gamma_k = k u / (1 - k u) at prec bits, where u = 2^(1-prec)
+    is the unit roundoff, for k u < 1 (here k is about 8 times the degree
+    and u at most 2^-32)."""
+    with mpmath.workprec(prec):
+        u = mpmath.mpf(2) ** (1 - prec)
+        return k * u / (1 - k * u)
 
 
-def _horner_with_bound(c, z, az, u, prec: int):
+def _horner_with_bound(c, z, az, prec: int):
     """p(z) by Horner's rule for the mpf coefficients c (lowest degree
-    first, each at most 3 roundings from its exact rational), with a bound
-    on the error of the computed value; az is |z| and u the unit roundoff.
-    c, z and az are mpmath's raw tuples, and the loop runs on them with the
-    libmp operations that mpmath's operators would call at prec bits, as
-    in _mp_sweep.
+    first, each at most 3 roundings from its exact rational), a bound on its
+    error, and sum i |c_i| az^(i-1) >= |p'(w)| for |w| <= az, az >= |z|.
+    The loop runs on the raw tuples c, z and az with the libmp operations
+    that mpmath's operators would call at prec bits.
 
     The bound is gamma_{8n+16} sum |c_i| |z|^i for degree n (Higham,
     Accuracy and Stability of Numerical Algorithms, 2nd ed., eq. 5.3 with
@@ -269,13 +279,15 @@ def _horner_with_bound(c, z, az, u, prec: int):
     """
     rnd = round_nearest
     value = (fzero, fzero)
-    magnitude = fzero
+    magnitude = slope = fzero
     for a in reversed(c):
         value = mpc_add_mpf(mpc_mul(value, z, prec, rnd), a, prec, rnd)
+        slope = mpf_add(mpf_mul(slope, az, prec, rnd), magnitude, prec, rnd)
         magnitude = mpf_add(mpf_mul(magnitude, az, prec, rnd),
                             mpf_abs(a, prec, rnd), prec, rnd)
     return (mpmath.mp.make_mpc(value),
-            _gamma(8 * (len(c) - 1) + 16, u) * mpmath.mp.make_mpf(magnitude))
+            _gamma(8 * (len(c) - 1) + 16, prec) * mpmath.mp.make_mpf(magnitude),
+            mpmath.mp.make_mpf(slope))
 
 
 def _henrici_radius(cs, dcs, z, bits: int, prec: int) -> float:
@@ -290,8 +302,8 @@ def _henrici_radius(cs, dcs, z, bits: int, prec: int) -> float:
     """
     u = mpmath.mpf(2) ** (1 - prec)
     az = abs(z)._mpf_
-    value, e_value = _horner_with_bound(cs, z._mpc_, az, u, prec)
-    slope, e_slope = _horner_with_bound(dcs, z._mpc_, az, u, prec)
+    value, e_value, _ = _horner_with_bound(cs, z._mpc_, az, prec)
+    slope, e_slope, _ = _horner_with_bound(dcs, z._mpc_, az, prec)
     # the factors 1 -+ 4u keep the two bounds on their safe side through
     # the rounding of abs and of the product; gamma_8 covers the rest
     upper = abs(value) * (1 + 4 * u) + e_value
@@ -299,13 +311,48 @@ def _henrici_radius(cs, dcs, z, bits: int, prec: int) -> float:
     if lower <= 0:
         raise PrecisionExhausted("derivative vanished at an approximate root")
     d = len(cs) - 1
-    radius = (d * upper / lower + mpmath.mpf(2) ** (-bits)) * (1 + _gamma(8, u))
+    radius = (d * upper / lower + mpmath.mpf(2) ** (-bits)) * (1 + _gamma(8, prec))
     return _float_upper(radius)
 
 
 def _to_mpf(coeffs):
     """Raw mpf tuples of the rational coefficients at the current precision."""
     return [(mpmath.mpf(c.numerator) / c.denominator)._mpf_ for c in coeffs]
+
+
+def _disk(value, radius: float):
+    """The disk about the mpc value as raw values: (centre, radius)."""
+    return value._mpc_, from_float(radius)
+
+
+def _mirror(disk):
+    """The complex-conjugate image of a disk, exactly."""
+    (x, y), r = disk
+    return (x, mpf_neg(y)), r
+
+
+def _may_meet(a, b) -> bool:
+    """False only when the disks a and b are certainly disjoint: each step
+    rounds to 53 bits, the centres' distance down and the radii's sum up,
+    and a coordinate gap beyond that sum rejects before the distance."""
+    (za, ra), (zb, rb) = a, b
+    reach = mpf_add(ra, rb, 53, round_up)
+    dx = mpf_abs(mpf_sub(za[0], zb[0], 53, round_down))
+    dy = mpf_abs(mpf_sub(za[1], zb[1], 53, round_down))
+    if mpf_gt(dx, reach) or mpf_gt(dy, reach):
+        return False
+    distance2 = mpf_add(mpf_mul(dx, dx, 53, round_down),
+                        mpf_mul(dy, dy, 53, round_down), 53, round_down)
+    return not mpf_gt(distance2, mpf_mul(reach, reach, 53, round_up))
+
+
+def _meeting_disk(disks, disk, refusal: str) -> int:
+    """The index of the only one of disks that may meet disk, or
+    PrecisionExhausted(refusal) when none or several may."""
+    hits = [i for i, other in enumerate(disks) if _may_meet(disk, other)]
+    if len(hits) != 1:
+        raise PrecisionExhausted(refusal)
+    return hits[0]
 
 
 def certified_roots(p: Poly, bits: int = DEFAULT_PRECISION_BITS) -> list[CertifiedRoot]:
@@ -320,38 +367,27 @@ def certified_roots(p: Poly, bits: int = DEFAULT_PRECISION_BITS) -> list[Certifi
 
 def _certified_roots(p: Poly, bits: int) -> list[CertifiedRoot]:
     """certified_roots for a p of degree >= 1 already known to be
-    squarefree, such as an irreducible defining polynomial."""
+    squarefree, such as an irreducible defining polynomial.  A root is real
+    exactly when the mirror image of its disk meets that disk alone."""
     prec = bits + 32
-    n_real = real_root_count(p)
-
     with locked_workprec(prec):
         cs = _to_mpf(p.coeffs)
         dcs = _to_mpf(p.derivative().coeffs)
         monic = [mpf_div(a, cs[-1], prec, round_nearest) for a in cs]
         approx = _approximate_roots(p, monic, bits)
-        roots = [(z, _henrici_radius(cs, dcs, z, bits, prec)) for z in approx]
-
-        for i in range(len(roots)):
-            for j in range(i + 1, len(roots)):
-                if abs(roots[i][0] - roots[j][0]) <= roots[i][1] + roots[j][1]:
-                    raise PrecisionExhausted(
-                        f"could not separate roots at {bits} bits")
-
-        # Sturm count pins down exactly which approximations are real.
-        order = sorted(range(len(roots)), key=lambda i: abs(mpmath.im(roots[i][0])))
-        real_idx = set(order[:n_real])
-        for i, (z, r) in enumerate(roots):
-            im = abs(mpmath.im(z))
-            if i in real_idx and im > r:
-                raise PrecisionExhausted("real/complex classification ambiguous")
-            if i not in real_idx and im <= r:
-                raise PrecisionExhausted("real/complex classification ambiguous")
-
-        out = []
-        for i, (z, r) in enumerate(roots):
-            if i in real_idx:
-                z = mpmath.mpc(mpmath.re(z), 0)
-            out.append(CertifiedRoot(value=z, radius=r, is_real=i in real_idx))
+        radii = [_henrici_radius(cs, dcs, z, bits, prec) for z in approx]
+        disks = [_disk(z, r) for z, r in zip(approx, radii)]
+        for i, disk in enumerate(disks):  # disk i meets itself and no later disk
+            _meeting_disk(disks[i:], disk, f"could not separate roots at {bits} bits")
+        partner = {}
+        for i, disk in enumerate(disks):
+            if i not in partner:
+                j = _meeting_disk(disks, _mirror(disk), "real/complex classification ambiguous")
+                if j in partner:
+                    raise PrecisionExhausted("real/complex classification ambiguous")
+                partner[i], partner[j] = j, i
+        out = [CertifiedRoot(mpmath.mpc(z.real) if partner[i] == i else z, r, partner[i] == i)
+               for i, (z, r) in enumerate(zip(approx, radii))]
         out.sort(key=lambda cr: (mpmath.re(cr.value), mpmath.im(cr.value)))
         return out
 
@@ -360,34 +396,21 @@ def archimedean_classes(roots: list[CertifiedRoot]) -> list[list[int]]:
     """Group embedding indices into real singletons and conjugate pairs.
 
     Returns a list of index lists, each of size 1 (real) or 2 (conjugate
-    pair), in a deterministic order.  Comparisons run at a precision fine
-    enough that rounding stays below the certified radii.
+    pair), in a deterministic order.
     """
-    min_radius = min((r.radius for r in roots), default=1.0)
-    prec = max(64, int(-math.log2(min_radius)) + 64) if min_radius > 0 else 64
-
-    with locked_workprec(prec):
-        classes = []
-        used = set()
-        for i, r in enumerate(roots):
-            if i in used:
-                continue
-            if r.is_real:
-                classes.append([i])
-                used.add(i)
-                continue
-            conj = None
-            target = mpmath.conj(r.value)
-            for j, s in enumerate(roots):
-                if j == i or j in used or s.is_real:
-                    continue
-                if abs(s.value - target) <= r.radius + s.radius:
-                    conj = j
-                    break
-            if conj is None:
-                raise PrecisionExhausted("could not pair complex-conjugate embeddings")
-            classes.append(sorted([i, conj]))
-            used.update((i, conj))
-        classes.sort(key=lambda c: (float(mpmath.re(roots[c[0]].value)),
-                                    abs(float(mpmath.im(roots[c[0]].value)))))
-        return classes
+    refusal = "could not pair complex-conjugate embeddings"
+    disks = [_disk(r.value, r.radius) for r in roots]
+    classes, used = [], set()
+    for i, r in enumerate(roots):
+        if r.is_real:
+            classes.append([i])
+        elif i not in used:
+            j = _meeting_disk(disks, _mirror(disks[i]), refusal)
+            # a partner j <= i is i itself or was already classified
+            if j <= i or j in used or roots[j].is_real:
+                raise PrecisionExhausted(refusal)
+            classes.append([i, j])
+            used.add(j)
+    classes.sort(key=lambda c: (float(mpmath.re(roots[c[0]].value)),
+                                abs(float(mpmath.im(roots[c[0]].value)))))
+    return classes

@@ -3,7 +3,8 @@ the CLI reports over the bundled corpus and of certified roots, so that a
 change meant to keep every answer can show that it did.
 
 If a change alters an answer on purpose, regenerate a digest with
-`python tests/test_golden.py` and say in the change which reports moved.
+`PYTHONPATH=src python tests/test_golden.py` from the repository root and
+say in the change which reports moved.
 """
 
 import hashlib

@@ -37,7 +37,7 @@ from heightlab.numberfield import (
     subfield,
     whole_field,
 )
-from heightlab.polynomials import Poly, cyclotomic, is_irreducible, resultant
+from heightlab.polynomials import Poly, cyclotomic, is_irreducible, real_root_count, resultant
 from heightlab.roots import DEFAULT_PRECISION_BITS, certified_roots, locked_workprec
 
 CORPUS_NAMES = [doc["name"] for doc in scenario_documents()]
@@ -619,6 +619,25 @@ def test_not_galois_refused_before_the_embeddings(coeffs, monkeypatch):
     monkeypatch.setattr(numberfield, "_certified_roots", fail)
     with pytest.raises(NotGalois):
         _make_field_cached.__wrapped__(coeffs, DEFAULT_PRECISION_BITS)
+
+
+def test_real_embeddings_told_without_the_sturm_count(monkeypatch):
+    # the real flags come from the certified disks alone; real_root_count
+    # stays in polynomials as the tests' independent check of them
+    import sys
+
+    fields = [tuple(doc["field"]) for doc in scenario_documents()] + list(LADDER)
+    n_real = [real_root_count(Poly(coeffs)) for coeffs in fields]
+
+    def refuse(*_args):
+        raise AssertionError("real roots counted by a Sturm sequence")
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("heightlab") and hasattr(module, "real_root_count"):
+            monkeypatch.setattr(module, "real_root_count", refuse)
+    built = [_make_field_cached.__wrapped__(coeffs, DEFAULT_PRECISION_BITS)
+             for coeffs in fields]
+    assert [sum(r.is_real for r in f.embeddings) for f in built] == n_real
 
 
 def test_not_galois_refused_by_a_lift_that_misses():

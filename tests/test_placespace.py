@@ -4,11 +4,13 @@ from fractions import Fraction
 
 import pytest
 
-from heightlab.errors import IndexDivisor, ZeroElement
+from heightlab.corpus import scenario_documents
+from heightlab.errors import IndexDivisor, PrecisionExhausted, ZeroElement
 from heightlab.heights import GElement, g_combine, g_height
-from heightlab.numberfield import FieldElement, subfield
+from heightlab.numberfield import FieldElement, make_field, subfield
 from heightlab.placespace import (
     PlaceId,
+    _arch_permutation,
     f_vector,
     integral,
     l1_norm,
@@ -221,9 +223,9 @@ def test_permute_identity(field_sqrt2):
         {k: v.value for k, v in vec.entries.items()}
 
 
-def test_permute_matches_direct_image(field_biquad, field_zeta8):
+def test_permute_matches_direct_image(corpus):
     rng = random.Random(21)
-    for f in (field_biquad, field_zeta8):
+    for f in (sc.field for sc in corpus):
         for _ in range(6):
             coords = [rng.randint(-3, 3) for _ in range(f.degree)]
             if not any(coords):
@@ -237,6 +239,26 @@ def test_permute_matches_direct_image(field_biquad, field_zeta8):
                 for k in direct.entries:
                     assert abs(permuted.entries[k].value - direct.entries[k].value) < 1e-10
                     assert permuted.entries[k].weight == direct.entries[k].weight
+
+
+def test_arch_permutation_of_cbrt2_split_by_precision():
+    # at 8 bits, under automorphisms 1 and 5, the disk about one image of
+    # theta meets two embedding disks, so the permutation is refused rather
+    # than guessed; from 12 bits up every table is the 256-bit one
+    coeffs = next(doc["field"] for doc in scenario_documents() if doc["name"] == "cbrt2_split")
+    fine = make_field(coeffs)
+    table = [_arch_permutation(fine, sigma) for sigma in fine.automorphisms]
+    coarse = make_field(coeffs, 8)
+    vec = f_vector(GElement.of(coarse.element([1, 1, 0, 0, 0, 0])))
+    for i, sigma in enumerate(coarse.automorphisms):
+        if i in (1, 5):
+            with pytest.raises(PrecisionExhausted, match="embedding permutation"):
+                permute_by_automorphism(vec, sigma)
+        else:
+            assert _arch_permutation(coarse, sigma) == table[i]
+    for bits in (12, 16, 24, 53, 128):
+        field = make_field(coeffs, bits)
+        assert [_arch_permutation(field, s) for s in field.automorphisms] == table
 
 
 def test_permute_preserves_l1(field_zeta8):

@@ -193,3 +193,49 @@ def test_roots_at_the_largest_precision():
         for f, c in zip(fine, coarse):
             assert 0 < f.radius < 1e-300
             assert abs(f.value - c.value) <= f.radius + c.radius
+
+
+
+def _fraction(x):
+    man, exp = x.man_exp
+    return Fraction(man) * Fraction(2) ** exp
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=st.tuples(st.integers(-2 ** 200, 2 ** 200), st.integers(-2 ** 200, 2 ** 200)),
+       offset=st.tuples(st.integers(-2 ** 60, 2 ** 60), st.integers(-2 ** 60, 2 ** 60)),
+       scale=st.integers(-260, -140),
+       radii=st.tuples(st.floats(0, 1), st.floats(0, 1)))
+def test_disks_that_cannot_meet_are_disjoint(a, offset, scale, radii):
+    # centres of about 200 bits, up to 2^60 units of 2^scale apart; the
+    # rule may say that disjoint disks may meet only within its rounding
+    with mpmath.workprec(300):
+        za = mpmath.mpc(mpmath.ldexp(a[0], scale), mpmath.ldexp(a[1], scale))
+        zb = za + mpmath.mpc(mpmath.ldexp(offset[0], scale), mpmath.ldexp(offset[1], scale))
+    gap2 = ((_fraction(za.real) - _fraction(zb.real)) ** 2
+            + (_fraction(za.imag) - _fraction(zb.imag)) ** 2)
+    reach2 = (Fraction(radii[0]) + Fraction(radii[1])) ** 2
+    may_meet = roots._may_meet(roots._disk(za, radii[0]), roots._disk(zb, radii[1]))
+    assert may_meet or gap2 > reach2
+    assert not may_meet or gap2 <= reach2 * (1 + Fraction(1, 2 ** 48))
+
+
+def test_touching_disks_may_meet():
+    with mpmath.workprec(1100):
+        centre = mpmath.mpc(mpmath.mpf(1) / 3, mpmath.mpf(-2) / 7)
+        for r in (2.0 ** -1000, 1e-20, 0.25):
+            for step in (1, 1j, -1, -1j):
+                disk = roots._disk(centre, r)
+                touching = roots._disk(centre + 2 * r * step, r)
+                apart = roots._disk(centre + 2 * r * (1 + 2.0 ** -45) * step, r)
+                assert roots._may_meet(disk, touching)
+                assert not roots._may_meet(disk, apart)
+
+
+def test_conjugate_pairing_refuses_two_candidate_partners():
+    # four pairwise disjoint disks; the mirror image of disk 0, about -i,
+    # meets both disk 1 and disk 2, so its partner is not determined
+    disks = [(0, 1, .008), (.01, -.993, .0045), (.01, -1.007, .0045), (.02, 1, .008)]
+    found = [roots.CertifiedRoot(mpmath.mpc(x, y), r, False) for x, y, r in disks]
+    with pytest.raises(PrecisionExhausted, match="pair complex-conjugate"):
+        roots.archimedean_classes(found)
