@@ -15,9 +15,10 @@ Q.  It finds the Galois group at the least prime q where m_F splits: it
 lifts one root of m_F to F above each root mod q that the automorphisms
 found so far do not cover, and closes them under composition.  A field
 that is not Galois is refused there, before any multiprecision work.  It
-certifies the d complex embeddings (roots.py), without a second
-squarefree test.  Last it finds the roots of unity, with one lift for each
-prime power that it tries.
+certifies the d complex embeddings from one root of m_F and the
+automorphisms (roots.galois_roots), with their archimedean classes.  Last
+it finds the roots of unity, with one lift for each prime power that the
+Galois group and the split primes allow.
 """
 
 from __future__ import annotations
@@ -53,12 +54,11 @@ from .polynomials import (
 )
 from .roots import (
     DEFAULT_PRECISION_BITS,
-    _certified_roots,
     _float_upper,
     _gamma,
     _horner_with_bound,
     _to_mpf,
-    archimedean_classes,
+    galois_roots,
 )
 
 
@@ -408,7 +408,7 @@ def eval_at_embedding(a: FieldElement, root):
     with mpmath.workprec(prec):
         reach = abs(root.value) + root.radius
         value, error, slope = _horner_with_bound(
-            _to_mpf(a.coords), root.value._mpc_, reach._mpf_, prec)
+            _to_mpf(a.coords), root.value._mpc_, reach._mpf_, prec, slope=True)
         widen = 1 + _gamma(4 * (len(a.coords) - 1) + 12, prec)
         return value, _float_upper((slope * root.radius + error) * widen)
 
@@ -719,6 +719,18 @@ def _root_of_unity(field: WorkingField, n: int, q: int, r1: int):
     return best
 
 
+def _automorphism_orders(field: WorkingField) -> set:
+    """The orders of the automorphisms of F, read off the composition
+    table."""
+    orders = set()
+    for i, row in enumerate(field._comp_table):
+        j, k = i, 1
+        while j:  # sigma_i^k is sigma_j
+            j, k = row[j], k + 1
+        orders.add(k)
+    return orders
+
+
 def _torsion_structure(field: WorkingField):
     """Torsion order w_F and a generating root of unity, one prime at a time.
 
@@ -732,10 +744,14 @@ def _torsion_structure(field: WorkingField):
     order prime to q inject, and zeta_q in F would ramify q; so w_F divides
     q - 1.  At q = 2 this leaves +-1, since zeta_4 in F would ramify 2 too.
     With g = gcd(q1 - 1, q2 - 1, q3 - 1) over the three least split primes,
-    the p-part of w_F is the largest p^k dividing g with phi(p^k) | d and
-    zeta_{p^k} in F (at least 2 for p = 2, as -1 is in F), found by trying
-    zeta_{p^k} from the top with _root_of_unity at q1: zeta_{p^k} in F
-    gives zeta_{p^j} = zeta_{p^k}^(p^(k-j)) for j < k.
+    the p-part of w_F is the largest p^k dividing g with zeta_{p^k} in F (at
+    least 2 for p = 2, as -1 is in F), found by trying zeta_{p^k} from the
+    top with _root_of_unity at q1: zeta_{p^k} in F gives
+    zeta_{p^j} = zeta_{p^k}^(p^(k-j)) for j < k.  Only p^k that the Galois
+    group allows are tried: zeta_n in F makes (Z/n)^x, of order phi(n) and
+    with an element of order lambda(n) (Carmichael), a quotient of
+    Gal(F/Q), so phi(n) divides d and some automorphism has an order
+    divisible by lambda(n).
     """
     minus_one = field.from_rational(-1)
     if field.is_totally_real():
@@ -747,12 +763,17 @@ def _torsion_structure(field: WorkingField):
     q3, _ = _split_prime(field, q1 * q2)
     g = int_gcd(q1 - 1, q2 - 1, q3 - 1)
     d = field.degree
+    orders = _automorphism_orders(field)
     w, gen = 1, field.one()
     for p in sympy.primefactors(g):
         order, zeta = (2, minus_one) if p == 2 else (1, field.one())
         powers = []
         power = order * p
         while g % power == 0 and d % euler_phi(power) == 0:
+            # lambda(p^k) = phi(p^k), but phi(2^k) / 2 for k >= 3
+            carmichael = euler_phi(power) // (2 if power % 8 == 0 else 1)
+            if all(k % carmichael for k in orders):
+                break
             powers.append(power)
             power *= p
         for power in reversed(powers):
@@ -776,9 +797,9 @@ def _make_field_cached(int_coeffs: tuple, precision_bits: int) -> WorkingField:
         raise ReduciblePolynomial(f"{poly!r} is reducible over Q")
     field = WorkingField(poly, precision_bits)
     field.automorphisms, field._comp_table, field._inv_table = _galois_group(field)
-    # m_F is irreducible, hence squarefree
-    field.embeddings = _certified_roots(poly, precision_bits)
-    field.archimedean_classes = archimedean_classes(field.embeddings)
+    field.embeddings, field.archimedean_classes = galois_roots(
+        poly, [s.theta_image.coords for s in field.automorphisms], field._comp_table,
+        precision_bits)
     field.torsion_order, field.torsion_generator = _torsion_structure(field)
     return field
 
@@ -788,8 +809,11 @@ def make_field(defining_poly, precision_bits: int | None = None) -> WorkingField
 
     The steps run in this order: the irreducibility proof; the Galois group
     from generators (_galois_group), which raises NotGalois before any
-    embedding is computed; the certified embeddings and their archimedean
-    classes; and the torsion order and generator (_torsion_structure).
+    embedding is computed; the certified embeddings, each one root theta_1
+    of m_F carried by an automorphism, and their archimedean classes, read
+    off the complex conjugation among the automorphisms
+    (roots.galois_roots); and the torsion order and generator
+    (_torsion_structure).
 
     Raises ReduciblePolynomial, NotGalois, or PrecisionExhausted when the
     input cannot be certified.

@@ -1,23 +1,31 @@
 """Certified complex roots of rational polynomials.
 
-Roots are approximated by Durand-Kerner (Weierstrass) iteration: a global
-phase in binary64 from Newton-polygon starting points, then one sweep at
-each doubling precision (quadratic convergence doubles the correct bits
-per sweep), then sweeps at the working precision bits + 32.  The binary64
-and the working-precision sweeps stop by one rule: when the corrections
-fall below a tolerance, or stop shrinking at the rounding level.
-Polynomials that binary64 cannot represent start from the same points at
-the working precision instead.
+There are two routes to the roots.  certified_roots approximates all of
+them by Durand-Kerner (Weierstrass) iteration: a global phase in binary64
+from Newton-polygon starting points, then one sweep at each doubling
+precision (quadratic convergence doubles the correct bits per sweep),
+then sweeps at the working precision bits + 32.  The binary64 and the
+working-precision sweeps stop by one rule: when the corrections fall
+below a tolerance, or stop shrinking at the rounding level.  Polynomials
+that binary64 cannot represent start from the same points at the working
+precision instead.  verify's Mahler-measure oracle and the tests use it.
 
-The approximations are certified by Henrici inclusion disks: for any z,
-the disk of radius d*|p(z)/p'(z)| centered at z contains at least one
-root of p (Henrici, Applied and Computational Complex Analysis I, 6.4).
-p(z) and p'(z) are evaluated with a running error bound, so the radius is
-an upper bound whatever the rounding.  When the d disks around the d
-approximations are pairwise disjoint, each contains exactly one true
-root, which certifies both the approximation error and the pairwise
-separation; one rule, _meeting_disk, then tells which disk holds the
-conjugate of a root or the image of an embedding under an automorphism.
+galois_roots serves make_field, whose defining polynomial p has a Galois
+root field with known automorphisms t -> A_j(t).  It refines one root
+theta_1 by Newton steps at doubling precision, and every other root is
+A_j(theta_1) after one Newton step; complex conjugation is one of the
+automorphisms, so only one root of each conjugate pair is computed and
+its partner is stored as the exact mirror image.
+
+Both routes certify the approximations by Henrici inclusion disks: for
+any z, the disk of radius d*|p(z)/p'(z)| centered at z contains at least
+one root of p (Henrici, Applied and Computational Complex Analysis I,
+6.4).  p(z) and p'(z) are evaluated with a running error bound, so the
+radius is an upper bound whatever the rounding.  When the d disks are
+pairwise disjoint, each contains exactly one true root, which certifies
+both the approximation error and the pairwise separation; one rule,
+_meeting_disk, then tells which disk holds the conjugate of a root or the
+image of an embedding under an automorphism.
 """
 
 from __future__ import annotations
@@ -35,6 +43,7 @@ from mpmath.libmp import (
     from_float,
     fzero,
     mpc_abs,
+    mpc_add,
     mpc_add_mpf,
     mpc_div,
     mpc_mul,
@@ -260,12 +269,13 @@ def _gamma(k: int, prec: int):
         return k * u / (1 - k * u)
 
 
-def _horner_with_bound(c, z, az, prec: int):
+def _horner_with_bound(c, z, az, prec: int, slope: bool = False):
     """p(z) by Horner's rule for the mpf coefficients c (lowest degree
     first, each at most 3 roundings from its exact rational), a bound on its
-    error, and sum i |c_i| az^(i-1) >= |p'(w)| for |w| <= az, az >= |z|.
-    The loop runs on the raw tuples c, z and az with the libmp operations
-    that mpmath's operators would call at prec bits.
+    error and, when slope is set, sum i |c_i| az^(i-1) >= |p'(w)| for
+    |w| <= az, az >= |z| (None otherwise).  The loop runs on the raw tuples
+    c, z and az with the libmp operations that mpmath's operators would
+    call at prec bits.
 
     The bound is gamma_{8n+16} sum |c_i| |z|^i for degree n (Higham,
     Accuracy and Stability of Numerical Algorithms, 2nd ed., eq. 5.3 with
@@ -279,15 +289,16 @@ def _horner_with_bound(c, z, az, prec: int):
     """
     rnd = round_nearest
     value = (fzero, fzero)
-    magnitude = slope = fzero
+    magnitude = majorant = fzero
     for a in reversed(c):
         value = mpc_add_mpf(mpc_mul(value, z, prec, rnd), a, prec, rnd)
-        slope = mpf_add(mpf_mul(slope, az, prec, rnd), magnitude, prec, rnd)
+        if slope:
+            majorant = mpf_add(mpf_mul(majorant, az, prec, rnd), magnitude, prec, rnd)
         magnitude = mpf_add(mpf_mul(magnitude, az, prec, rnd),
                             mpf_abs(a, prec, rnd), prec, rnd)
     return (mpmath.mp.make_mpc(value),
             _gamma(8 * (len(c) - 1) + 16, prec) * mpmath.mp.make_mpf(magnitude),
-            mpmath.mp.make_mpf(slope))
+            mpmath.mp.make_mpf(majorant) if slope else None)
 
 
 def _henrici_radius(cs, dcs, z, bits: int, prec: int) -> float:
@@ -355,20 +366,46 @@ def _meeting_disk(disks, disk, refusal: str) -> int:
     return hits[0]
 
 
+def _separated(disks, bits: int) -> None:
+    """Refuse unless the disks are pairwise disjoint: then each of d disks
+    that each hold a root of a polynomial of degree d holds exactly one."""
+    for i, disk in enumerate(disks):  # disk i meets itself and no later disk
+        _meeting_disk(disks[i:], disk, f"could not separate roots at {bits} bits")
+
+
+def _conjugate_partners(disks) -> list[int]:
+    """partner[i], the index of the disk that holds the complex conjugate
+    of the root in separated disk i: the only disk that the mirror image of
+    disk i meets.  The root is real exactly when that is disk i itself."""
+    partner = {}
+    for i, disk in enumerate(disks):
+        if i not in partner:
+            j = _meeting_disk(disks, _mirror(disk), "real/complex classification ambiguous")
+            if j in partner:
+                raise PrecisionExhausted("real/complex classification ambiguous")
+            partner[i], partner[j] = j, i
+    return [partner[i] for i in range(len(disks))]
+
+
+def _sorted_roots(values, radii, partner):
+    """The CertifiedRoots, a real one centred on the real axis, sorted by
+    (real part, imaginary part), and partner renumbered in that order."""
+    out = [CertifiedRoot(mpmath.mpc(z.real) if partner[i] == i else z, r, partner[i] == i)
+           for i, (z, r) in enumerate(zip(values, radii))]
+    order = sorted(range(len(out)), key=lambda i: (out[i].value.real, out[i].value.imag))
+    position = {i: k for k, i in enumerate(order)}
+    return [out[i] for i in order], [position[partner[i]] for i in order]
+
+
 def certified_roots(p: Poly, bits: int = DEFAULT_PRECISION_BITS) -> list[CertifiedRoot]:
     """All complex roots of a squarefree polynomial, certified and sorted
-    by (real part, imaginary part)."""
+    by (real part, imaginary part), from Durand-Kerner approximations of all
+    of them.  A root is real exactly when the mirror image of its disk meets
+    that disk alone."""
     if p.degree < 1:
         return []
     if not is_squarefree(p):
         raise ValueError("certified_roots requires a squarefree polynomial")
-    return _certified_roots(p, bits)
-
-
-def _certified_roots(p: Poly, bits: int) -> list[CertifiedRoot]:
-    """certified_roots for a p of degree >= 1 already known to be
-    squarefree, such as an irreducible defining polynomial.  A root is real
-    exactly when the mirror image of its disk meets that disk alone."""
     prec = bits + 32
     with locked_workprec(prec):
         cs = _to_mpf(p.coeffs)
@@ -377,40 +414,141 @@ def _certified_roots(p: Poly, bits: int) -> list[CertifiedRoot]:
         approx = _approximate_roots(p, monic, bits)
         radii = [_henrici_radius(cs, dcs, z, bits, prec) for z in approx]
         disks = [_disk(z, r) for z, r in zip(approx, radii)]
-        for i, disk in enumerate(disks):  # disk i meets itself and no later disk
-            _meeting_disk(disks[i:], disk, f"could not separate roots at {bits} bits")
-        partner = {}
-        for i, disk in enumerate(disks):
-            if i not in partner:
-                j = _meeting_disk(disks, _mirror(disk), "real/complex classification ambiguous")
-                if j in partner:
-                    raise PrecisionExhausted("real/complex classification ambiguous")
-                partner[i], partner[j] = j, i
-        out = [CertifiedRoot(mpmath.mpc(z.real) if partner[i] == i else z, r, partner[i] == i)
-               for i, (z, r) in enumerate(zip(approx, radii))]
-        out.sort(key=lambda cr: (mpmath.re(cr.value), mpmath.im(cr.value)))
-        return out
+        _separated(disks, bits)
+        return _sorted_roots(approx, radii, _conjugate_partners(disks))[0]
 
 
-def archimedean_classes(roots: list[CertifiedRoot]) -> list[list[int]]:
-    """Group embedding indices into real singletons and conjugate pairs.
+def _newton_step(cs, z, prec: int):
+    """z - p(z) / p'(z) at prec bits for the raw mpf coefficients cs of p
+    and the raw mpc z, with p and p' from one Horner pass, and the
+    correction relative to max(1, |z|) as an mpf."""
+    rnd = round_nearest
+    value = slope = (fzero, fzero)
+    for a in reversed(cs):
+        slope = mpc_add(mpc_mul(slope, z, prec, rnd), value, prec, rnd)
+        value = mpc_add_mpf(mpc_mul(value, z, prec, rnd), a, prec, rnd)
+    delta = mpc_div(value, slope, prec, rnd)
+    scale = mpc_abs(z, prec, rnd)
+    if not mpf_gt(scale, fone):
+        scale = fone
+    step = mpf_div(mpc_abs(delta, prec, rnd), scale, prec, rnd)
+    return mpc_sub(z, delta, prec, rnd), mpmath.mp.make_mpf(step)
 
-    Returns a list of index lists, each of size 1 (real) or 2 (conjugate
-    pair), in a deterministic order.
+
+def _one_root(p: Poly, cs, bits: int):
+    """One root of p to about bits + 32 bits, as a raw mpc: the first
+    binary64 Durand-Kerner approximation refined by one Newton step per
+    doubling precision (each with 32 guard bits), then by Newton steps at
+    bits + 32 until they settle as the sweeps of _approximate_roots do;
+    the first of _approximate_roots when binary64 cannot represent p.  Call
+    under locked_workprec(bits + 32)."""
+    prec = bits + 32
+    starts = _float_starts(p)
+    if starts is None:
+        monic = [mpf_div(a, cs[-1], prec, round_nearest) for a in cs]
+        return _approximate_roots(p, monic, bits)[0]._mpc_
+    z = [mpmath.mpc(starts[0])._mpc_]
+
+    def newton(level):
+        z[0], step = _newton_step(cs, z[0], level)
+        return step
+
+    try:
+        level = 2 * 53
+        while level < prec:
+            newton(level + 32)
+            level *= 2
+        if _sweep_until_settled(lambda: newton(prec), _MAX_SWEEPS,
+                                mpmath.mpf(2) ** -prec, mpmath.mpf(2) ** -bits):
+            return z[0]
+    except ZeroDivisionError:
+        pass  # the derivative vanished at an iterate
+    raise PrecisionExhausted(f"root iteration did not converge at {bits} bits")
+
+
+def galois_roots(p: Poly, images, comp, bits: int = DEFAULT_PRECISION_BITS):
+    """(roots, classes): the certified roots of p as certified_roots sorts
+    them and their archimedean classes, for an irreducible p whose field
+    F = Q[t]/(p) is Galois with automorphisms sigma_j: t -> A_j(t), where
+    images[j] holds the coordinates of A_j, sigma_0 is the identity and
+    comp[a][b] is the index of sigma_a after sigma_b.
+
+    Every root of p is A_j(theta_1) for one root theta_1 (_one_root): the
+    embedding t -> theta_1 after sigma_j.  Root 0 is theta_1, and root j
+    is A_j(theta_1) after one Newton step at bits + 32, each with its
+    Henrici disk.  When the disk of theta_1 meets its mirror image,
+    theta_1 may be real, and then F is totally real: every root is
+    computed and _conjugate_partners tells the real flags.  Otherwise
+    complex conjugation acts on F as an involution c, the one whose image
+    A_c(theta_1) lies nearest to the conjugate of theta_1; the conjugate of
+    root j is root comp[c][j], so only the first root of each pair is
+    computed, and its partner is stored as the exact mirror image with the
+    same radius.  Nothing here is trusted beyond the disks: each stored
+    disk is a Henrici disk or the mirror image of one, so it holds a root,
+    and they must be pairwise disjoint, so each holds exactly one and a
+    wrong guess of c is refused.  Disjoint mirror images hold two non-real
+    roots.
     """
-    refusal = "could not pair complex-conjugate embeddings"
-    disks = [_disk(r.value, r.radius) for r in roots]
-    classes, used = [], set()
-    for i, r in enumerate(roots):
-        if r.is_real:
-            classes.append([i])
-        elif i not in used:
-            j = _meeting_disk(disks, _mirror(disks[i]), refusal)
-            # a partner j <= i is i itself or was already classified
-            if j <= i or j in used or roots[j].is_real:
-                raise PrecisionExhausted(refusal)
-            classes.append([i, j])
-            used.add(j)
+    d = p.degree
+    prec = bits + 32
+    rnd = round_nearest
+    with locked_workprec(prec):
+        cs = _to_mpf(p.coeffs)
+        dcs = _to_mpf(p.derivative().coeffs)
+        theta = _one_root(p, cs, bits)
+
+        def image(j):
+            """A_j(theta_1) as a raw mpc, by Horner's rule."""
+            value = (fzero, fzero)
+            for a in reversed(_to_mpf(images[j])):
+                value = mpc_add_mpf(mpc_mul(value, theta, prec, rnd), a, prec, rnd)
+            return value
+
+        def certified(z):
+            z = mpmath.mp.make_mpc(z)
+            return z, _henrici_radius(cs, dcs, z, bits, prec)
+
+        def root(j):
+            try:
+                return certified(_newton_step(cs, image(j), prec)[0])
+            except ZeroDivisionError:
+                raise PrecisionExhausted(
+                    f"root iteration did not converge at {bits} bits") from None
+
+        values, radii = [None] * d, [None] * d
+        values[0], radii[0] = certified(theta)  # sigma_0 is the identity
+        first = _disk(values[0], radii[0])
+        totally_real = _may_meet(first, _mirror(first))
+        if totally_real:
+            partner = range(d)
+        else:
+            target = (theta[0], mpf_neg(theta[1]))
+            involutions = [j for j in range(1, d) if comp[j][j] == 0]
+            if not involutions:
+                raise PrecisionExhausted("real/complex classification ambiguous")
+            partner = comp[min(involutions, key=lambda j: mpmath.mp.make_mpf(
+                mpc_abs(mpc_sub(image(j), target, prec, rnd), prec, rnd)))]
+        for j, k in enumerate(partner):
+            if j <= k:
+                if j:
+                    values[j], radii[j] = root(j)
+                if k != j:
+                    x, y = values[j]._mpc_
+                    values[k], radii[k] = mpmath.mp.make_mpc((x, mpf_neg(y))), radii[j]
+        disks = [_disk(z, r) for z, r in zip(values, radii)]
+        _separated(disks, bits)
+        if totally_real:
+            partner = _conjugate_partners(disks)
+        roots, partner = _sorted_roots(values, radii, partner)
+        return roots, archimedean_classes(roots, partner)
+
+
+def archimedean_classes(roots: list[CertifiedRoot], partner) -> list[list[int]]:
+    """Embedding indices grouped into real singletons and conjugate pairs,
+    from partner[i], the index of the conjugate of roots[i]: each class
+    in increasing order, the classes by the real part and then the modulus
+    of the imaginary part of their first root."""
+    classes = [[i] if j == i else [i, j] for i, j in enumerate(partner) if j >= i]
     classes.sort(key=lambda c: (float(mpmath.re(roots[c[0]].value)),
                                 abs(float(mpmath.im(roots[c[0]].value)))))
     return classes

@@ -1,6 +1,7 @@
 """Golden outputs: sha256 digests of `heightlab verify all --json`, of
-the CLI reports over the bundled corpus and of certified roots, so that a
-change meant to keep every answer can show that it did.
+the CLI reports over the bundled corpus, of certified roots and of the
+embeddings of constructed fields, so that a change meant to keep every
+answer can show that it did.
 
 If a change alters an answer on purpose, regenerate a digest with
 `PYTHONPATH=src python tests/test_golden.py` from the repository root and
@@ -15,12 +16,14 @@ from test_roots import PRECISIONS, STRESS
 from heightlab.cli import run_command
 from heightlab.corpus import bundled_corpus, scenario_documents
 from heightlab.errors import HeightlabError, PrecisionExhausted
+from heightlab.numberfield import make_field
 from heightlab.polynomials import Poly
 from heightlab.roots import DEFAULT_PRECISION_BITS, certified_roots
 
 VERIFY_ALL_SHA256 = "7190ccbccab0d779521f4a189dccbbb6b7958f15b90d61b1d595e996f94d5a05"
 CLI_REPORTS_SHA256 = "4fe905a3c12706cbadbdf97c3cf20f094b074f53b464c391badd4b2178527ee0"
 CERTIFIED_ROOTS_SHA256 = "bf7070912b6d576352f8308d61e10258094ad4b59dd74a01fe0e55d1c4985cdc"
+FIELD_EMBEDDINGS_SHA256 = "8d0300080676868c747757710846c91321dab02c668469293a8a38b01b0f7e21"
 SCALES = ("1", "-2/3")
 # the larger fields of the field-build benchmark's ladder, after the corpus
 LADDER = (
@@ -78,27 +81,52 @@ def cli_reports_digest() -> str:
     return hashlib.sha256("\n".join(_cli_reports()).encode()).hexdigest()
 
 
-def _roots_record(p, bits):
-    """Every bit of certified_roots(p, bits): the raw mpmath tuples of each
-    value, the radius and the real flag, or the refusal's message."""
-    try:
-        found = certified_roots(p, bits)
-    except PrecisionExhausted as exc:
-        return str(exc)
+def _records(found):
+    """The raw mpmath tuples of each root's value, its radius and its real
+    flag."""
     return [[[[s, int(m), e, b] for s, m, e, b in r.value._mpc_],
              r.radius.hex(), r.is_real] for r in found]
 
 
+def _roots_record(p, bits):
+    """Every bit of certified_roots(p, bits), or the refusal's message."""
+    try:
+        return _records(certified_roots(p, bits))
+    except PrecisionExhausted as exc:
+        return str(exc)
+
+
+def _ladder():
+    """The field-build ladder: the corpus fields, then LADDER."""
+    return [tuple(doc["field"]) for doc in scenario_documents()] + list(LADDER)
+
+
 def certified_roots_digest() -> str:
     """The stress set of test_roots at each of its precisions, then the
-    field-build ladder (the corpus fields and LADDER) at the default
-    precision.  Ties between conjugate pairs are ordered by the last bits of
-    the approximations, so this pins the order of the embeddings too."""
+    field-build ladder at the default precision.  The two roots of a
+    conjugate pair have real parts that tie up to the last bits of the
+    approximations, which order them; make_field's embeddings, whose pairs
+    tie exactly, are pinned by field_embeddings_digest instead."""
     cases = [[name, bits, _roots_record(p, bits)]
              for name, p in STRESS.items() for bits in PRECISIONS]
-    ladder = [tuple(doc["field"]) for doc in scenario_documents()] + list(LADDER)
     cases += [[list(coeffs), _roots_record(Poly(coeffs), DEFAULT_PRECISION_BITS)]
-              for coeffs in ladder]
+              for coeffs in _ladder()]
+    return hashlib.sha256(_compact(cases).encode()).hexdigest()
+
+
+def _field_record(coeffs, bits):
+    try:
+        field = make_field(list(coeffs), bits)
+    except PrecisionExhausted as exc:
+        return str(exc)
+    return [_records(field.embeddings), field.archimedean_classes]
+
+
+def field_embeddings_digest() -> str:
+    """Every bit of make_field's embeddings, in their order, and the
+    archimedean classes, for the field-build ladder at 53 and 256 bits."""
+    cases = [[list(coeffs), bits, _field_record(coeffs, bits)]
+             for coeffs in _ladder() for bits in (53, 256)]
     return hashlib.sha256(_compact(cases).encode()).hexdigest()
 
 
@@ -115,8 +143,13 @@ def test_certified_roots_unchanged():
     assert certified_roots_digest() == CERTIFIED_ROOTS_SHA256
 
 
+def test_field_embeddings_unchanged():
+    assert field_embeddings_digest() == FIELD_EMBEDDINGS_SHA256
+
+
 if __name__ == "__main__":
     from conftest import run_verify_all
     print("VERIFY_ALL_SHA256 =", repr(verify_all_digest(run_verify_all()[0])))
     print("CLI_REPORTS_SHA256 =", repr(cli_reports_digest()))
     print("CERTIFIED_ROOTS_SHA256 =", repr(certified_roots_digest()))
+    print("FIELD_EMBEDDINGS_SHA256 =", repr(field_embeddings_digest()))

@@ -1,5 +1,8 @@
+import functools
 import math
+import pathlib
 import random
+import runpy
 from fractions import Fraction
 
 import mpmath
@@ -7,10 +10,11 @@ import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from mpmath.libmp import mpf_neg
 
 from test_golden import LADDER
 
-from heightlab import numberfield
+from heightlab import numberfield, roots
 from heightlab._padic import ReducedLattice, hensel_lift
 from heightlab.corpus import bundled_scenario, scenario_documents
 from heightlab.errors import (
@@ -38,7 +42,12 @@ from heightlab.numberfield import (
     whole_field,
 )
 from heightlab.polynomials import Poly, cyclotomic, is_irreducible, real_root_count, resultant
-from heightlab.roots import DEFAULT_PRECISION_BITS, certified_roots, locked_workprec
+from heightlab.roots import (
+    DEFAULT_PRECISION_BITS,
+    certified_roots,
+    galois_roots,
+    locked_workprec,
+)
 
 CORPUS_NAMES = [doc["name"] for doc in scenario_documents()]
 
@@ -616,7 +625,7 @@ def test_not_galois_refused_before_the_embeddings(coeffs, monkeypatch):
     def fail(*args):
         raise AssertionError("embeddings certified before the Galois check")
 
-    monkeypatch.setattr(numberfield, "_certified_roots", fail)
+    monkeypatch.setattr(numberfield, "galois_roots", fail)
     with pytest.raises(NotGalois):
         _make_field_cached.__wrapped__(coeffs, DEFAULT_PRECISION_BITS)
 
@@ -789,6 +798,146 @@ def test_whole_and_rational_subfields(field_sqrt2):
 def test_embeddings_real_split(field_biquad, field_zeta3):
     assert all(r.is_real for r in field_biquad.embeddings)
     assert not any(r.is_real for r in field_zeta3.embeddings)
+
+
+def _family_members(seeds=(1, 2, 3)):
+    """The Galois family members (quadratic fields, simplest cubics, real
+    and imaginary biquadratics) of the first field-build benchmark block of
+    each seed, drawn by perfbench/workloads.py."""
+    path = pathlib.Path(__file__).parents[1] / "perfbench" / "workloads.py"
+    stream = runpy.run_path(str(path))["FieldBuildStream"]
+    ladder = set(_LADDER)
+    members = [tuple(b.coeffs) for seed in seeds
+               for b in stream(seed, scenario_documents()).block()]
+    return [c for c in dict.fromkeys(members) if c not in ladder]
+
+
+_FAMILY = _family_members()
+_SMALL_CYCLOTOMIC = [tuple(int(c) for c in cyclotomic(n).coeffs)
+                     for n in range(3, 91) if sympy.totient(n) <= 24]
+
+
+@functools.lru_cache(maxsize=None)
+def _group(coeffs):
+    """(theta images, composition table) of the field, as make_field finds
+    them; they do not depend on the precision."""
+    autos, comp, _ = numberfield._galois_group(WorkingField(Poly(coeffs), 64))
+    return [a.theta_image.coords for a in autos], comp
+
+
+def _outcome(route, *args):
+    try:
+        return route(*args)
+    except PrecisionExhausted as exc:
+        return str(exc)
+
+
+def _exact_mirror(a, b) -> bool:
+    """b is the exact complex conjugate of a, with the same radius."""
+    (x, y), (u, v) = a.value._mpc_, b.value._mpc_
+    return (u, v) == (x, mpf_neg(y)) and a.radius == b.radius
+
+
+@pytest.mark.parametrize("bits", [8, 16, 53, 256, 1100])
+def test_galois_roots_match_certified_roots(bits):
+    # every disk of the Galois route holds the root in the disk of the same
+    # index from Durand-Kerner on all roots, except where two roots of a
+    # conjugate pair tie in their real parts: there the Galois route, whose
+    # partners are exact mirror images, puts -im first, and Durand-Kerner
+    # orders them by the last bits of its approximations
+    fields = _LADDER + _FAMILY + _SMALL_CYCLOTOMIC
+    certified = 0
+    for coeffs in dict.fromkeys(fields):
+        p = Poly(coeffs)
+        new = _outcome(galois_roots, p, *_group(coeffs), bits)
+        old = _outcome(certified_roots, p, bits)
+        if isinstance(new, str) or isinstance(old, str):
+            assert new == old, (coeffs, bits)
+            continue
+        certified += 1
+        new, classes = new
+        old_disks = [roots._disk(r.value, r.radius) for r in old]
+        for i, r in enumerate(new):
+            j = roots._meeting_disk(old_disks, roots._disk(r.value, r.radius), "no match")
+            assert j == i or (abs(j - i) == 1 and _exact_mirror(r, new[j])), (coeffs, bits, i)
+        assert [r.is_real for r in new] == [r.is_real for r in old]
+        assert classes == roots.archimedean_classes(old, roots._conjugate_partners(old_disks))
+    assert certified >= len(set(fields)) // 2
+
+
+def test_conjugate_embeddings_tie_exactly():
+    for coeffs in _LADDER + _FAMILY:
+        field = make_field(list(coeffs))
+        for cls in field.archimedean_classes:
+            if len(cls) == 2:
+                i, j = cls
+                first, second = field.embeddings[i], field.embeddings[j]
+                assert j == i + 1 and _exact_mirror(first, second)
+                assert first.value.real == second.value.real and first.value.imag < 0
+
+
+def test_galois_roots_refuse_a_wrong_conjugation():
+    # complex conjugation on Q(zeta_8) is t -> t^-1 = -t^3; with it hidden
+    # from the involutions of the table, another one pairs the roots, its
+    # mirror images land on computed disks and the separation check refuses
+    coeffs = (1, 0, 0, 0, 1)
+    images, comp = _group(coeffs)
+    c = images.index((0, 0, 0, -1))
+    wrong = [list(row) for row in comp]
+    wrong[c][c] = c
+    assert galois_roots(Poly(coeffs), images, comp)
+    with pytest.raises(PrecisionExhausted, match="could not separate"):
+        galois_roots(Poly(coeffs), images, wrong)
+
+
+def test_galois_roots_outside_the_float_range():
+    # binary64 cannot hold these coefficients, so theta_1 comes from
+    # Durand-Kerner at the working precision; the outcome is certified_roots'
+    # (at 256 bits the big root of the first has a radius beyond the float
+    # range, and both routes refuse)
+    for coeffs in [(1, -10 ** 400, 1), (10 ** 400 + 1, 0, 1)]:
+        p = Poly(coeffs)
+        assert roots._float_starts(p) is None
+        for bits in (53, 256, 1100):
+            new = _outcome(galois_roots, p, *_group(coeffs), bits)
+            old = _outcome(certified_roots, p, bits)
+            if isinstance(old, str):
+                assert new == old
+                continue
+            assert [r.is_real for r in new[0]] == [r.is_real for r in old]
+            for a, b in zip(new[0], old):
+                assert roots._may_meet(roots._disk(a.value, a.radius),
+                                       roots._disk(b.value, b.radius))
+    assert isinstance(_outcome(certified_roots, Poly((1, -10 ** 400, 1)), 256), str)
+
+
+def test_torsion_skips_roots_of_unity_the_group_excludes(monkeypatch):
+    # Q(sqrt(-19), sqrt(5)) splits first at 11, 61 and 101, and 5 divides
+    # 10, 60 and 100, but zeta_5 in the field needs an automorphism of
+    # order 4, and its Galois group is the Klein group
+    tried = []
+    lift = numberfield._lift_root
+
+    def recording(field, f, *args):
+        tried.append(f)
+        return lift(field, f, *args)
+
+    monkeypatch.setattr(numberfield, "_lift_root", recording)
+    field = _make_field_cached.__wrapped__((576, 0, 28, 0, 1), DEFAULT_PRECISION_BITS)
+    assert field.torsion_order == 2
+    assert numberfield._automorphism_orders(field) == {1, 2}
+    assert cyclotomic(5) not in tried
+
+
+def test_torsion_unchanged_by_the_group_bound(monkeypatch):
+    # every lambda(n) with phi(n) | d divides d!, so these orders let every
+    # prime power through, as before the Galois group bounded the search
+    fields = [make_field(list(coeffs)) for coeffs in _LADDER + _FAMILY]
+    found = [numberfield._torsion_structure(f) for f in fields]
+    monkeypatch.setattr(numberfield, "_automorphism_orders",
+                        lambda field: {math.factorial(field.degree)})
+    assert [numberfield._torsion_structure(f) for f in fields] == found
+    assert [(f.torsion_order, f.torsion_generator) for f in fields] == found
 
 
 def test_embeddings_match_defining_poly(field_cbrt2):

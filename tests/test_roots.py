@@ -236,6 +236,6 @@ def test_conjugate_pairing_refuses_two_candidate_partners():
     # four pairwise disjoint disks; the mirror image of disk 0, about -i,
     # meets both disk 1 and disk 2, so its partner is not determined
     disks = [(0, 1, .008), (.01, -.993, .0045), (.01, -1.007, .0045), (.02, 1, .008)]
-    found = [roots.CertifiedRoot(mpmath.mpc(x, y), r, False) for x, y, r in disks]
-    with pytest.raises(PrecisionExhausted, match="pair complex-conjugate"):
-        roots.archimedean_classes(found)
+    disks = [roots._disk(mpmath.mpc(x, y), r) for x, y, r in disks]
+    with pytest.raises(PrecisionExhausted, match="classification ambiguous"):
+        roots._conjugate_partners(disks)
