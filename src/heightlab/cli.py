@@ -34,7 +34,7 @@ from .errors import (
     WitnessFailure,
     ZeroElement,
 )
-from .expressions import check_power_budget, parse_element
+from .expressions import check_power_budget, int_digit_limit, parse_element
 from .heights import GElement, g_height, is_torsion, weil_height
 from .numberfield import Subfield
 from .orbits import delta_K, in_kdiv, orbit_mod_torsion, vk_bounds, width_K
@@ -67,9 +67,7 @@ DEFAULT_COUNT = 50
 
 def _frac(q) -> str:
     q = Fraction(q)
-    # Python refuses to convert an int of more decimal digits than this
-    # limit to a string (0: no limit; the getter is new in Python 3.10.7)
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    limit = int_digit_limit()
     for n in (q.numerator, q.denominator):
         # fewer than 3 * limit bits means fewer than limit digits
         if limit and n.bit_length() > 3 * limit and abs(n) >= 10 ** limit:

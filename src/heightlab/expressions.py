@@ -9,20 +9,37 @@ Grammar (standard precedence, ^ binds tightest, then unary minus, then
     power  := atom ('^' ['-'] INT)?
     atom   := INT | 't' | '(' expr ')'
 
-Integer exponents only; rationals are written a/b and fall out of the
-division operator.  Division by a subexpression that evaluates to zero is
-an evaluation error, not a parse error, and so is a power whose estimated
-coefficient size exceeds MAX_POWER_BITS.
+INT is at most int_digit_limit() ASCII digits 0-9, and parentheses and
+unary minus signs nest at most MAX_NESTING deep.  Integer exponents only;
+rationals are written a/b and fall out of the division operator.  Division
+by a subexpression that evaluates to zero is an evaluation error, not a
+parse error, and so is a power whose estimated coefficient size exceeds
+MAX_POWER_BITS.
 """
 
 from __future__ import annotations
 
+import re
+import sys
+
 from .errors import EvalError, ParseError
 from .numberfield import FieldElement, WorkingField
 
-_OPS = set("+-*/^()")
+_OPS = set("t+-*/^()")
+# a run of ASCII digits, or any other character but whitespace
+_TOKEN = re.compile(r"[0-9]+|\S")
 
 MAX_POWER_BITS = 2 ** 16
+
+# the parser recurses through six frames per parenthesis and two per unary
+# minus, so 100 levels stay well below Python's default recursion limit
+MAX_NESTING = 100
+
+
+def int_digit_limit() -> int:
+    """Python's limit on the decimal digits of an integer converted from or
+    to a string, 0 for none (the getter is new in Python 3.10.7)."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
 
 
 def check_power_budget(base: FieldElement, exponent: int, where: str) -> None:
@@ -43,25 +60,16 @@ def check_power_budget(base: FieldElement, exponent: int, where: str) -> None:
 
 def _tokenize(text: str):
     tokens = []
-    i = 0
-    while i < len(text):
-        c = text[i]
-        if c.isspace():
-            i += 1
-        elif c.isdigit():
-            j = i
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            tokens.append(("int", int(text[i:j]), i))
-            i = j
-        elif c == "t":
-            tokens.append(("t", None, i))
-            i += 1
-        elif c in _OPS:
-            tokens.append((c, None, i))
-            i += 1
+    for match in _TOKEN.finditer(text):
+        tok, i = match.group(), match.start()
+        if tok[0] in "0123456789":
+            if len(tok) > (int_digit_limit() or len(tok)):
+                raise ParseError(f"integer of over {int_digit_limit()} digits at position {i}")
+            tokens.append(("int", int(tok), i))
+        elif tok in _OPS:
+            tokens.append((tok, None, i))
         else:
-            raise ParseError(f"unexpected character {c!r} at position {i}")
+            raise ParseError(f"unexpected character {tok!r} at position {i}")
     tokens.append(("end", None, len(text)))
     return tokens
 
@@ -72,6 +80,7 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.pos = 0
         self.field = field
+        self.depth = 0  # open parentheses and unary minus signs
 
     def peek(self):
         return self.tokens[self.pos][0]
@@ -116,7 +125,7 @@ class _Parser:
     def unary(self) -> FieldElement:
         if self.peek() == "-":
             self.take()
-            return -self.unary()
+            return -self.nested(self.unary)
         return self.power()
 
     def power(self) -> FieldElement:
@@ -145,11 +154,21 @@ class _Parser:
             return self.field.theta()
         if kind == "(":
             self.take()
-            value = self.expr()
+            value = self.nested(self.expr)
             self.take(")")
             return value
         tok = self.tokens[self.pos]
         raise ParseError(f"unexpected {kind!r} at position {tok[2]} in {self.text!r}")
+
+    def nested(self, parse) -> FieldElement:
+        """parse() one level deeper in parentheses and unary minus signs."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ParseError(f"parentheses and unary minus signs nest more than "
+                             f"{MAX_NESTING} deep at position {self.tokens[self.pos][2]}")
+        value = parse()
+        self.depth -= 1
+        return value
 
 
 def parse_element(text: str, field: WorkingField) -> FieldElement:

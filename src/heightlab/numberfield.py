@@ -303,8 +303,8 @@ class WorkingField:
         self._inv_table = None
         # write-once cache of finite-place splittings, keyed by prime
         self._place_cache = {}
-        # write-once caches of the root finder: the roots of m_F mod each
-        # prime tried, and the reduced lattices keyed by (prime, precision)
+        # caches of the root finder: the roots of m_F mod each prime tried
+        # (write-once), and the finest reduced lattice at each split prime
         self._split_roots = {}
         self._lattice_cache = {}
         self._dtheta_inverse = None
@@ -483,17 +483,16 @@ def _roots_mod(ints_high_first, q: int) -> tuple:
 
 
 def _lattice(field: WorkingField, q: int, r1: int, k: int):
-    """(k', r1 lifted mod q^k', LLL-reduced basis of L_k') for the least
-    k' >= k already cached, else for k' = k, cached write-once:
-    L_k = {c in Z^d : sum c_i r1^i = 0 mod q^k} is the lattice of the
-    coordinate vectors of the elements of Z[theta] in P^k, for P the prime
-    above q at which theta = r1.  A finer lattice serves as well, since
-    L_k' lies in L_k and its precision bound is only larger."""
-    # a snapshot of the keys, as another thread may be adding one
-    finer = [kk for qq, kk in list(field._lattice_cache) if qq == q and kk >= k]
-    if finer:
-        k = min(finer)
-        return (k,) + field._lattice_cache[q, k]
+    """(k', r1 lifted mod q^k', LLL-reduced basis of L_k') for the finest
+    lattice built so far at q when its k' >= k, else for k' = k, which then
+    replaces it: L_k = {c in Z^d : sum c_i r1^i = 0 mod q^k} is the lattice
+    of the coordinate vectors of the elements of Z[theta] in P^k, for P the
+    prime above q at which theta = r1.  A finer lattice serves as well,
+    since L_k' lies in L_k and its precision bound is only larger; a thread
+    may replace it with a coarser one, which costs only a rebuild."""
+    cached = field._lattice_cache.get(q)
+    if cached is not None and cached[0] >= k:
+        return cached
     modulus = q ** k
     lifted = hensel_lift([int(c) for c in field.defining_poly.coeffs], r1, q, k)
     d = field.degree
@@ -502,9 +501,8 @@ def _lattice(field: WorkingField, q: int, r1: int, k: int):
     for i in range(1, d):
         power = power * lifted % modulus
         rows.append([-power % modulus] + [int(j == i) for j in range(1, d)])
-    result = (lifted, ReducedLattice(rows))
-    field._lattice_cache[q, k] = result
-    return (k,) + result
+    result = field._lattice_cache[q] = (k, lifted, ReducedLattice(rows))
+    return result
 
 
 def _precision_bound(field: WorkingField, f_ints, q: int) -> int:
@@ -635,61 +633,53 @@ def minimal_polynomial(a: FieldElement) -> Poly:
 # -- field construction ----------------------------------------------------
 
 
-def _residue(a: FieldElement, q: int, r1: int) -> int:
-    """a mod the prime above q at which theta = r1; a's denominator is
-    prime to q."""
-    return eval_mod(a.num, r1, q) * pow(a.den, -1, q) % q
-
-
 def _galois_group(field: WorkingField):
     """The automorphisms of F and their composition and inverse tables,
     built from generators; NotGalois when F is not Galois.
 
-    At the least split prime q of _split_prime, with theta = r1 at the
-    prime P above q, an automorphism sigma is determined by the root
-    sigma(theta) mod P of m_F mod q, and as q is prime to disc(m_F) the d
-    automorphisms of a Galois F cover the d roots once each.  So starting
-    from the identity, the least root rho mod q that no automorphism found
-    so far covers is lifted to the root of m_F in F above it (_lift_root),
-    and the set is closed under composition, whose results are exact and
-    need no check, until it has d elements.  Every product is computed on
-    the way, which fills the composition table.  When F is Galois every rho
-    has a lift, so a rho with none proves that F is not.
+    At the least split prime q of _split_prime, with theta = r1 at the prime
+    P above q, an automorphism sigma is named by its residue, the root
+    sigma(theta) mod P of m_F mod q; as q is prime to disc(m_F), the d
+    automorphisms of a Galois F have the d roots as residues, once each.
+    sigma_a after sigma_b sends theta to A_b(sigma_a(theta)), for A_b the
+    coordinates of sigma_b(theta) (whose denominators are prime to q), so
+    its residue is A_b at the residue of sigma_a: the table is read off
+    residues, and an image is computed exactly only for a new residue.  From
+    the identity, the set is closed under composition and the least root rho
+    mod q that is no residue yet is lifted to the root of m_F in F above it
+    (_lift_root), until there are d.  When F is Galois every rho has a lift,
+    so a rho with none proves that F is not.
     """
     d = field.degree
     q, r1 = _split_prime(field, 1)
-    m_ints = [int(c) for c in field.defining_poly.coeffs]
-    k_max = _precision_bound(field, m_ints, q)
-    theta = field.theta()
-    autos = [Automorphism(field, None, theta)]
-    found = {theta: 0}
-    covered = {r1}
-    products = {(0, 0): 0}  # (i, j) -> index of autos[i] after autos[j]
+    k_max = _precision_bound(field, [int(c) for c in field.defining_poly.coeffs], q)
+    autos, residues, index = [], [], {}  # index: residue -> position in autos
+    products = {}  # (a, b) -> position of autos[a] after autos[b]
 
-    def add(image):
-        i = found[image] = len(autos)
+    def add(image, residue):
+        index[residue] = len(autos)
         autos.append(Automorphism(field, None, image))
-        covered.add(_residue(image, q, r1))
-        products[0, i] = products[i, 0] = i
-        return i
+        residues.append(residue)
 
-    while len(autos) < d:
-        rho = min(r for r in field._split_roots[q] if r not in covered)
-        image = _lift_root(field, field.defining_poly, q, r1, rho, k_max)
-        if image is None:
-            raise NotGalois(
-                f"no root of the defining polynomial in the field lies above "
-                f"its root {rho} mod {q}; supply the Galois closure")
-        frontier = [add(image)]
-        while frontier:
-            i = frontier.pop()
-            for j in range(1, len(autos)):
-                for a, b in ((i, j), (j, i)):
-                    if (a, b) not in products:
-                        image = autos[a](autos[b].theta_image)
-                        if image not in found:
-                            frontier.append(add(image))
-                        products[a, b] = found[image]
+    add(field.theta(), r1)
+    i = 0
+    while i < len(autos):
+        for j in range(i + 1):
+            for a, b in ((i, j), (j, i)):
+                image = autos[b].theta_image
+                residue = eval_mod(image.num, residues[a], q) * pow(image.den, -1, q) % q
+                if residue not in index:
+                    add(autos[a](image), residue)
+                products[a, b] = index[residue]
+        i += 1
+        if i == len(autos) < d:
+            rho = min(r for r in field._split_roots[q] if r not in index)
+            image = _lift_root(field, field.defining_poly, q, r1, rho, k_max)
+            if image is None:
+                raise NotGalois(
+                    f"no root of the defining polynomial in the field lies above "
+                    f"its root {rho} mod {q}; supply the Galois closure")
+            add(image, rho)
     order = sorted(range(d), key=lambda i: (i != 0, autos[i].theta_image.coords))
     for new, old in enumerate(order):
         autos[old].index = new

@@ -20,7 +20,7 @@ from fractions import Fraction
 import mpmath
 import sympy
 from sympy.polys.domains import ZZ
-from sympy.polys.galoistools import gf_factor, gf_from_int_poly, gf_gcd, gf_rem
+from sympy.polys.galoistools import gf_compose_mod, gf_factor, gf_from_int_poly, gf_gcd
 
 from .errors import (
     FactorizationExhausted,
@@ -32,7 +32,7 @@ from .errors import (
 from .heights import GElement
 from .numberfield import FieldElement, WorkingField, eval_at_embedding, eval_poly
 from .polynomials import Poly
-from .roots import _disk, _meeting_disk, locked_workprec
+from .roots import _disk, _may_meet, locked_workprec
 
 _FLOAT_SLACK = 1e-15
 
@@ -141,11 +141,14 @@ def _factor_mod_p(poly: Poly, p: int):
 
 @dataclasses.dataclass(frozen=True)
 class _PrimeData:
+    """The prime P_i = (p, g_i(theta)) above p, for g_i mod p a factor of m_F
+    mod p of multiplicity e and degree f (Dedekind-Kummer, Cohen, GTM 138,
+    section 4.8)."""
+
     gbar: tuple          # factor mod p, highest coefficient first, in [0, p)
     e: int
     f: int
     anti_uniformizer: FieldElement   # valuation -1 here, >= 0 at the others
-    uniformizer: FieldElement        # valuation exactly 1 here, 0 at others
 
 
 def _int_valuation(n: int, p: int) -> int:
@@ -186,17 +189,12 @@ def _dedekind_index_check(field: WorkingField, p: int, factors) -> None:
             "place data for this field at this prime is refused")
 
 
-def _is_p_integral(a: FieldElement, p: int) -> bool:
-    # the representation is in lowest terms, so this is every coordinate's
-    # denominator being prime to p
-    return a.den % p != 0
-
-
 def _valuation_with(a: FieldElement, tau: FieldElement, p: int, cap: int) -> int:
-    """Largest k with a * tau^k still p-integral (a assumed p-integral)."""
+    """Largest k with a * tau^k still p-integral (a assumed p-integral),
+    that is with a denominator prime to p, as it is in lowest terms."""
     k = 0
     x = a * tau
-    while _is_p_integral(x, p):
+    while x.den % p:
         k += 1
         if k > cap:
             raise WitnessFailure("valuation iteration exceeded its norm bound")
@@ -210,34 +208,14 @@ def _prime_splitting(field: WorkingField, p: int):
         return cached
     factors = _factor_mod_p(field.defining_poly, p)
     _dedekind_index_check(field, p, factors)
-    theta = field.theta()
-
-    g_elems = []
-    for coeffs, mult in factors:
-        lift = Poly(coeffs)
-        acc = eval_poly(lift, theta)
-        if acc.is_zero():
-            # the canonical lift was m_F itself (single inert factor); use
-            # the lift shifted by p, whose value at theta is p
-            acc = field.from_rational(p)
-        g_elems.append((acc, mult, lift.degree))
-
+    gs = [(eval_poly(Poly(coeffs), field.theta()), e) for coeffs, e in factors]
     data = []
-    for i, (gi, ei, fi) in enumerate(g_elems):
-        tau = field.one()
-        for j, (gj, ej, _) in enumerate(g_elems):
-            if j != i:
-                tau = tau * gj ** ej
-        tau = tau * gi ** (ei - 1) / p
-
-        cap = _int_valuation(abs(int(gi.norm())), p) + 1
-        v_gi = _valuation_with(gi, tau, p, cap)
-        pi = gi if v_gi == 1 else gi + p
-        data.append(_PrimeData(gbar=factors[i][0][::-1],
-                               e=ei, f=fi, anti_uniformizer=tau, uniformizer=pi))
-
-    result = tuple(data)
-    field._place_cache[p] = result
+    for i, (coeffs, e) in enumerate(factors):
+        tau = field.one() / p  # prod over j of g_j^(e_j - [j = i]), over p
+        for j, (g, ej) in enumerate(gs):
+            tau = tau * g ** (ej - (j == i))
+        data.append(_PrimeData(coeffs[::-1], e, len(coeffs) - 1, tau))
+    result = field._place_cache[p] = tuple(data)
     return result
 
 
@@ -368,8 +346,9 @@ def vector_error_bound(v: PlaceVector) -> float:
 
 
 def _arch_permutation(field: WorkingField, sigma):
-    """perm[c] = class index of (embedding_c composed with sigma), the
-    embedding whose disk alone meets the disk about the image of theta."""
+    """perm[c] = class index of (embedding_c composed with sigma), the one
+    class of all embedding disks that may meet the disk about the image of
+    theta (which holds the true image); two or more classes are refused."""
     classes = field.archimedean_classes
     class_of_embedding = {i: idx for idx, cls in enumerate(classes) for i in cls}
     disks = [_disk(r.value, r.radius) for r in field.embeddings]
@@ -377,24 +356,33 @@ def _arch_permutation(field: WorkingField, sigma):
     with locked_workprec(field.precision_bits):
         for cls in classes:
             w, delta = eval_at_embedding(sigma.theta_image, field.embeddings[cls[0]])
-            j = _meeting_disk(disks, _disk(w, delta),
-                              "could not certify the embedding permutation")
-            perm.append(class_of_embedding[j])
+            image = _disk(w, delta)
+            hits = {class_of_embedding[j] for j, disk in enumerate(disks)
+                    if _may_meet(image, disk)}
+            if len(hits) != 1:
+                raise PrecisionExhausted("could not certify the embedding permutation")
+            perm.extend(hits)
     return perm
 
 
 def _finite_permutation(field: WorkingField, sigma, p: int):
-    """perm[i] = j with sigma(P_i) = Q_j, via uniformizer images."""
+    """perm[i] = j with sigma(P_i) = P_j, read off the Dedekind generators.
+
+    g_i(theta) lies in P_i and in no other prime above p, as g_i and g_j
+    are coprime mod p, so g_i(sigma(theta)) lies in sigma(P_i) alone.  With
+    p prime to the index, an algebraic integer lies in P_j exactly when g_j
+    mod p divides its reduction: j is the one such j for g_i(sigma(theta)).
+    """
     data = _prime_splitting(field, p)
+    image = sigma.theta_image
+    if image.den % p == 0:
+        raise WitnessFailure("automorphism image left the local order")
+    den_inv = pow(image.den, -1, p)
+    image_p = gf_from_int_poly([n * den_inv for n in reversed(image.num)], p)
     perm = []
     for pd in data:
-        img = sigma(pd.uniformizer)
-        if not _is_p_integral(img, p):
-            raise WitnessFailure("automorphism image left the local order")
-        den_inv = pow(img.den, -1, p)
-        img_p = gf_from_int_poly([n * den_inv for n in reversed(img.num)], p)
         hits = [j for j, qd in enumerate(data)
-                if not gf_rem(img_p, list(qd.gbar), p, ZZ)]
+                if not gf_compose_mod(list(pd.gbar), image_p, list(qd.gbar), p, ZZ)]
         if len(hits) != 1:
             raise WitnessFailure("prime permutation was not uniquely determined")
         perm.append(hits[0])
@@ -405,8 +393,10 @@ def permute_by_automorphism(v: PlaceVector, sigma) -> PlaceVector:
     """The vector of the sigma-image element, realized as a weight-preserving
     permutation of entries within each fiber.
 
-    PrecisionExhausted when the image of an embedding may lie in two
-    certified disks, as for two automorphisms of cbrt2_split at 8 bits.
+    The archimedean entries move by _arch_permutation, PrecisionExhausted
+    when the image of an embedding may lie in the disks of two classes; the
+    finite ones by _finite_permutation at each prime of the support, from
+    the Dedekind generators of its primes, with no valuation computed.
     """
     field = v.field
     new_element = v.element.apply(sigma)
@@ -430,10 +420,7 @@ def permute_by_automorphism(v: PlaceVector, sigma) -> PlaceVector:
     for p in finite_ps:
         perm = _finite_permutation(field, sigma_inv, p)
         fiber = {pid.index: ent for pid, ent in v.finite_items() if pid.p == p}
-        data = _prime_splitting(field, p)
-        for j in range(len(data)):
-            src = perm[j]
+        for j, src in enumerate(perm):
             if src in fiber:
-                ent = fiber[src]
-                entries[PlaceId("finite", p, j)] = dataclasses.replace(ent)
+                entries[PlaceId("finite", p, j)] = dataclasses.replace(fiber[src])
     return PlaceVector(field, new_element, entries)

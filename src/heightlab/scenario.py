@@ -48,7 +48,8 @@ def parse_scenario(doc, precision_bits: int | None = None) -> Scenario:
     if isinstance(doc, str):
         try:
             doc = json.loads(doc)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
+            # also an integer beyond int_digit_limit() or too deep nesting
             raise SchemaError(f"scenario is not well-formed JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise SchemaError("scenario document must be a JSON object")
@@ -77,8 +78,9 @@ def parse_scenario(doc, precision_bits: int | None = None) -> Scenario:
     for key, gens in raw_subfields.items():
         if key in subfields:
             raise SchemaError(f"duplicate subfield name {key!r}")
-        if not isinstance(gens, list):
-            raise SchemaError(f"subfield {key!r} generators must be a list")
+        if not isinstance(gens, list) or not all(isinstance(g, str) for g in gens):
+            raise SchemaError(f"subfield {key!r} generators must be a list of "
+                              "expression strings")
         subfields[key] = subfield(field, [parse_element(g, field) for g in gens])
 
     elements = {}
@@ -86,6 +88,8 @@ def parse_scenario(doc, precision_bits: int | None = None) -> Scenario:
     if not isinstance(raw_elements, dict):
         raise SchemaError('"elements" must be an object')
     for key, expr in raw_elements.items():
+        if not isinstance(expr, str):
+            raise SchemaError(f"element {key!r} must be an expression string")
         elements[key] = parse_element(expr, field)
 
     checks = []

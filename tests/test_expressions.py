@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from heightlab.errors import EvalError, InputError, ParseError
-from heightlab.expressions import MAX_POWER_BITS, parse_element
+from heightlab.expressions import MAX_NESTING, MAX_POWER_BITS, int_digit_limit, parse_element
 
 
 def ev(text, field):
@@ -101,3 +101,35 @@ def test_power_within_budget(field_sqrt2):
     with pytest.raises(EvalError):
         ev(f"t^{n + 1}", f)
     assert ev("(1+t)^200*(1+t)^-200", f) == f.one()
+
+
+def test_only_ascii_digits_form_integers(field_sqrt2):
+    # '\u00b2'.isdigit() and '\u0661'.isdigit() are true, but neither is an INT
+    for text in ["t\u00b2", "\u0661+t", "\uff11", "2\u0663"]:
+        with pytest.raises(ParseError, match="unexpected character"):
+            ev(text, field_sqrt2)
+
+
+def test_integer_beyond_the_digit_limit_refused(field_sqrt2):
+    limit = int_digit_limit()
+    if not limit:
+        pytest.skip("this Python converts integers of any length")
+    assert ev("1" * limit, field_sqrt2) == field_sqrt2.from_rational(int("1" * limit))
+    for text in ["1" * (limit + 1), "t+" + "0" * (limit + 1)]:
+        with pytest.raises(ParseError, match="digits"):
+            ev(text, field_sqrt2)
+
+
+def test_nesting_beyond_the_cap_refused_fast(field_sqrt2):
+    f = field_sqrt2
+    n = MAX_NESTING
+    assert ev("(" * n + "1+t" + ")" * n, f) == f.element([1, 1])
+    assert ev("-" * n + "t", f) == f.theta()
+    assert ev("-(" * (n // 2) + "t" + ")" * (n // 2), f) == f.theta()
+    for text in ["(" * (n + 1) + "t" + ")" * (n + 1), "-" * (n + 1) + "t",
+                 "(" * 3000 + "t" + ")" * 3000, "-" * 3000 + "t",
+                 "-(" * 1500 + "t" + ")" * 1500]:
+        start = time.perf_counter()
+        with pytest.raises(ParseError, match="nest"):
+            ev(text, f)
+        assert time.perf_counter() - start < 1

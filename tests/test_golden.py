@@ -1,7 +1,7 @@
 """Golden outputs: sha256 digests of `heightlab verify all --json`, of
-the CLI reports over the bundled corpus, of certified roots and of the
-embeddings of constructed fields, so that a change meant to keep every
-answer can show that it did.
+the CLI reports over the bundled corpus, of certified roots, of the
+embeddings of constructed fields and of their Galois groups, so that a
+change meant to keep every answer can show that it did.
 
 If a change alters an answer on purpose, regenerate a digest with
 `PYTHONPATH=src python tests/test_golden.py` from the repository root and
@@ -17,13 +17,14 @@ from heightlab.cli import run_command
 from heightlab.corpus import bundled_corpus, scenario_documents
 from heightlab.errors import HeightlabError, PrecisionExhausted
 from heightlab.numberfield import make_field
-from heightlab.polynomials import Poly
+from heightlab.polynomials import Poly, cyclotomic, euler_phi
 from heightlab.roots import DEFAULT_PRECISION_BITS, certified_roots
 
 VERIFY_ALL_SHA256 = "7190ccbccab0d779521f4a189dccbbb6b7958f15b90d61b1d595e996f94d5a05"
 CLI_REPORTS_SHA256 = "4fe905a3c12706cbadbdf97c3cf20f094b074f53b464c391badd4b2178527ee0"
 CERTIFIED_ROOTS_SHA256 = "bf7070912b6d576352f8308d61e10258094ad4b59dd74a01fe0e55d1c4985cdc"
 FIELD_EMBEDDINGS_SHA256 = "8d0300080676868c747757710846c91321dab02c668469293a8a38b01b0f7e21"
+GALOIS_TABLES_SHA256 = "7fc9c2334d1c3cbad5b02bfa82cdad84b4c59f51a2b2dfa92a9d6bc0e6760288"
 SCALES = ("1", "-2/3")
 # the larger fields of the field-build benchmark's ladder, after the corpus
 LADDER = (
@@ -130,6 +131,27 @@ def field_embeddings_digest() -> str:
     return hashlib.sha256(_compact(cases).encode()).hexdigest()
 
 
+def _fractions(coords):
+    return [str(c) for c in coords]
+
+
+def galois_tables_digest() -> str:
+    """The Galois group and torsion of make_field at the default precision:
+    the automorphisms' images of theta in their order, the composition and
+    inverse tables, and the torsion order and generator, for the
+    field-build ladder and every cyclotomic field of degree at most 24."""
+    fields = _ladder() + [tuple(int(c) for c in cyclotomic(n).coeffs)
+                          for n in range(1, 91) if euler_phi(n) <= 24]
+    cases = []
+    for coeffs in fields:
+        field = make_field(list(coeffs))
+        cases.append([list(coeffs),
+                      [_fractions(s.theta_image.coords) for s in field.automorphisms],
+                      field._comp_table, field._inv_table, field.torsion_order,
+                      _fractions(field.torsion_generator.coords)])
+    return hashlib.sha256(_compact(cases).encode()).hexdigest()
+
+
 def test_verify_all_report_unchanged(verify_all):
     report, _ = verify_all
     assert verify_all_digest(report) == VERIFY_ALL_SHA256
@@ -147,9 +169,14 @@ def test_field_embeddings_unchanged():
     assert field_embeddings_digest() == FIELD_EMBEDDINGS_SHA256
 
 
+def test_galois_tables_unchanged():
+    assert galois_tables_digest() == GALOIS_TABLES_SHA256
+
+
 if __name__ == "__main__":
     from conftest import run_verify_all
     print("VERIFY_ALL_SHA256 =", repr(verify_all_digest(run_verify_all()[0])))
     print("CLI_REPORTS_SHA256 =", repr(cli_reports_digest()))
     print("CERTIFIED_ROOTS_SHA256 =", repr(certified_roots_digest()))
     print("FIELD_EMBEDDINGS_SHA256 =", repr(field_embeddings_digest()))
+    print("GALOIS_TABLES_SHA256 =", repr(galois_tables_digest()))

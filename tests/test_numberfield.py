@@ -449,7 +449,7 @@ def test_miss_is_proven_at_the_precision_bound(field_sqrt2):
     f = Poly([-11, 0, 1])
     assert roots_in_field(f, field_sqrt2) == []
     k_max = _precision_bound(field_sqrt2, [-11, 0, 1], 7)
-    assert (7, k_max) in field_sqrt2._lattice_cache
+    assert field_sqrt2._lattice_cache[7][0] >= k_max
     assert roots_in_field(Poly([-18, 0, 1]), field_sqrt2) == [
         field_sqrt2.element([0, -3]), field_sqrt2.element([0, 3])]
 
@@ -462,12 +462,14 @@ def test_miss_is_proven_with_a_finer_cached_lattice():
     assert q == 7
     k_max = max(_precision_bound(field, [-11, 0, 1], q),
                 _precision_bound(field, [-18, 0, 1], q))
-    assert _lattice(field, q, r1, 2 * k_max)[0] == 2 * k_max
-    assert _lattice(field, q, r1, 1)[0] == 2 * k_max
+    finest = _lattice(field, q, r1, 2 * k_max)
+    assert finest[0] == 2 * k_max
+    assert _lattice(field, q, r1, 1) is finest
     assert roots_in_field(Poly([-11, 0, 1]), field) == []
     assert roots_in_field(Poly([-18, 0, 1]), field) == [
         field.element([0, -3]), field.element([0, 3])]
-    assert list(field._lattice_cache) == [(q, 2 * k_max)]
+    assert list(field._lattice_cache) == [q]
+    assert field._lattice_cache[q] is finest
 
 
 def _roots_mod_by_evaluation(ints_high_first, q):

@@ -7,10 +7,11 @@ import pytest
 from heightlab.corpus import scenario_documents
 from heightlab.errors import IndexDivisor, PrecisionExhausted, ZeroElement
 from heightlab.heights import GElement, g_combine, g_height
-from heightlab.numberfield import FieldElement, make_field, subfield
+from heightlab.numberfield import FieldElement, eval_poly, make_field, subfield
 from heightlab.placespace import (
     PlaceId,
     _arch_permutation,
+    _factor_mod_p,
     f_vector,
     integral,
     l1_norm,
@@ -19,6 +20,7 @@ from heightlab.placespace import (
     places,
     vector_error_bound,
 )
+from heightlab.polynomials import Poly, cyclotomic
 
 LOG2 = math.log(2)
 
@@ -223,6 +225,23 @@ def test_permute_identity(field_sqrt2):
         {k: v.value for k, v in vec.entries.items()}
 
 
+def _assert_permute_matches_direct(u):
+    vec = f_vector(u)
+    for sigma in u.field.automorphisms:
+        permuted = permute_by_automorphism(vec, sigma)
+        direct = f_vector(u.apply(sigma))
+        assert set(permuted.entries) == set(direct.entries)
+        for k in direct.entries:
+            assert abs(permuted.entries[k].value - direct.entries[k].value) < 1e-10
+            assert permuted.entries[k].weight == direct.entries[k].weight
+
+
+# (n, p): the primes above p in Q(zeta_n) have (e, f) = (4, 1) for
+# (20, 5) and (2, 2) for (24, 3), both ramified; the others are unramified
+# of residue degree f > 1, with two to four primes above p
+_PERMUTED_PRIMES = ((20, 5), (24, 3), (7, 2), (7, 13), (15, 11), (16, 7))
+
+
 def test_permute_matches_direct_image(corpus):
     rng = random.Random(21)
     for f in (sc.field for sc in corpus):
@@ -230,25 +249,30 @@ def test_permute_matches_direct_image(corpus):
             coords = [rng.randint(-3, 3) for _ in range(f.degree)]
             if not any(coords):
                 continue
-            u = GElement.of(f.element(coords))
-            vec = f_vector(u)
-            for sigma in f.automorphisms:
-                permuted = permute_by_automorphism(vec, sigma)
-                direct = f_vector(u.apply(sigma))
-                assert set(permuted.entries) == set(direct.entries)
-                for k in direct.entries:
-                    assert abs(permuted.entries[k].value - direct.entries[k].value) < 1e-10
-                    assert permuted.entries[k].weight == direct.entries[k].weight
+            _assert_permute_matches_direct(GElement.of(f.element(coords)))
+    # the Dedekind generator g_i(theta) of each prime P_i above p lies in
+    # P_i alone, so the automorphisms move its entry at p to every prime
+    for n, p in _PERMUTED_PRIMES:
+        f = make_field([int(c) for c in cyclotomic(n).coeffs])
+        factors = _factor_mod_p(f.defining_poly, p)
+        assert len(factors) > 1 and factors[0][1] * (len(factors[0][0]) - 1) > 1
+        for i, (coeffs, _) in enumerate(factors):
+            u = GElement.of(eval_poly(Poly(coeffs), f.theta()))
+            support = [pid.index for pid, _ in f_vector(u).finite_items() if pid.p == p]
+            assert support == [i]
+            _assert_permute_matches_direct(u)
 
 
 def test_arch_permutation_of_cbrt2_split_by_precision():
-    # at 8 bits, under automorphisms 1 and 5, the disk about one image of
-    # theta meets two embedding disks, so the permutation is refused rather
-    # than guessed; from 12 bits up every table is the 256-bit one
+    # at 7 bits, under automorphisms 1 and 5, the disk about one image of
+    # theta meets embedding disks of two archimedean classes, so the
+    # permutation is refused rather than guessed; at 8 bits it still meets
+    # two disks, but of one conjugate pair, which places it, and from 8
+    # bits up every table is the 256-bit one
     coeffs = next(doc["field"] for doc in scenario_documents() if doc["name"] == "cbrt2_split")
     fine = make_field(coeffs)
     table = [_arch_permutation(fine, sigma) for sigma in fine.automorphisms]
-    coarse = make_field(coeffs, 8)
+    coarse = make_field(coeffs, 7)
     vec = f_vector(GElement.of(coarse.element([1, 1, 0, 0, 0, 0])))
     for i, sigma in enumerate(coarse.automorphisms):
         if i in (1, 5):
@@ -256,7 +280,7 @@ def test_arch_permutation_of_cbrt2_split_by_precision():
                 permute_by_automorphism(vec, sigma)
         else:
             assert _arch_permutation(coarse, sigma) == table[i]
-    for bits in (12, 16, 24, 53, 128):
+    for bits in (8, 12, 16, 24, 53, 128):
         field = make_field(coeffs, bits)
         assert [_arch_permutation(field, s) for s in field.automorphisms] == table
 

@@ -387,6 +387,52 @@ def test_precision_env_override(tmp_path, capsys, monkeypatch):
 # -- hostile numbers and per-command options ---------------------------------
 
 
+def _main_error(tmp_path, capsys, doc, *argv):
+    """Exit code and error report of `height` on a scenario file."""
+    path = tmp_path / "hostile.json"
+    path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+    code, out = run_main(tmp_path, capsys, "height", "--scenario", str(path),
+                         "--json", *argv)
+    return code, json.loads(out)["error"]
+
+
+@pytest.mark.parametrize("element", [
+    "t\u00b2", "\u0661+t", "1" * 5000, "(" * 3000 + "t" + ")" * 3000, "-" * 3000 + "t",
+], ids=["superscript-two", "arabic-indic-one", "5000-digits", "3000-parentheses",
+        "3000-minus-signs"])
+def test_hostile_element_is_a_parse_error(element, tmp_path, capsys):
+    start = time.perf_counter()
+    code, error = _main_error(tmp_path, capsys, DEMO, f"--element={element}")
+    assert (code, error["kind"]) == (2, "ParseError")
+    doc = dict(DEMO, elements={"a": element})
+    code, error = _main_error(tmp_path, capsys, doc, "--element", "t")
+    assert (code, error["kind"]) == (2, "ParseError")
+    assert time.perf_counter() - start < 1
+
+
+def test_scenario_values_python_cannot_read_are_schema_errors(tmp_path, capsys):
+    # json.loads refuses an integer of more digits than Python converts
+    text = json.dumps(DEMO).replace("[-2, 0, 1]", "[-" + "1" * 5000 + ", 0, 1]")
+    code, error = _main_error(tmp_path, capsys, text, "--element", "t")
+    assert (code, error["kind"]) == (2, "SchemaError")
+    code, error = _main_error(tmp_path, capsys, "[" * 100000 + "]" * 100000,
+                              "--element", "t")
+    assert (code, error["kind"]) == (2, "SchemaError")
+
+
+@pytest.mark.parametrize("key, value, name", [
+    ("elements", {"a": 5}, "element 'a'"),
+    ("elements", {"a": ["t"]}, "element 'a'"),
+    ("subfields", {"K1": [2]}, "subfield 'K1'"),
+    ("subfields", {"K1": "t"}, "subfield 'K1'"),
+])
+def test_non_string_expression_is_a_schema_error(key, value, name, tmp_path, capsys):
+    code, error = _main_error(tmp_path, capsys, dict(DEMO, **{key: value}),
+                              "--element", "t")
+    assert (code, error["kind"]) == (2, "SchemaError")
+    assert name in error["message"]
+
+
 def _usage_error(argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)
