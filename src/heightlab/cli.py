@@ -74,7 +74,9 @@ def _frac(q) -> str:
             raise InputError(
                 f"a rational in the report has more than {limit} decimal "
                 "digits, Python's limit for converting an integer to a string")
-    return str(q)
+    # equal numbers in reports kept side by side (a caller holding many of
+    # them) share one string; sys.intern keeps none alive by itself
+    return sys.intern(str(q))
 
 
 def _real(v: float) -> str:

@@ -303,6 +303,9 @@ class WorkingField:
         self._inv_table = None
         # write-once cache of finite-place splittings, keyed by prime
         self._place_cache = {}
+        # write-once cache of subgroup chains (_subgroup_chain), keyed by
+        # the fixing group
+        self._chain_cache = {}
         # caches of the root finder: the roots of m_F mod each prime tried
         # (write-once), and the finest reduced lattice at each split prime
         self._split_roots = {}
@@ -355,9 +358,20 @@ class WorkingField:
         return _normalized(self, self._mul_num(a.num, b.num), a.den * b.den)
 
     def _inverse(self, a: FieldElement) -> FieldElement:
+        """a^-1 = c / N(a), for c the product of sigma(a) over the
+        automorphisms sigma other than the identity (_chain_norm).  Where
+        Itoh and Tsujii (Inform. and Comput. 78, 1988) invert through a
+        cyclic group, the chain serves any Galois group."""
         if a.is_rational():
             return self.from_rational(Fraction(a.den, a.num[0]))
-        return self.element(inverse_mod(a.coord_poly(), self.defining_poly).coeffs)
+        if self.automorphisms is None:
+            # no Galois group yet: m_F'(theta)^-1 in _lift_root while
+            # _galois_group builds it, and a WorkingField built directly
+            return self.element(inverse_mod(a.coord_poly(), self.defining_poly).coeffs)
+        n, factors = _chain_norm(self, tuple(range(len(self.automorphisms))), a)
+        if not n.is_rational():
+            raise WitnessFailure("conjugate product is not rational")
+        return functools.reduce(mul, factors) / n.as_rational()
 
     def identity_automorphism(self) -> Automorphism:
         return self.automorphisms[0]
@@ -848,9 +862,9 @@ class Subfield:
 
     def norm(self, a: FieldElement) -> FieldElement:
         """Relative norm N_{F/K}(a), the product of sigma(a) over Gal(F/K)
-        (Cohen, GTM 138, section 4.3); it lies in K."""
-        autos = self.field.automorphisms
-        return functools.reduce(mul, (autos[i](a) for i in self.fixing_indices))
+        (Cohen, GTM 138, section 4.3), taken along its subgroup chain
+        (_chain_norm); it lies in K."""
+        return _chain_norm(self.field, self.fixing_indices, a)[0]
 
     def __eq__(self, other):
         return (isinstance(other, Subfield) and other.field is self.field
@@ -892,6 +906,58 @@ def _closure(field: WorkingField, indices) -> frozenset:
                     group.add(k)
                     frontier.append(k)
     return frozenset(group)
+
+
+def _subgroup_chain(field: WorkingField, fixing: tuple) -> tuple:
+    """Transversals T_1, ..., T_r, without the identity, of a chain
+    1 = H_0 < H_1 < ... < H_r = H of subgroups of the group H of the
+    automorphism indices in fixing, cached on the field.
+
+    The chain is greedy: H_i is the smallest closure of H_(i-1) and one
+    more element of H, the least such element on a tie.  T_i holds the
+    least index of each left coset t H_(i-1) in H_i other than H_(i-1)
+    itself.  Threads may build the same chain at once; they store equal
+    values.
+    """
+    cached = field._chain_cache.get(fixing)
+    if cached is not None:
+        return cached
+    comp = field._comp_table
+    group = frozenset(fixing)
+    current = frozenset({0})
+    steps = []
+    while current != group:
+        step = min((_closure(field, current | {g}) for g in sorted(group - current)),
+                   key=len)
+        reps, covered = [], set(current)
+        for t in sorted(step - current):
+            if t not in covered:
+                reps.append(t)
+                covered.update(comp[t][h] for h in current)
+        steps.append(tuple(reps))
+        current = step
+    result = field._chain_cache[fixing] = tuple(steps)
+    return result
+
+
+def _chain_norm(field: WorkingField, fixing: tuple, a: FieldElement):
+    """(N_H(a), [P_1, ..., P_r]) for the group H of the automorphism
+    indices in fixing: the product of sigma(a) over H, and the factors
+    along the chain of _subgroup_chain, whose product is that of sigma(a)
+    over H without the identity.
+
+    H_i is the disjoint union of the cosets t H_(i-1), so
+    b_i = N_(H_i)(a) is b_(i-1) P_i with P_i = prod over t in T_i of
+    t(b_(i-1)).  The norm takes sum |T_i| automorphism images and as many
+    products, where the product over all of H takes |H| - 1 products.
+    """
+    autos = field.automorphisms
+    b, factors = a, []
+    for reps in _subgroup_chain(field, fixing):
+        p = functools.reduce(mul, (autos[t](b) for t in reps))
+        factors.append(p)
+        b = b * p
+    return b, factors
 
 
 def _is_normal_in(field: WorkingField, sub: frozenset, group: frozenset) -> bool:

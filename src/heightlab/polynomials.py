@@ -176,7 +176,9 @@ def _from_dense(f) -> Poly:
 def inverse_mod(a: Poly, m: Poly) -> Poly:
     """The inverse of a modulo m, of degree below deg m.
 
-    ZeroDivisionError when gcd(a, m) is not constant."""
+    The field inverse only where the field has no Galois group yet
+    (numberfield.WorkingField._inverse).  ZeroDivisionError when gcd(a, m)
+    is not constant."""
     try:
         return _from_dense(dup_invert(_to_dense(a), _to_dense(m), QQ))
     except NotInvertible:

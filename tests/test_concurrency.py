@@ -1,14 +1,18 @@
 """Concurrent reads are safe: fields are immutable after construction and
-the per-prime splitting cache is write-once."""
+the per-prime splitting cache and the subgroup-chain cache are
+write-once."""
 
 import random
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
+import pytest
+
 from heightlab.heights import GElement, weil_height
-from heightlab.numberfield import rational_subfield
+from heightlab.numberfield import Subfield, _closure, _make_field_cached, rational_subfield
 from heightlab.orbits import orbit_mod_torsion
 from heightlab.placespace import f_vector, l1_norm
+from heightlab.polynomials import cyclotomic
 
 
 def test_parallel_heights_and_vectors(field_biquad):
@@ -29,4 +33,32 @@ def test_parallel_heights_and_vectors(field_biquad):
     serial = [work(a) for a in elements]
     with ThreadPoolExecutor(max_workers=8) as pool:
         parallel = list(pool.map(work, elements))
+    assert serial == parallel
+
+
+@pytest.mark.parametrize("coeffs", [
+    pytest.param((1, -3, 0, 5, 0, -3, 1), id="cbrt2_split"),
+    pytest.param(tuple(int(c) for c in cyclotomic(21).coeffs), id="Phi21"),
+])
+def test_parallel_norms_and_inverses_on_a_cold_field(coeffs):
+    # each run builds its own field past make_field's cache, so the threads
+    # find the subgroup chains unbuilt and race to cache them
+    def run(pool_map):
+        f = _make_field_cached.__wrapped__(coeffs, 64)
+        groups = sorted({_closure(f, [g]) for g in range(f.degree)}, key=sorted)
+        subfields = [Subfield(f, [], group) for group in groups]
+        subfields.append(rational_subfield(f))
+        rng = random.Random(7)
+        elements = [f.element([Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+                               for _ in range(f.degree)]) for _ in range(12)]
+
+        def work(a):
+            return (a.inverse().coords, a.norm(),
+                    [k.norm(a).coords for k in subfields])
+
+        return list(pool_map(work, elements))
+
+    serial = run(map)
+    with ThreadPoolExecutor(max_workers=8) as pool:
+        parallel = run(pool.map)
     assert serial == parallel

@@ -1,5 +1,6 @@
 import functools
 import math
+import operator
 import pathlib
 import random
 import runpy
@@ -41,7 +42,14 @@ from heightlab.numberfield import (
     subfield,
     whole_field,
 )
-from heightlab.polynomials import Poly, cyclotomic, is_irreducible, real_root_count, resultant
+from heightlab.polynomials import (
+    Poly,
+    cyclotomic,
+    inverse_mod,
+    is_irreducible,
+    real_root_count,
+    resultant,
+)
 from heightlab.roots import (
     DEFAULT_PRECISION_BITS,
     certified_roots,
@@ -506,9 +514,13 @@ _EVAL_FIELDS = [(-2, 0, 1), (1, 1, 1), (1, -3, 0, 5, 0, -3, 1), (-1, 1)]
 
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from(_EVAL_FIELDS),
-       st.lists(st.fractions(max_denominator=50).filter(lambda c: abs(c) < 10 ** 4),
+       # the fractions with |c| < 10^4 and denominator at most 50, and with
+       # |c| < 100 and denominator at most 12, as bounds rather than filters
+       st.lists(st.fractions(min_value=-10 ** 4 + Fraction(1, 50),
+                             max_value=10 ** 4 - Fraction(1, 50), max_denominator=50),
                 min_size=1, max_size=6),
-       st.lists(st.fractions(max_denominator=12).filter(lambda c: abs(c) < 100),
+       st.lists(st.fractions(min_value=-100 + Fraction(1, 12),
+                             max_value=100 - Fraction(1, 12), max_denominator=12),
                 min_size=0, max_size=9))
 def test_eval_poly_matches_fraction_horner(coeffs, a_coords, p_coeffs):
     field = make_field(list(coeffs))
@@ -967,9 +979,41 @@ def test_norm_multiplicative(field_biquad):
 
 
 def _norm_field(name):
-    if name == "phi13":
-        return make_field([int(c) for c in cyclotomic(13).coeffs])
+    if name.startswith("phi"):
+        return make_field([int(c) for c in cyclotomic(int(name[3:])).coeffs])
     return bundled_scenario(name).field
+
+
+CHAIN_FIELDS = CORPUS_NAMES + ["phi13", "phi21"]
+
+
+def _generated(field, indices) -> frozenset:
+    """The subgroup generated by the automorphism indices, by composing
+    until nothing new appears."""
+    comp = field._comp_table
+    group = {0} | set(indices)
+    while True:
+        more = {comp[i][j] for i in group for j in group} - group
+        if not more:
+            return frozenset(group)
+        group |= more
+
+
+@functools.lru_cache(maxsize=None)
+def _subgroups(name) -> tuple:
+    """Every subgroup of the Galois group, as a sorted index tuple: each one
+    is reached from the trivial group by adding one element at a time."""
+    f = _norm_field(name)
+    found = {frozenset({0})}
+    frontier = list(found)
+    while frontier:
+        h = frontier.pop()
+        for g in range(f.degree):
+            k = _generated(f, h | {g})
+            if k not in found:
+                found.add(k)
+                frontier.append(k)
+    return tuple(sorted(tuple(sorted(h)) for h in found))
 
 
 @pytest.mark.parametrize("name", CORPUS_NAMES + ["phi13"])
@@ -988,7 +1032,7 @@ def test_norm_matches_resultant(name):
     assert abs(f.torsion_generator.norm()) == 1
 
 
-@pytest.mark.parametrize("name", CORPUS_NAMES + ["phi13"])
+@pytest.mark.parametrize("name", CHAIN_FIELDS)
 @settings(max_examples=25, deadline=None)
 @given(u=st.lists(small_fractions, min_size=12, max_size=12))
 def test_inverse_is_inverse(name, u):
@@ -996,7 +1040,52 @@ def test_inverse_is_inverse(name, u):
     a = f.element(u[:f.degree])
     if a.is_zero():
         return
-    assert normal(a.inverse()) * a == f.one()
+    inverse = normal(a.inverse())
+    assert inverse * a == f.one()
+    # the Euclidean inverse modulo m_F as an independent oracle
+    assert inverse == f.element(inverse_mod(a.coord_poly(), f.defining_poly).coeffs)
+
+
+@pytest.mark.parametrize("name", CHAIN_FIELDS)
+def test_subgroup_chain_steps(name):
+    # every step is a subgroup, the union of the disjoint cosets of the one
+    # before, and the indices multiply to |H|
+    f = _norm_field(name)
+    comp = f._comp_table
+    for group in _subgroups(name):
+        chain = numberfield._subgroup_chain(f, group)
+        assert numberfield._subgroup_chain(f, group) is chain
+        current, order = frozenset({0}), 1
+        for reps in chain:
+            assert 0 not in reps
+            cosets = [{comp[t][h] for h in current} for t in (0, *reps)]
+            step = frozenset().union(*cosets)
+            assert sum(map(len, cosets)) == len(step)
+            assert _generated(f, step) == step > current
+            current, order = step, order * len(cosets)
+        assert current == frozenset(group)
+        assert order == len(group)
+
+
+@pytest.mark.parametrize("name", CHAIN_FIELDS)
+@settings(max_examples=15, deadline=None)
+@given(u=st.lists(small_fractions, min_size=12, max_size=12))
+def test_chain_norm_matches_conjugate_product(name, u):
+    # the relative norm of every subfield against the flat product of
+    # sigma(a) over its fixing group
+    f = _norm_field(name)
+    a = f.element(u[:f.degree])
+    for group in _subgroups(name):
+        flat = functools.reduce(operator.mul, (f.automorphisms[i](a) for i in group))
+        assert numberfield.Subfield(f, [], group).norm(a) == flat
+
+
+def test_inverse_refuses_irrational_norm(field_sqrt2, monkeypatch):
+    # with the automorphism t -> -t missing, the conjugate product of t is t
+    f = field_sqrt2
+    monkeypatch.setattr(f, "automorphisms", f.automorphisms[:1])
+    with pytest.raises(WitnessFailure):
+        f.theta().inverse()
 
 
 @pytest.mark.parametrize("name", CORPUS_NAMES)
