@@ -37,7 +37,7 @@ from .errors import (
 from .expressions import check_power_budget, int_digit_limit, parse_element
 from .heights import GElement, g_height, is_torsion, weil_height
 from .numberfield import Subfield
-from .orbits import delta_K, in_kdiv, orbit_mod_torsion, vk_bounds, width_K
+from .orbits import _bounds_and_membership, delta_K, orbit_mod_torsion, width_K
 from .placespace import f_vector, integral, l1_norm, places
 from .projections import (
     ProjectionSpec,
@@ -272,11 +272,10 @@ def run_command(cmd: str, scenario: Scenario | None, args: dict) -> dict:
             report.update(_hv(width_K(el, k)))
             return report
         if cmd == "vk-bounds":
-            lo, hi = vk_bounds(el, k)
+            lo, hi, member = _bounds_and_membership(el, k)
             report["lower"] = _hv(lo)
             report["upper"] = _hv(hi)
             report["interval"] = f"V_K ∈ [{_real(lo.value)}, {_real(hi.value)}]"
-            member = in_kdiv(el, k)
             report["in_kdiv"] = bool(member)
             if member:
                 report["kdiv_witness"] = {

@@ -25,7 +25,7 @@ from .errors import ZeroElement
 from .numberfield import (
     FieldElement,
     WorkingField,
-    eval_at_embedding,
+    eval_at_embeddings,
     minimal_polynomial,
 )
 from .polynomials import content_and_primitive
@@ -89,8 +89,9 @@ def weil_height(a: FieldElement) -> HeightValue:
         err = 0.0
         # one evaluation per real embedding or conjugate pair, whose two
         # members have equal absolute values
-        for cls in field.archimedean_classes:
-            w, delta = eval_at_embedding(a, field.embeddings[cls[0]])
+        classes = field.archimedean_classes
+        images = eval_at_embeddings(a, [field.embeddings[cls[0]] for cls in classes])
+        for cls, (w, delta) in zip(classes, images):
             m = abs(w)
             if m > 1:
                 total += len(cls) * mpmath.log(m)

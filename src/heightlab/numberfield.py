@@ -31,15 +31,8 @@ from operator import mul
 
 import mpmath
 import sympy
-from sympy.polys.domains import ZZ
-from sympy.polys.galoistools import (
-    gf_edf_zassenhaus,
-    gf_from_int_poly,
-    gf_gcd,
-    gf_pow_mod,
-    gf_sub,
-)
 
+from . import _modp
 from ._padic import ReducedLattice, eval_mod, hensel_lift
 from .errors import NotGalois, ReduciblePolynomial, WitnessFailure
 from .polynomials import (
@@ -404,9 +397,10 @@ def eval_poly(p: Poly, a: FieldElement) -> FieldElement:
     return _normalized(field, acc, den * e_power)
 
 
-def eval_at_embedding(a: FieldElement, root):
-    """The image of a under the embedding t -> root, with a rigorous bound
-    on its distance from the true image.
+def eval_at_embeddings(a: FieldElement, roots) -> list:
+    """The images of a under the embeddings t -> root, one per root, each
+    with a rigorous bound on its distance from the true image; the
+    coordinates of a are converted to mpf once.
 
     For the coordinate polynomial A of degree n < d, the true root lies
     within r = root.radius of z = root.value, where |A'| <= D, so
@@ -420,11 +414,15 @@ def eval_at_embedding(a: FieldElement, root):
     """
     prec = max(mpmath.mp.prec, 53)
     with mpmath.workprec(prec):
-        reach = abs(root.value) + root.radius
-        value, error, slope = _horner_with_bound(
-            _to_mpf(a.coords), root.value._mpc_, reach._mpf_, prec, slope=True)
-        widen = 1 + _gamma(4 * (len(a.coords) - 1) + 12, prec)
-        return value, _float_upper((slope * root.radius + error) * widen)
+        cs = _to_mpf(a.coords)
+        widen = 1 + _gamma(4 * (len(cs) - 1) + 12, prec)
+        out = []
+        for root in roots:
+            reach = abs(root.value) + root.radius
+            value, error, slope = _horner_with_bound(
+                cs, root.value._mpc_, reach._mpf_, prec, slope=True)
+            out.append((value, _float_upper((slope * root.radius + error) * widen)))
+        return out
 
 
 # -- root finding inside the field ----------------------------------------
@@ -461,10 +459,12 @@ def _split_prime(field: WorkingField, avoid: int):
 
 
 # below this prime, roots mod q are found by evaluating the polynomial at
-# every residue: on random polynomials of degree 2 to 24 that beat the gcd
+# every residue.  On random polynomials of degree 2 to 24 that beat the gcd
 # with x^q - x and sympy 1.14's equal-degree factorization by 1.1x to 40x
-# up to q = 521, and lost to them by up to 2.7x at q = 2053 (pure Python
-# 3.11 on a shared x86-64 host)
+# up to q = 521, and lost to them by up to 2.7x at q = 2053.  Against the
+# _modp route that replaced sympy's, on 30 such polynomials, evaluation is
+# 1.3x faster at q = 131, even at q = 257 and 1.7x slower at q = 509 (pure
+# Python 3.11 on a shared x86-64 host)
 _EVAL_PRIME_BOUND = 512
 
 
@@ -488,12 +488,12 @@ def _roots_mod(ints_high_first, q: int) -> tuple:
                 if len(roots) == n:
                     break
         return tuple(roots)
-    fbar = gf_from_int_poly(ints_high_first, q)
-    frob = gf_pow_mod([1, 0], q, fbar, q, ZZ)
-    g = gf_gcd(fbar, gf_sub(frob, [1, 0], q, ZZ), q, ZZ)
+    fbar = _modp.reduce(ints_high_first[::-1], q)
+    frob = _modp.powmod([0, 1], q, fbar, q)
+    g = _modp.gcd(fbar, _modp.sub(frob, [0, 1], q), q)
     if len(g) < 2:
         return ()
-    return tuple(sorted(-lin[1] % q for lin in gf_edf_zassenhaus(g, 1, q, ZZ)))
+    return tuple(sorted(_modp.distinct_roots(g, q)))
 
 
 def _lattice(field: WorkingField, q: int, r1: int, k: int):

@@ -69,11 +69,9 @@ def orbit_mod_torsion(a: FieldElement, k: Subfield) -> OrbitReport:
     conjugates, reps, norm_el, inverse = _orbit(a, k)
     width = HeightValue.exact_zero()
     if len(reps) > 1:
+        # a torsion ratio has the exact height zero, which never raises it
         for img in conjugates:
-            ratio = img * inverse
-            if is_torsion(ratio):
-                continue
-            h = weil_height(ratio)
+            h = weil_height(img * inverse)
             if h.value > width.value:
                 width = h
     return OrbitReport(representatives=tuple(reps), delta=len(reps),
@@ -114,17 +112,29 @@ def vk_bounds(a: FieldElement, k: Subfield):
     """
     if a.is_zero():
         raise ZeroElement("bounds at zero are undefined")
-    report = orbit_mod_torsion(a, k)
+    return _bounds(a, orbit_mod_torsion(a, k))
+
+
+def _bounds(a: FieldElement, report: OrbitReport):
+    """vk_bounds of a from its orbit report."""
     width = report.width
     lower = width.scaled("1/2")
     if report.delta == 1:
         return lower, HeightValue.exact_zero()
     n = report.conjugate_count
-    ratio = a ** n * report.norm_element.inverse()
-    candidate = (HeightValue.exact_zero() if is_torsion(ratio)
-                 else weil_height(ratio).scaled(f"1/{n}"))
+    # a torsion ratio has the exact height zero
+    candidate = weil_height(a ** n * report.norm_element.inverse()).scaled(f"1/{n}")
     upper = candidate if candidate.value < width.value else width
     return lower, upper
+
+
+def _bounds_and_membership(a: FieldElement, k: Subfield):
+    """(lower, upper, KdivResult): vk_bounds and in_kdiv of a from one
+    orbit report, for the vk-bounds command."""
+    if a.is_zero():
+        raise ZeroElement("bounds at zero are undefined")
+    report = orbit_mod_torsion(a, k)
+    return (*_bounds(a, report), _membership(a, k, report.delta))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -149,7 +159,13 @@ def in_kdiv(a: FieldElement, k: Subfield) -> KdivResult:
     """
     if a.is_zero():
         raise ZeroElement("membership of zero is undefined")
-    if len(_orbit(a, k)[1]) != 1:
+    return _membership(a, k, len(_orbit(a, k)[1]))
+
+
+def _membership(a: FieldElement, k: Subfield, delta: int) -> KdivResult:
+    """in_kdiv of a, given delta_K(a): a is a member exactly when
+    delta == 1."""
+    if delta != 1:
         return KdivResult(member=False)
     n = a.field.torsion_order
     power = a ** n

@@ -2,9 +2,20 @@
 
 Archimedean places come from the certified embeddings (real embeddings and
 complex-conjugate pairs); finite places above a rational prime p come from
-the factorization of the defining polynomial mod p, valid only when p does
-not divide the index of the power-basis order.  Index divisors are detected
-by the Dedekind criterion and refused rather than guessed.
+the factorization of the defining polynomial m_F mod p (Dedekind-Kummer),
+by one of two routes chosen by p alone.
+
+- An odd p not dividing disc(m_F) is unramified and prime to the index of
+  the power-basis order.  There the Galois group gives the splitting: the
+  residue degree f from the Frobenius x^p mod (m_F, p), one factor of
+  degree f from a single branch of equal-degree splitting, and every other
+  factor as the image of that one under an automorphism.  The
+  anti-uniformizer of the first prime, carried by the same automorphisms,
+  serves every other.
+- p = 2 and the primes dividing disc(m_F) are factored by sympy's
+  gf_factor, and their anti-uniformizers are built one prime at a time.
+  Index divisors are detected there by the Dedekind criterion and refused
+  rather than guessed.
 
 Place weights follow the local-degree normalization: weight(v) = e*f/d at a
 finite place, 1/d per real embedding and 2/d per conjugate pair, so that
@@ -20,8 +31,10 @@ from fractions import Fraction
 import mpmath
 import sympy
 from sympy.polys.domains import ZZ
-from sympy.polys.galoistools import gf_compose_mod, gf_factor, gf_from_int_poly, gf_gcd
+from sympy.polys.galoistools import gf_factor
 
+from . import _modp
+from ._padic import eval_mod
 from .errors import (
     FactorizationExhausted,
     IndexDivisor,
@@ -30,7 +43,7 @@ from .errors import (
     ZeroElement,
 )
 from .heights import GElement
-from .numberfield import FieldElement, WorkingField, eval_at_embedding, eval_poly
+from .numberfield import FieldElement, WorkingField, eval_at_embeddings, eval_poly
 from .polynomials import Poly
 from .roots import _disk, _may_meet, locked_workprec
 
@@ -145,7 +158,7 @@ class _PrimeData:
     mod p of multiplicity e and degree f (Dedekind-Kummer, Cohen, GTM 138,
     section 4.8)."""
 
-    gbar: tuple          # factor mod p, highest coefficient first, in [0, p)
+    factor: tuple        # g_i mod p, monic, lowest coefficient first, in [0, p)
     e: int
     f: int
     anti_uniformizer: FieldElement   # valuation -1 here, >= 0 at the others
@@ -179,10 +192,9 @@ def _dedekind_index_check(field: WorkingField, p: int, factors) -> None:
         if num % p != 0:
             raise WitnessFailure("Dedekind lift mismatch")
         t_coeffs.append(num // p)
-    g1 = gf_gcd(gf_from_int_poly([int(c) for c in reversed(g_star.coeffs)], p),
-                gf_from_int_poly([int(c) for c in reversed(h_star.coeffs)], p),
-                p, ZZ)
-    g2 = gf_gcd(g1, gf_from_int_poly(t_coeffs[::-1], p), p, ZZ)
+    g1 = _modp.gcd(_modp.reduce([int(c) for c in g_star.coeffs], p),
+                   _modp.reduce([int(c) for c in h_star.coeffs], p), p)
+    g2 = _modp.gcd(g1, _modp.reduce(t_coeffs, p), p)
     if len(g2) != 1:
         raise IndexDivisor(
             f"prime {p} divides the index of Z[theta] in the maximal order; "
@@ -203,20 +215,88 @@ def _valuation_with(a: FieldElement, tau: FieldElement, p: int, cap: int) -> int
 
 
 def _prime_splitting(field: WorkingField, p: int):
+    """The primes above p, as _PrimeData in the order of their factors
+    mod p (by degree, then coefficients), cached on the field write-once.
+    Threads may split the same prime at once; they store equal values."""
     cached = field._place_cache.get(p)
     if cached is not None:
         return cached
+    if p == 2 or field.disc.numerator % p == 0:
+        data = _dedekind_splitting(field, p)
+    else:
+        data = _galois_splitting(field, p)
+    result = field._place_cache[p] = data
+    return result
+
+
+def _dedekind_splitting(field: WorkingField, p: int) -> tuple:
+    """The primes above p from gf_factor, after the Dedekind criterion; the
+    anti-uniformizer of P_i is the product of g_j(theta)^(e_j - [j = i])
+    over p."""
     factors = _factor_mod_p(field.defining_poly, p)
     _dedekind_index_check(field, p, factors)
     gs = [(eval_poly(Poly(coeffs), field.theta()), e) for coeffs, e in factors]
     data = []
     for i, (coeffs, e) in enumerate(factors):
-        tau = field.one() / p  # prod over j of g_j^(e_j - [j = i]), over p
+        tau = field.one() / p
         for j, (g, ej) in enumerate(gs):
             tau = tau * g ** (ej - (j == i))
-        data.append(_PrimeData(coeffs[::-1], e, len(coeffs) - 1, tau))
-    result = field._place_cache[p] = tuple(data)
-    return result
+        data.append(_PrimeData(coeffs, e, len(coeffs) - 1, tau))
+    return tuple(data)
+
+
+def _residue_poly(a: FieldElement, p: int) -> list:
+    """The coordinate polynomial of a mod p, for a with its denominator
+    prime to p."""
+    if a.den % p == 0:
+        raise WitnessFailure("automorphism image left the local order")
+    inv = pow(a.den, -1, p)
+    return _modp.reduce([n * inv for n in a.num], p)
+
+
+def _galois_splitting(field: WorkingField, p: int) -> tuple:
+    """The primes above an odd p prime to disc(m_F), from one factor of m_F
+    mod p and the Galois group (Cohen, GTM 138, section 4.8).
+
+    m_F is squarefree mod p, and its irreducible factors all have the
+    residue degree f, the least k with x^(p^k) = x mod (m_F, p)
+    (_modp.frobenius_powers).  One factor g_1 comes from a single branch of
+    equal-degree splitting, and P_1 = (p, g_1(theta)).  For each
+    automorphism sigma with A_sigma = sigma(theta), sigma(P_1) is
+    (p, g_1(A_sigma(theta))), whose factor is gcd(m_F, g_1(A_sigma)) mod p;
+    for f = 1 that is x - r with A_sigma(r) = r_1 for the root r_1 of g_1,
+    and r = A_sigma^-1(r_1).  The group is transitive on the primes above p,
+    so this gives every factor.
+
+    tau_1 = (1/p) prod over j != 1 of g_j(theta) has valuation -1 at P_1
+    and >= 0 at the other primes (p is unramified, and g_j(theta) lies in
+    P_j and in no other prime), so sigma(tau_1) is an anti-uniformizer of
+    sigma(P_1).
+    """
+    autos = field.automorphisms
+    m = _modp.reduce([int(c) for c in field.defining_poly.coeffs], p)
+    powers = _modp.frobenius_powers(m, p)
+    f = len(powers)
+    g1 = _modp.equal_degree_factor(m, p, powers)
+    images = [_residue_poly(sigma.theta_image, p) for sigma in autos]
+    if f == 1:
+        r1 = -g1[0] % p
+        # moved[i] = x - A_(sigma_i^-1)(r1), for i in order
+        moved = [(-eval_mod(images[j], r1, p) % p, 1) for j in field._inv_table]
+    else:
+        moved = [tuple(_modp.gcd(m, _modp.compose(g1, a, m, p), p)) for a in images]
+    first = {}  # factor -> the least automorphism index moving P_1 there
+    for i, g in enumerate(moved):
+        first.setdefault(g, i)
+    factors = sorted(first, key=lambda g: (len(g), g))
+    if len(factors) * f != field.degree:
+        raise WitnessFailure(f"the Galois group does not act transitively above {p}")
+    theta = field.theta()
+    tau = field.one() / p
+    for g in factors:
+        if g != moved[0]:
+            tau = tau * eval_poly(Poly(g), theta)
+    return tuple(_PrimeData(g, 1, f, autos[first[g]](tau)) for g in factors)
 
 
 def local_factorization(field: WorkingField, a: FieldElement, p: int) -> LocalFactorization:
@@ -283,9 +363,9 @@ def f_vector(u: GElement) -> PlaceVector:
     entries = {}
 
     with locked_workprec(field.precision_bits):
-        for idx, cls in enumerate(field.archimedean_classes):
-            root = field.embeddings[cls[0]]
-            w, delta = eval_at_embedding(beta, root)
+        classes = field.archimedean_classes
+        images = eval_at_embeddings(beta, [field.embeddings[cls[0]] for cls in classes])
+        for idx, (cls, (w, delta)) in enumerate(zip(classes, images)):
             mag = abs(w)
             if mag <= 2 * delta:
                 raise PrecisionExhausted(
@@ -354,8 +434,9 @@ def _arch_permutation(field: WorkingField, sigma):
     disks = [_disk(r.value, r.radius) for r in field.embeddings]
     perm = []
     with locked_workprec(field.precision_bits):
-        for cls in classes:
-            w, delta = eval_at_embedding(sigma.theta_image, field.embeddings[cls[0]])
+        images = eval_at_embeddings(sigma.theta_image,
+                                    [field.embeddings[cls[0]] for cls in classes])
+        for w, delta in images:
             image = _disk(w, delta)
             hits = {class_of_embedding[j] for j, disk in enumerate(disks)
                     if _may_meet(image, disk)}
@@ -374,15 +455,11 @@ def _finite_permutation(field: WorkingField, sigma, p: int):
     mod p divides its reduction: j is the one such j for g_i(sigma(theta)).
     """
     data = _prime_splitting(field, p)
-    image = sigma.theta_image
-    if image.den % p == 0:
-        raise WitnessFailure("automorphism image left the local order")
-    den_inv = pow(image.den, -1, p)
-    image_p = gf_from_int_poly([n * den_inv for n in reversed(image.num)], p)
+    image = _residue_poly(sigma.theta_image, p)
     perm = []
     for pd in data:
         hits = [j for j, qd in enumerate(data)
-                if not gf_compose_mod(list(pd.gbar), image_p, list(qd.gbar), p, ZZ)]
+                if not _modp.compose(pd.factor, image, qd.factor, p)]
         if len(hits) != 1:
             raise WitnessFailure("prime permutation was not uniquely determined")
         perm.append(hits[0])

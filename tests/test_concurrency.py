@@ -1,8 +1,9 @@
 """Concurrent reads are safe: fields are immutable after construction and
 the per-prime splitting cache and the subgroup-chain cache are
-write-once."""
+write-once: threads that fill an entry at once store equal values."""
 
 import random
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
@@ -62,3 +63,49 @@ def test_parallel_norms_and_inverses_on_a_cold_field(coeffs):
     with ThreadPoolExecutor(max_workers=8) as pool:
         parallel = run(pool.map)
     assert serial == parallel
+
+
+class _WriteLog(dict):
+    """A place cache that records every value written to it."""
+
+    def __init__(self):
+        super().__init__()
+        self.writes = []
+
+    def __setitem__(self, key, value):
+        self.writes.append((key, value))
+        super().__setitem__(key, value)
+
+
+def test_parallel_place_vectors_on_a_cold_field():
+    # threads race to split the same primes on a field built past
+    # make_field's cache; every write of a prime's splitting, transported
+    # anti-uniformizers included, must carry the same value, and the vectors
+    # must match a serial run
+    coeffs = (1, -3, 0, 5, 0, -3, 1)  # cbrt2_split
+
+    def run(pool_map):
+        f = _make_field_cached.__wrapped__(coeffs, 64)
+        f._place_cache = _WriteLog()
+        rng = random.Random(16)
+        elements = [f.element([Fraction(rng.randint(-30, 30), rng.randint(1, 12))
+                               for _ in range(f.degree)]) for _ in range(24)]
+        vectors = list(pool_map(lambda a: f_vector(GElement.of(a)).as_dict(), elements))
+        return vectors, f._place_cache
+
+    serial, serial_cache = run(map)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            parallel, cache = run(pool.map)
+    finally:
+        sys.setswitchinterval(interval)
+    assert parallel == serial
+    assert len(cache) > 10 and set(cache) == set(serial_cache)
+    for p, data in cache.writes:
+        assert data == cache[p]
+        assert [(pd.factor, pd.e, pd.f) for pd in data] == \
+            [(pd.factor, pd.e, pd.f) for pd in serial_cache[p]]
+        assert [pd.anti_uniformizer.coords for pd in data] == \
+            [pd.anti_uniformizer.coords for pd in serial_cache[p]]

@@ -32,7 +32,7 @@ from heightlab.numberfield import (
     _precision_bound,
     _roots_mod,
     _split_prime,
-    eval_at_embedding,
+    eval_at_embeddings,
     eval_poly,
     galois_condition,
     make_field,
@@ -556,9 +556,9 @@ def test_embedding_bound_covers_the_exact_majorant(name, bits):
     scale = 2 ** 1100
     for a in elements:
         cs = a.coords
-        for root in field.embeddings:
-            with locked_workprec(bits):
-                w, delta = eval_at_embedding(a, root)
+        with locked_workprec(bits):
+            images = eval_at_embeddings(a, field.embeddings)
+        for root, (w, delta) in zip(field.embeddings, images):
             x, y = _exact(mpmath.re(root.value)), _exact(mpmath.im(root.value))
             r = Fraction(root.radius)
             sq = (x * x + y * y) * scale * scale

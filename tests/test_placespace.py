@@ -3,15 +3,29 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
+from sympy.polys.domains import ZZ
+from sympy.polys.galoistools import gf_from_int_poly, gf_rem
+from test_golden import LADDER
 
 from heightlab.corpus import scenario_documents
 from heightlab.errors import IndexDivisor, PrecisionExhausted, ZeroElement
 from heightlab.heights import GElement, g_combine, g_height
-from heightlab.numberfield import FieldElement, eval_poly, make_field, subfield
+from heightlab.numberfield import (
+    Automorphism,
+    FieldElement,
+    WorkingField,
+    eval_poly,
+    make_field,
+    subfield,
+)
 from heightlab.placespace import (
     PlaceId,
     _arch_permutation,
+    _dedekind_splitting,
     _factor_mod_p,
+    _galois_splitting,
+    _prime_splitting,
     f_vector,
     integral,
     l1_norm,
@@ -20,7 +34,8 @@ from heightlab.placespace import (
     places,
     vector_error_bound,
 )
-from heightlab.polynomials import Poly, cyclotomic
+from heightlab.polynomials import Poly, cyclotomic, euler_phi
+from heightlab.roots import DEFAULT_PRECISION_BITS
 
 LOG2 = math.log(2)
 
@@ -100,6 +115,91 @@ def test_index_divisor_refused(field_biquad_classic):
 def test_zero_rejected(field_sqrt2):
     with pytest.raises(ZeroElement):
         local_factorization(field_sqrt2, field_sqrt2.zero(), 2)
+
+
+# -- prime splitting from the Galois group ----------------------------------------
+
+
+def _cyclotomic_field(n: int) -> WorkingField:
+    """Q(zeta_n) with its Galois group written down, theta -> theta^k for k
+    prime to n: the splitting needs no embeddings, which make_field would
+    certify in about 4 s for all of them."""
+    field = WorkingField(cyclotomic(n), DEFAULT_PRECISION_BITS)
+    units = [k for k in range(1, n) if math.gcd(k, n) == 1]
+    field.automorphisms = tuple(Automorphism(field, i, field.theta() ** k)
+                                for i, k in enumerate(units))
+    field._inv_table = tuple(units.index(pow(k, -1, n)) for k in units)
+    return field
+
+
+def _split_fields():
+    """The corpus fields, LADDER, and Q(zeta_n) for every other n >= 3 with
+    phi(n) <= 24 (n <= 2 * 24^2, as phi(n) >= sqrt(n / 2))."""
+    polys = [tuple(doc["field"]) for doc in scenario_documents()] + list(LADDER)
+    fields = [make_field(list(c)) for c in polys]
+    for n in range(3, 2 * 24 ** 2 + 1):
+        if euler_phi(n) <= 24 and tuple(int(c) for c in cyclotomic(n).coeffs) not in polys:
+            fields.append(_cyclotomic_field(n))
+    return fields
+
+
+def test_galois_splitting_matches_gf_factor():
+    # every odd prime below 10^4 on the fields of degree at most 8 in turn;
+    # 3, 5, 7 and 11 on every field of higher degree, whose small residue
+    # fields give the largest residue degrees and may need splitting
+    # candidates beyond x + a; and 200 seeded primes in
+    # [10^4, 10^9], one on each field of higher degree and the rest on the
+    # fields of degree at most 8 in turn.  A prime dividing disc(m_F) is
+    # skipped.
+    fields = _split_fields()
+    low = [f for f in fields if f.degree <= 8]
+    high = [f for f in fields if f.degree > 8]
+    rng = random.Random(16)
+    large = [sympy.nextprime(rng.randrange(10 ** 4, 10 ** 9)) for _ in range(200)]
+    pairs = [(low[i % len(low)], p) for i, p in enumerate(sympy.primerange(3, 10 ** 4))]
+    pairs += [(f, p) for f in high for p in (3, 5, 7, 11)]
+    pairs += list(zip(high + low * len(large), large))
+    tested = set()
+    for field, p in pairs:
+        if field.disc.numerator % p == 0:
+            continue
+        data = _galois_splitting(field, p)
+        assert [(pd.factor, pd.e) for pd in data] == _factor_mod_p(field.defining_poly, p)
+        assert all(pd.f == len(pd.factor) - 1 for pd in data)
+        tested.add(id(field))
+    assert len(tested) == len(fields) > 50
+
+
+def test_transported_anti_uniformizers():
+    # p tau_i is p-integral and lies in every prime above p but P_i, which
+    # is read off its reduction mod p by sympy's gf_rem: P_j = (p, g_j(theta))
+    # holds an element of Z[theta]_(p) when g_j mod p divides its reduction
+    polys = [tuple(doc["field"]) for doc in scenario_documents()] + list(LADDER)
+    shapes = set()
+    for coeffs in polys:
+        field = make_field(list(coeffs))
+        for p in sympy.primerange(3, 60):
+            if field.disc.numerator % p == 0:
+                continue
+            data = _galois_splitting(field, p)
+            shapes.add((data[0].f, len(data)))
+            for i, pd in enumerate(data):
+                b = pd.anti_uniformizer * p
+                assert b.den % p
+                inv = pow(b.den, -1, p)
+                residue = gf_from_int_poly([n * inv for n in reversed(b.num)], p)
+                for j, qd in enumerate(data):
+                    divides = not gf_rem(residue, list(reversed(qd.factor)), p, ZZ)
+                    assert divides == (i != j)
+    # split, inert and partly split primes all occur
+    assert {f for f, _ in shapes} >= {1, 2, 3, 4}
+    assert any(f > 1 and n > 1 for f, n in shapes)
+
+
+def test_ramified_primes_keep_gf_factor(field_cbrt2):
+    # p = 2 and the primes dividing disc(m_F) take the Dedekind route
+    for p in sympy.primefactors(field_cbrt2.disc.numerator):
+        assert _prime_splitting(field_cbrt2, p) == _dedekind_splitting(field_cbrt2, p)
 
 
 # -- place vectors ---------------------------------------------------------------
