@@ -21,7 +21,7 @@ from math import lcm as int_lcm
 
 import mpmath
 
-from .errors import ZeroElement
+from .errors import WitnessFailure, ZeroElement
 from .numberfield import (
     FieldElement,
     WorkingField,
@@ -144,7 +144,8 @@ class GElement:
         return GElement(field, 1, field.one())
 
     def is_zero(self) -> bool:
-        return is_torsion(self.base)
+        # __init__ stores torsion as 1, and b^r (r != 0) is torsion only if b is
+        return self.base == 1
 
     def negate(self) -> "GElement":
         return GElement(self.field, -self.scale, self.base)
@@ -199,7 +200,8 @@ def g_combine(terms) -> GElement:
     prod = field.one()
     for t in terms:
         e = t.scale * s
-        assert e.denominator == 1
+        if e.denominator != 1:
+            raise WitnessFailure("a scale times the common denominator is not integral")
         prod = prod * t.base ** int(e)
     return GElement(field, Fraction(1, s), prod)
 

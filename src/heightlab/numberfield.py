@@ -19,6 +19,10 @@ certifies the d complex embeddings from one root of m_F and the
 automorphisms (roots.galois_roots), with their archimedean classes.  Last
 it finds the roots of unity, with one lift for each prime power that the
 Galois group and the split primes allow.
+
+Inverses are products of automorphism images, so only a field from
+make_field inverts beyond Q; the root lifts that build the group take
+m_F'(theta)^-1 from the extended Euclidean algorithm.
 """
 
 from __future__ import annotations
@@ -358,9 +362,7 @@ class WorkingField:
         if a.is_rational():
             return self.from_rational(Fraction(a.den, a.num[0]))
         if self.automorphisms is None:
-            # no Galois group yet: m_F'(theta)^-1 in _lift_root while
-            # _galois_group builds it, and a WorkingField built directly
-            return self.element(inverse_mod(a.coord_poly(), self.defining_poly).coeffs)
+            raise ValueError("the field has no Galois group; build it with make_field")
         n, factors = _chain_norm(self, tuple(range(len(self.automorphisms))), a)
         if not n.is_rational():
             raise WitnessFailure("conjugate product is not rational")
@@ -574,11 +576,12 @@ def _lift_root(field: WorkingField, f: Poly, q: int, r1: int, rho: int, k_max: i
     d = field.degree
     f_ints = [int(c) for c in f.coeffs]
     lead = f_ints[-1]
+    dm = field.defining_poly.derivative()
     inv = field._dtheta_inverse
     if inv is None:
-        inv = eval_poly(field.defining_poly.derivative(), field.theta()).inverse()
+        inv = field.element(inverse_mod(dm, field.defining_poly).coeffs)
         field._dtheta_inverse = inv
-    dm_ints = [int(c) for c in field.defining_poly.derivative().coeffs]
+    dm_ints = [int(c) for c in dm.coeffs]
     # first try q^k near 2^(d^2/2), where the reduced basis vectors (of
     # length about q^(k/d)) outgrow Babai's factor 2^(d/2)
     k = min(k_max, max(1, d * d // (2 * q.bit_length())))
@@ -786,7 +789,8 @@ def _torsion_structure(field: WorkingField):
                 order, zeta = power, root
                 break
         w, gen = w * order, gen * zeta
-    assert (gen ** w).is_rational() and (gen ** w).as_rational() == 1
+    if gen ** w != 1:
+        raise WitnessFailure(f"the torsion generator is not a {w}-th root of unity")
     return w, gen
 
 

@@ -1,21 +1,21 @@
 """Finite place-vector representation of log-absolute-value functions.
 
 Archimedean places come from the certified embeddings (real embeddings and
-complex-conjugate pairs); finite places above a rational prime p come from
-the factorization of the defining polynomial m_F mod p (Dedekind-Kummer),
-by one of two routes chosen by p alone.
+complex-conjugate pairs).  The finite places above a rational prime p come
+from the factors of m_F mod p (Dedekind-Kummer) and the Galois group, which
+permutes them transitively: a route chosen by p alone names a prime P_1
+and the factor of sigma(P_1) for each automorphism sigma.
 
 - An odd p not dividing disc(m_F) is unramified and prime to the index of
-  the power-basis order.  There the Galois group gives the splitting: the
-  residue degree f from the Frobenius x^p mod (m_F, p), one factor of
-  degree f from a single branch of equal-degree splitting, and every other
-  factor as the image of that one under an automorphism.  The
-  anti-uniformizer of the first prime, carried by the same automorphisms,
-  serves every other.
+  the power-basis order: the Frobenius x^p mod (m_F, p) gives the residue
+  degree f, a single branch of equal-degree splitting the factor g_1 of
+  P_1, and its images under the automorphisms the other factors.
 - p = 2 and the primes dividing disc(m_F) are factored by sympy's
-  gf_factor, and their anti-uniformizers are built one prime at a time.
-  Index divisors are detected there by the Dedekind criterion and refused
-  rather than guessed.
+  gf_factor, after the Dedekind criterion refuses index divisors; sigma(P_1)
+  is the prime whose factor divides g_1(sigma(theta)) mod p.
+
+One anti-uniformizer of P_1, carried by the automorphisms, serves every
+prime above p, and the composition table permutes the primes.
 
 Place weights follow the local-degree normalization: weight(v) = e*f/d at a
 finite place, 1/d per real embedding and 2/d per conjugate pair, so that
@@ -42,12 +42,10 @@ from .errors import (
     WitnessFailure,
     ZeroElement,
 )
-from .heights import GElement
+from .heights import _FLOAT_SLACK, GElement
 from .numberfield import FieldElement, WorkingField, eval_at_embeddings, eval_poly
 from .polynomials import Poly
 from .roots import _disk, _may_meet, locked_workprec
-
-_FLOAT_SLACK = 1e-15
 
 # trial division bound for sympy.factorint, which with a limit also bounds
 # its Pollard rho and p - 1 rounds: a product of two 25-digit primes is
@@ -149,19 +147,20 @@ def _factor_mod_p(poly: Poly, p: int):
     return out
 
 
-# -- prime splitting (Dedekind) -------------------------------------------
+# -- prime splitting -----------------------------------------------------
 
 
 @dataclasses.dataclass(frozen=True)
 class _PrimeData:
     """The prime P_i = (p, g_i(theta)) above p, for g_i mod p a factor of m_F
     mod p of multiplicity e and degree f (Dedekind-Kummer, Cohen, GTM 138,
-    section 4.8)."""
+    section 4.8), and the automorphism indices s with sigma_s(P_1) = P_i."""
 
     factor: tuple        # g_i mod p, monic, lowest coefficient first, in [0, p)
     e: int
     f: int
     anti_uniformizer: FieldElement   # valuation -1 here, >= 0 at the others
+    movers: tuple        # ascending; a coset of the decomposition group of P_1
 
 
 def _int_valuation(n: int, p: int) -> int:
@@ -217,32 +216,57 @@ def _valuation_with(a: FieldElement, tau: FieldElement, p: int, cap: int) -> int
 def _prime_splitting(field: WorkingField, p: int):
     """The primes above p, as _PrimeData in the order of their factors
     mod p (by degree, then coefficients), cached on the field write-once.
-    Threads may split the same prime at once; they store equal values."""
+    Threads may split the same prime at once; they store equal values.
+
+    A route gives (e, f, moved), moved[s] the factor of sigma_s(P_1).  The
+    group is transitive on the primes, so the distinct moved[s] are all the
+    factors.  tau_1 = (1/p) prod g_j(theta)^(e - [j = 1]) has valuation -1
+    at P_1 and >= 0 at the others, as g_j(theta) lies in P_j alone; so
+    sigma_s(tau_1) is an anti-uniformizer of sigma_s(P_1).
+    """
     cached = field._place_cache.get(p)
     if cached is not None:
         return cached
     if p == 2 or field.disc.numerator % p == 0:
-        data = _dedekind_splitting(field, p)
+        e, f, moved = _dedekind_splitting(field, p)
     else:
-        data = _galois_splitting(field, p)
-    result = field._place_cache[p] = data
+        e, f, moved = _galois_splitting(field, p)
+    movers = {}  # factor -> the automorphism indices moving P_1 there
+    for s, g in enumerate(moved):
+        movers.setdefault(g, []).append(s)
+    factors = sorted(movers, key=lambda g: (len(g), g))
+    if len(factors) * e * f != field.degree:
+        raise WitnessFailure(f"the Galois group does not act transitively above {p}")
+    theta = field.theta()
+    tau = field.one() / p
+    for g in factors:
+        tau = tau * eval_poly(Poly(g), theta) ** (e - (g == moved[0]))
+    autos = field.automorphisms
+    result = field._place_cache[p] = tuple(
+        _PrimeData(g, e, f, autos[movers[g][0]](tau), tuple(movers[g])) for g in factors)
     return result
 
 
 def _dedekind_splitting(field: WorkingField, p: int) -> tuple:
-    """The primes above p from gf_factor, after the Dedekind criterion; the
-    anti-uniformizer of P_i is the product of g_j(theta)^(e_j - [j = i])
-    over p."""
+    """(e, f, moved) at p = 2 or p dividing disc(m_F), from gf_factor after
+    the Dedekind criterion, with P_1 the prime of the first factor g_1.
+
+    g_1(theta) lies in P_1 alone, as g_1 and g_j are coprime mod p, so
+    g_1(A_s(theta)) = sigma_s(g_1(theta)) lies in sigma_s(P_1) alone.  With
+    p prime to the index, an algebraic integer lies in P_j exactly when g_j
+    mod p divides its reduction: moved[s] is the one such g_j.
+    """
     factors = _factor_mod_p(field.defining_poly, p)
     _dedekind_index_check(field, p, factors)
-    gs = [(eval_poly(Poly(coeffs), field.theta()), e) for coeffs, e in factors]
-    data = []
-    for i, (coeffs, e) in enumerate(factors):
-        tau = field.one() / p
-        for j, (g, ej) in enumerate(gs):
-            tau = tau * g ** (ej - (j == i))
-        data.append(_PrimeData(coeffs, e, len(coeffs) - 1, tau))
-    return tuple(data)
+    g1, e = factors[0]
+    moved = []
+    for sigma in field.automorphisms:
+        image = _residue_poly(sigma.theta_image, p)
+        hits = [g for g, _ in factors if not _modp.compose(g1, image, g, p)]
+        if len(hits) != 1:
+            raise WitnessFailure("prime permutation was not uniquely determined")
+        moved.append(hits[0])
+    return e, len(g1) - 1, moved
 
 
 def _residue_poly(a: FieldElement, p: int) -> list:
@@ -255,7 +279,7 @@ def _residue_poly(a: FieldElement, p: int) -> list:
 
 
 def _galois_splitting(field: WorkingField, p: int) -> tuple:
-    """The primes above an odd p prime to disc(m_F), from one factor of m_F
+    """(1, f, moved) at an odd p prime to disc(m_F), from one factor of m_F
     mod p and the Galois group (Cohen, GTM 138, section 4.8).
 
     m_F is squarefree mod p, and its irreducible factors all have the
@@ -265,38 +289,19 @@ def _galois_splitting(field: WorkingField, p: int) -> tuple:
     automorphism sigma with A_sigma = sigma(theta), sigma(P_1) is
     (p, g_1(A_sigma(theta))), whose factor is gcd(m_F, g_1(A_sigma)) mod p;
     for f = 1 that is x - r with A_sigma(r) = r_1 for the root r_1 of g_1,
-    and r = A_sigma^-1(r_1).  The group is transitive on the primes above p,
-    so this gives every factor.
-
-    tau_1 = (1/p) prod over j != 1 of g_j(theta) has valuation -1 at P_1
-    and >= 0 at the other primes (p is unramified, and g_j(theta) lies in
-    P_j and in no other prime), so sigma(tau_1) is an anti-uniformizer of
-    sigma(P_1).
+    and r = A_sigma^-1(r_1).
     """
-    autos = field.automorphisms
     m = _modp.reduce([int(c) for c in field.defining_poly.coeffs], p)
     powers = _modp.frobenius_powers(m, p)
-    f = len(powers)
     g1 = _modp.equal_degree_factor(m, p, powers)
-    images = [_residue_poly(sigma.theta_image, p) for sigma in autos]
-    if f == 1:
+    images = [_residue_poly(sigma.theta_image, p) for sigma in field.automorphisms]
+    if len(powers) == 1:
         r1 = -g1[0] % p
         # moved[i] = x - A_(sigma_i^-1)(r1), for i in order
         moved = [(-eval_mod(images[j], r1, p) % p, 1) for j in field._inv_table]
     else:
         moved = [tuple(_modp.gcd(m, _modp.compose(g1, a, m, p), p)) for a in images]
-    first = {}  # factor -> the least automorphism index moving P_1 there
-    for i, g in enumerate(moved):
-        first.setdefault(g, i)
-    factors = sorted(first, key=lambda g: (len(g), g))
-    if len(factors) * f != field.degree:
-        raise WitnessFailure(f"the Galois group does not act transitively above {p}")
-    theta = field.theta()
-    tau = field.one() / p
-    for g in factors:
-        if g != moved[0]:
-            tau = tau * eval_poly(Poly(g), theta)
-    return tuple(_PrimeData(g, 1, f, autos[first[g]](tau)) for g in factors)
+    return 1, len(powers), moved
 
 
 def local_factorization(field: WorkingField, a: FieldElement, p: int) -> LocalFactorization:
@@ -447,23 +452,13 @@ def _arch_permutation(field: WorkingField, sigma):
 
 
 def _finite_permutation(field: WorkingField, sigma, p: int):
-    """perm[i] = j with sigma(P_i) = P_j, read off the Dedekind generators.
-
-    g_i(theta) lies in P_i and in no other prime above p, as g_i and g_j
-    are coprime mod p, so g_i(sigma(theta)) lies in sigma(P_i) alone.  With
-    p prime to the index, an algebraic integer lies in P_j exactly when g_j
-    mod p divides its reduction: j is the one such j for g_i(sigma(theta)).
-    """
+    """perm[i] = j with sigma(P_i) = P_j, read off the composition table:
+    P_i = sigma_s(P_1) for s in its movers, so sigma(P_i) is the prime whose
+    movers hold the index of sigma sigma_s."""
     data = _prime_splitting(field, p)
-    image = _residue_poly(sigma.theta_image, p)
-    perm = []
-    for pd in data:
-        hits = [j for j, qd in enumerate(data)
-                if not _modp.compose(pd.factor, image, qd.factor, p)]
-        if len(hits) != 1:
-            raise WitnessFailure("prime permutation was not uniquely determined")
-        perm.append(hits[0])
-    return perm
+    prime_of = {s: j for j, pd in enumerate(data) for s in pd.movers}
+    row = field._comp_table[sigma.index]
+    return [prime_of[row[pd.movers[0]]] for pd in data]
 
 
 def permute_by_automorphism(v: PlaceVector, sigma) -> PlaceVector:
@@ -473,7 +468,8 @@ def permute_by_automorphism(v: PlaceVector, sigma) -> PlaceVector:
     The archimedean entries move by _arch_permutation, PrecisionExhausted
     when the image of an embedding may lie in the disks of two classes; the
     finite ones by _finite_permutation at each prime of the support, from
-    the Dedekind generators of its primes, with no valuation computed.
+    the automorphisms that carry its first prime to each prime, with no
+    valuation computed.
     """
     field = v.field
     new_element = v.element.apply(sigma)

@@ -176,8 +176,8 @@ def _from_dense(f) -> Poly:
 def inverse_mod(a: Poly, m: Poly) -> Poly:
     """The inverse of a modulo m, of degree below deg m.
 
-    The field inverse only where the field has no Galois group yet
-    (numberfield.WorkingField._inverse).  ZeroDivisionError when gcd(a, m)
+    m_F'(theta)^-1 for the root lifts of numberfield._lift_root, which run
+    before the field has a Galois group.  ZeroDivisionError when gcd(a, m)
     is not constant."""
     try:
         return _from_dense(dup_invert(_to_dense(a), _to_dense(m), QQ))

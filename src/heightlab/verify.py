@@ -17,7 +17,7 @@ from pathlib import Path
 import mpmath
 
 from .corpus import bundled_corpus
-from .heights import GElement, HeightValue, g_combine, g_equal, g_height
+from .heights import _FLOAT_SLACK, GElement, HeightValue, g_combine, g_equal, g_height
 from .numberfield import FieldElement, Subfield, galois_condition, minimal_polynomial
 from .orbits import degree_of_power, delta_K, orbit_mod_torsion, vk_bounds
 from .placespace import (
@@ -31,6 +31,7 @@ from .placespace import (
 from .polynomials import content_and_primitive, resultant
 from .projections import (
     ProjectionSpec,
+    _maps_onto,
     check_commutes,
     check_conjugation,
     composite_project,
@@ -41,9 +42,6 @@ from .projections import (
 from .roots import certified_roots, locked_workprec
 
 _MAX_REPORTED_FAILURES = 12
-
-# cushion for binary64 output of values computed at much higher precision
-_FLOAT_SLACK = 1e-15
 
 # sizes of the randomized sweeps, per subfield, pair or scenario
 _ORBIT_ROUNDS = 15
@@ -370,9 +368,7 @@ def suite_conjugation(scenarios, **_):
     for sc, params in _declared(scenarios, "conjugation"):
         k = sc.subfield_by_name(params["K"])
         l = sc.subfield_by_name(params["L"])
-        gen_k = k.generators[0]
-        gen_l = l.generators[0]
-        sigma = next((s for s in sc.field.automorphisms if s(gen_k) == gen_l), None)
+        sigma = next((s for s in sc.field.automorphisms if _maps_onto(s, k, l)), None)
         if sigma is None:
             failures.append(f"{sc.name}: no automorphism maps {params['K']} "
                             f"onto {params['L']}")

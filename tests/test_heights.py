@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from heightlab.corpus import bundled_corpus
 from heightlab.errors import ZeroElement
 from heightlab.heights import (
     GElement,
@@ -120,6 +121,20 @@ def test_gelement_canonical_form(field_sqrt2):
     assert u.base == f.from_rational(Fraction(1, 8))  # 2^-3
     z = GElement(f, 1, f.from_rational(-1))
     assert z.is_zero() and z.scale == 1 and z.base == f.one()
+
+
+@settings(max_examples=80, deadline=None)
+@given(index=st.integers(0, 6), coords=st.lists(st.integers(-3, 3), min_size=6, max_size=6),
+       unit=st.booleans(), k=st.integers(0, 11),
+       scale=st.fractions(min_value=-4, max_value=4, max_denominator=6))
+def test_gelement_is_zero_reads_canonical_form(index, coords, unit, k, scale):
+    # a base times a power of the torsion generator, at scales 0, integral
+    # and fractional, of either sign; with unit set, the base is that power
+    f = bundled_corpus()[index].field
+    a = f.one() if unit or not any(coords[:f.degree]) else f.element(coords[:f.degree])
+    base = a * f.torsion_generator ** k
+    u = GElement(f, scale, base)
+    assert u.is_zero() == is_torsion(u.base) == (scale == 0 or is_torsion(base))
 
 
 def test_gelement_zero_base_rejected(field_sqrt2):

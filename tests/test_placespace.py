@@ -8,6 +8,7 @@ from sympy.polys.domains import ZZ
 from sympy.polys.galoistools import gf_from_int_poly, gf_rem
 from test_golden import LADDER
 
+from heightlab import _modp
 from heightlab.corpus import scenario_documents
 from heightlab.errors import IndexDivisor, PrecisionExhausted, ZeroElement
 from heightlab.heights import GElement, g_combine, g_height
@@ -22,10 +23,12 @@ from heightlab.numberfield import (
 from heightlab.placespace import (
     PlaceId,
     _arch_permutation,
-    _dedekind_splitting,
     _factor_mod_p,
-    _galois_splitting,
+    _finite_permutation,
+    _int_valuation,
     _prime_splitting,
+    _residue_poly,
+    _valuation_with,
     f_vector,
     integral,
     l1_norm,
@@ -163,7 +166,7 @@ def test_galois_splitting_matches_gf_factor():
     for field, p in pairs:
         if field.disc.numerator % p == 0:
             continue
-        data = _galois_splitting(field, p)
+        data = _prime_splitting(field, p)
         assert [(pd.factor, pd.e) for pd in data] == _factor_mod_p(field.defining_poly, p)
         assert all(pd.f == len(pd.factor) - 1 for pd in data)
         tested.add(id(field))
@@ -181,7 +184,7 @@ def test_transported_anti_uniformizers():
         for p in sympy.primerange(3, 60):
             if field.disc.numerator % p == 0:
                 continue
-            data = _galois_splitting(field, p)
+            data = _prime_splitting(field, p)
             shapes.add((data[0].f, len(data)))
             for i, pd in enumerate(data):
                 b = pd.anti_uniformizer * p
@@ -196,10 +199,61 @@ def test_transported_anti_uniformizers():
     assert any(f > 1 and n > 1 for f, n in shapes)
 
 
-def test_ramified_primes_keep_gf_factor(field_cbrt2):
-    # p = 2 and the primes dividing disc(m_F) take the Dedekind route
-    for p in sympy.primefactors(field_cbrt2.disc.numerator):
-        assert _prime_splitting(field_cbrt2, p) == _dedekind_splitting(field_cbrt2, p)
+def _per_prime_anti_uniformizers(field, p):
+    """The anti-uniformizers built for each prime alone, with no
+    automorphism: (1/p) prod over j of g_j(theta)^(e_j - [j = i]) for P_i."""
+    factors = _factor_mod_p(field.defining_poly, p)
+    gs = [(eval_poly(Poly(coeffs), field.theta()), e) for coeffs, e in factors]
+    taus = []
+    for i in range(len(gs)):
+        tau = field.one() / p
+        for j, (g, e) in enumerate(gs):
+            tau = tau * g ** (e - (j == i))
+        taus.append(tau)
+    return taus
+
+
+def _dedekind_cases():
+    """(field, p) for p = 2 and every odd prime dividing disc(m_F) on the
+    corpus fields, and the ramified primes of _PERMUTED_PRIMES."""
+    cases = []
+    for doc in scenario_documents():
+        field = make_field(doc["field"])
+        cases += [(field, p) for p in {2} | set(sympy.primefactors(field.disc.numerator))]
+    for n, p in _PERMUTED_PRIMES:
+        field = make_field([int(c) for c in cyclotomic(n).coeffs])
+        if p == 2 or field.disc.numerator % p == 0:
+            cases.append((field, p))
+    return cases
+
+
+def test_ramified_primes_keep_gf_factor():
+    # p = 2 and the primes dividing disc(m_F) take the Dedekind route: the
+    # factors are gf_factor's, and each anti-uniformizer, carried from P_1
+    # by an automorphism, gives every valuation that the product built for
+    # that prime alone gives
+    rng = random.Random(17)
+    shapes = set()
+    for field, p in _dedekind_cases():
+        data = _prime_splitting(field, p)
+        assert [(pd.factor, pd.e) for pd in data] == _factor_mod_p(field.defining_poly, p)
+        shapes.add((data[0].e, data[0].f, len(data)))
+        theta = field.theta()
+        elements = [field.from_rational(p)] + [eval_poly(Poly(pd.factor), theta) for pd in data]
+        elements += [field.element([rng.randint(-9, 9) for _ in range(field.degree)])
+                     for _ in range(6)]
+        elements = [b for b in elements if not b.is_zero()]
+        elements += [a * b for a, b in zip(elements, elements[1:])]
+        for b in elements:
+            norm = abs(int(b.norm()))
+            cap = 1 + (_int_valuation(norm, p) if norm % p == 0 else 0)
+            for pd, old in zip(data, _per_prime_anti_uniformizers(field, p)):
+                assert _valuation_with(b, pd.anti_uniformizer, p, cap) == \
+                    _valuation_with(b, old, p, cap)
+    # ramified primes with one or more primes above p, and f > 1
+    assert {e > 1 for e, _, _ in shapes} == {True, False}
+    assert any(e > 1 and n > 1 for e, _, n in shapes)
+    assert any(f > 1 for _, f, _ in shapes)
 
 
 # -- place vectors ---------------------------------------------------------------
@@ -361,6 +415,39 @@ def test_permute_matches_direct_image(corpus):
             support = [pid.index for pid, _ in f_vector(u).finite_items() if pid.p == p]
             assert support == [i]
             _assert_permute_matches_direct(u)
+
+
+def _composed_permutation(field, sigma, p):
+    """perm[i] = j with sigma(P_i) = P_j by composition mod p, with no
+    composition table: g_i(theta) lies in P_i alone, so g_i(A_sigma(theta))
+    lies in sigma(P_i) alone, and it lies in P_j exactly when g_j mod p
+    divides its reduction."""
+    data = _prime_splitting(field, p)
+    image = _residue_poly(sigma.theta_image, p)
+    perm = []
+    for pd in data:
+        hits = [j for j, qd in enumerate(data)
+                if not _modp.compose(pd.factor, image, qd.factor, p)]
+        assert len(hits) == 1
+        perm.append(hits[0])
+    return perm
+
+
+def test_finite_permutation_matches_composition():
+    # the composition table gives the permutation the compositions mod p
+    # give, on the corpus fields at every prime below 60 and on the
+    # cyclotomic fields of _PERMUTED_PRIMES
+    cases = [(make_field(doc["field"]), p) for doc in scenario_documents()
+             for p in sympy.primerange(2, 60)]
+    cases += [(make_field([int(c) for c in cyclotomic(n).coeffs]), p)
+              for n, p in _PERMUTED_PRIMES]
+    moved = 0
+    for field, p in cases:
+        for sigma in field.automorphisms:
+            perm = _finite_permutation(field, sigma, p)
+            assert perm == _composed_permutation(field, sigma, p)
+            moved += perm != sorted(perm)
+    assert moved > 100
 
 
 def test_arch_permutation_of_cbrt2_split_by_precision():

@@ -11,6 +11,7 @@ from heightlab.polynomials import (
     cyclotomic,
     discriminant,
     factor_rational,
+    inverse_mod,
     is_irreducible,
     is_squarefree,
     lagrange_interpolate,
@@ -195,6 +196,14 @@ def test_factor_product_roundtrip(a, b):
     c, prim_in = content_and_primitive(p)
     cp, prim_out = content_and_primitive(prod)
     assert prim_in == prim_out
+
+
+def test_inverse_mod_refuses_zero_divisor():
+    # modulo the reducible x^2 - 1, x + 1 is a zero divisor and x + 2 is not
+    with pytest.raises(ZeroDivisionError):
+        inverse_mod(poly_of(1, 1), poly_of(-1, 0, 1))
+    assert inverse_mod(poly_of(2, 1), poly_of(-1, 0, 1)) == \
+        poly_of(Fraction(2, 3), Fraction(-1, 3))
 
 
 def test_squarefree_detection():

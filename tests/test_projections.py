@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from heightlab import verify
 from heightlab.corpus import bundled_scenario, scenario_documents
 from heightlab.errors import NotConjugate, ZeroElement
 from heightlab.heights import GElement, g_combine, g_equal
@@ -20,6 +21,7 @@ from heightlab.projections import (
     s_project,
     t_project,
 )
+from heightlab.scenario import parse_scenario
 
 
 @pytest.fixture(scope="module")
@@ -277,6 +279,20 @@ def test_conjugation_identity(field_cbrt2):
     assert check_conjugation(k1, k2, sigma, testset)
     # identity automorphism maps K1 to K1
     assert check_conjugation(k1, k1, f.identity_automorphism(), testset)
+
+
+def test_conjugation_suite_finds_sigma_by_fixing_groups():
+    # on Q(zeta_8), Q(sqrt2) from t - t^3 and from 2t - 2t^3 is one subfield,
+    # and Q(sqrt-2) from t + t^3 another; sigma must map K onto L, not K's
+    # generator onto L's
+    doc = {"v": 1, "name": "zeta8_generators", "field": [1, 0, 0, 0, 1],
+           "subfields": {"K": ["t-t^3"], "L": ["2*t-2*t^3"], "M": ["t+t^3"]},
+           "checks": [{"suite": "conjugation", "K": "K", "L": "L"},
+                      {"suite": "conjugation", "K": "L", "L": "K"},
+                      {"suite": "conjugation", "K": "K", "L": "M"}]}
+    checks, failures, _ = verify.suite_conjugation([parse_scenario(doc)])
+    assert checks == 40
+    assert failures == ["zeta8_generators: no automorphism maps K onto M"]
 
 
 def test_conjugation_precondition(field_cbrt2):
