@@ -4,9 +4,9 @@ A polynomial is a list of residues in [0, p), lowest degree first, with no
 trailing zeros; the zero polynomial is the empty list.  Products and
 remainders run on unreduced integers and are reduced once at the end.
 Equal-degree splitting is Cantor and Zassenhaus's (Cohen, A Course in
-Computational Algebraic Number Theory, GTM 138, section 3.4) for odd p,
-with its random elements replaced by a fixed sequence, so every result is
-deterministic.
+Computational Algebraic Number Theory, GTM 138, section 3.4), on the
+quadratic character for odd p and on the trace for p = 2, with its random
+elements replaced by a fixed sequence, so every result is deterministic.
 """
 
 from __future__ import annotations
@@ -111,51 +111,72 @@ def _digits(n: int, p: int) -> list:
     return out
 
 
-def frobenius_powers(m, p: int) -> list:
-    """[x, x^p, x^(p^2), ..., x^(p^(f-1))] mod m, for m a squarefree
-    product of irreducible factors of one degree f, which is then the least
-    k >= 1 with x^(p^k) = x mod m.  Each power is the previous one composed
-    with h = x^p, as X(x)^p = X(x^p) mod p."""
+def frobenius_powers(m, p: int):
+    """(r, [x, x^p, x^(p^2), ..., x^(p^(f-1))] mod m) for the monic m of
+    degree at least 1, with f the least k >= 1 for which
+    r = gcd(m, x^(p^k) - x) is not 1: r is the product of the distinct
+    irreducible factors of m of the least degree f.  Each power is the
+    previous one composed with h = x^p, as X(x)^p = X(x^p) mod p.  When
+    x^(p^f) comes back to x, m is squarefree with every factor of degree f,
+    and r = m is taken with no gcd."""
     x = rem([0, 1], m, p)
     power = h = powmod([0, 1], p, m, p)
     powers = [x]
     while power != x:
-        if len(powers) >= len(m):
-            raise ValueError("the modulus is not squarefree of one factor degree")
+        r = gcd(m, sub(power, x, p), p)
+        if len(r) > 1:
+            return r, powers
         powers.append(power)
         power = compose(power, h, m, p)
-    return powers
+    return m, powers
 
 
 def _split(g, powers, p: int, n: int):
-    """(h, n'): the first proper monic factor h = gcd(g, t^((p^f - 1)/2) - 1)
-    of g over the candidates t = t_n, t_(n+1), ..., t_(n'-1), for t_n the
-    polynomial of the base-p digits of n.  g is monic, squarefree, a
-    product of at least two irreducible factors of degree f, p is odd, and
-    powers is frobenius_powers of a multiple of g.
+    """(h, n'): the first proper monic factor h of g over the candidates
+    t = t_n, t_(n+1), ..., t_(n'-1).  g is monic, squarefree, a product of
+    at least two irreducible factors of degree f, and powers is
+    frobenius_powers of a multiple of g.
 
-    The power is N(t)^((p - 1)/2), for N(t) the product of t(x^(p^i)) over
-    i < f, which is t^(1 + p + ... + p^(f-1)) mod g.  Starting at n = p the
-    candidates are x, x + 1, ..., x + p - 1, and then every polynomial of
-    higher degree in turn.  By the Chinese remainder theorem some t of
-    degree below deg g is a square mod one factor of g and not mod another,
-    so a split is always found."""
+    The images t(x^(p^i)) = t^(p^i) mod g for i < f give, in the residue
+    field F_(p^f) of each factor, the trace t + t^p + ... + t^(p^(f-1)) and
+    the norm N(t) = t^(1 + p + ... + p^(f-1)), both in F_p.  A candidate
+    splits g where it takes different values mod two factors of g.
+
+    For odd p, h = gcd(g, N(t)^((p - 1)/2) - 1) collects the factors where
+    t is a square, and t_n is the polynomial of the base-p digits of n:
+    starting at n = p the candidates are x, x + 1, ..., x + p - 1, and then
+    every polynomial of higher degree in turn.  By the Chinese remainder
+    theorem some t of degree below deg g splits g.
+
+    For p = 2, h = gcd(g, trace) collects the factors where the trace is 0,
+    and t_n = x^(n - 1).  The trace is linear over F_2 and takes both
+    values mod each factor, so by the Chinese remainder theorem it splits
+    g at some power x^j with 0 < j < deg g (at 1 it is f mod 2 everywhere);
+    a run through every polynomial in turn would try each one of lower
+    degree first."""
     k = (p - 1) // 2
     xs = [rem(power, g, p) for power in powers]
     while True:
-        t = _digits(n, p)
+        t = _digits(n, p) if p > 2 else [0] * (n - 1) + [1]
         n += 1
-        norm = [1]
-        for x in xs:
-            norm = mulmod(norm, compose(t, x, g, p), g, p)
-        h = gcd(g, sub(powmod(norm, k, g, p), [1], p), p)
+        images = [compose(t, x, g, p) for x in xs]
+        if p == 2:
+            w = []
+            for image in images:
+                w = sub(w, image, p)  # minus is plus mod 2
+        else:
+            norm = [1]
+            for image in images:
+                norm = mulmod(norm, image, g, p)
+            w = sub(powmod(norm, k, g, p), [1], p)
+        h = gcd(g, w, p)
         if 0 < len(h) - 1 < len(g) - 1:
             return h, n
 
 
 def equal_degree_factor(g, p: int, powers) -> list:
     """One irreducible factor of g, a monic squarefree product of
-    irreducible factors of degree f = len(powers) mod the odd prime p, for
+    irreducible factors of degree f = len(powers) mod the prime p, for
     powers the frobenius_powers of a multiple of g: each split keeps only
     the smaller of its two parts."""
     n = p

@@ -361,9 +361,7 @@ class WorkingField:
         cyclic group, the chain serves any Galois group."""
         if a.is_rational():
             return self.from_rational(Fraction(a.den, a.num[0]))
-        if self.automorphisms is None:
-            raise ValueError("the field has no Galois group; build it with make_field")
-        n, factors = _chain_norm(self, tuple(range(len(self.automorphisms))), a)
+        n, factors = _chain_norm(self, tuple(range(len(_automorphisms(self)))), a)
         if not n.is_rational():
             raise WitnessFailure("conjugate product is not rational")
         return functools.reduce(mul, factors) / n.as_rational()
@@ -882,10 +880,18 @@ class Subfield:
                 f"|Gal(F/K)|={len(self.fixing_indices)})")
 
 
+def _automorphisms(field: WorkingField) -> tuple:
+    """The automorphisms of the field; ValueError for a field built without
+    make_field, which has no Galois group."""
+    if field.automorphisms is None:
+        raise ValueError("the field has no Galois group; build it with make_field")
+    return field.automorphisms
+
+
 def subfield(field: WorkingField, gens) -> Subfield:
     """The subfield generated over Q by the given elements."""
     gens = list(gens)
-    fixing = [i for i, s in enumerate(field.automorphisms)
+    fixing = [i for i, s in enumerate(_automorphisms(field))
               if all(s(g) == g for g in gens)]
     return Subfield(field, gens, fixing)
 
@@ -895,7 +901,7 @@ def whole_field(field: WorkingField) -> Subfield:
 
 
 def rational_subfield(field: WorkingField) -> Subfield:
-    return Subfield(field, [], range(len(field.automorphisms)))
+    return Subfield(field, [], range(len(_automorphisms(field))))
 
 
 def _closure(field: WorkingField, indices) -> frozenset:

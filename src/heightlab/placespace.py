@@ -3,16 +3,13 @@
 Archimedean places come from the certified embeddings (real embeddings and
 complex-conjugate pairs).  The finite places above a rational prime p come
 from the factors of m_F mod p (Dedekind-Kummer) and the Galois group, which
-permutes them transitively: a route chosen by p alone names a prime P_1
-and the factor of sigma(P_1) for each automorphism sigma.
-
-- An odd p not dividing disc(m_F) is unramified and prime to the index of
-  the power-basis order: the Frobenius x^p mod (m_F, p) gives the residue
-  degree f, a single branch of equal-degree splitting the factor g_1 of
-  P_1, and its images under the automorphisms the other factors.
-- p = 2 and the primes dividing disc(m_F) are factored by sympy's
-  gf_factor, after the Dedekind criterion refuses index divisors; sigma(P_1)
-  is the prime whose factor divides g_1(sigma(theta)) mod p.
+permutes them transitively, so every prime above p has one (e, f).  One
+route serves every p: the Frobenius x^p mod (m_F, p) gives the residue
+degree f and the product r of the distinct factors of m_F mod p, with
+m_F = r^e mod p, after the Dedekind criterion refuses index divisors; a
+single branch of equal-degree splitting of r gives the factor g_1 of a
+prime P_1, and its images under the automorphisms the factor of
+sigma(P_1) for each automorphism sigma.
 
 One anti-uniformizer of P_1, carried by the automorphisms, serves every
 prime above p, and the composition table permutes the primes.
@@ -30,8 +27,6 @@ from fractions import Fraction
 
 import mpmath
 import sympy
-from sympy.polys.domains import ZZ
-from sympy.polys.galoistools import gf_factor
 
 from . import _modp
 from ._padic import eval_mod
@@ -134,19 +129,6 @@ class PlaceVector:
         }
 
 
-def _factor_mod_p(poly: Poly, p: int):
-    """Irreducible factors of an integer polynomial mod p, monic, sorted by
-    (degree, coefficient tuple); returns [(coeffs_low_first, multiplicity)]."""
-    dense = [int(c) % p for c in reversed(poly.coeffs)]
-    _, factors = gf_factor(ZZ.map(dense), p, ZZ)
-    out = []
-    for f, mult in factors:
-        low_first = tuple(int(c) % p for c in reversed(f))
-        out.append((low_first, int(mult)))
-    out.sort(key=lambda fm: (len(fm[0]), fm[0]))
-    return out
-
-
 # -- prime splitting -----------------------------------------------------
 
 
@@ -173,28 +155,24 @@ def _int_valuation(n: int, p: int) -> int:
     return v
 
 
-def _dedekind_index_check(field: WorkingField, p: int, factors) -> None:
-    """Certify p does not divide [O_F : Z[theta]]; raise IndexDivisor."""
-    disc = field.disc
-    if _int_valuation(disc.numerator, p) <= 1:
+def _dedekind_index_check(field: WorkingField, p: int, r: list, e: int) -> None:
+    """Certify p does not divide [O_F : Z[theta]]; raise IndexDivisor.
+
+    r is the product of the distinct factors of least degree of m_F mod p,
+    and e = d // deg r.  With p prime to the index, every prime above p in
+    the Galois F has one (e, f), so m_F = r^e mod p (Dedekind-Kummer), and
+    p is refused where it is not.  Then, for R the lift of r and
+    m_F = R^e + p T, the Dedekind criterion (Cohen, GTM 138, theorem 6.1.4)
+    certifies p prime to the index exactly when gcd(r, r^(e-1), T mod p)
+    = 1: always for e = 1, and when gcd(r, T mod p) = 1 for e > 1.  Where
+    deg r = d, r is m_F mod p, squarefree, and p divides neither disc(m_F)
+    nor the index.
+    """
+    if len(r) - 1 == field.degree:
         return
-    g_star = Poly([1])
-    h_star = Poly([1])
-    for coeffs, mult in factors:
-        lift = Poly(coeffs)
-        g_star = g_star * lift
-        h_star = h_star * lift ** (mult - 1)
-    diff = g_star * h_star - field.defining_poly
-    t_coeffs = []
-    for c in diff.coeffs:
-        num = int(c)
-        if num % p != 0:
-            raise WitnessFailure("Dedekind lift mismatch")
-        t_coeffs.append(num // p)
-    g1 = _modp.gcd(_modp.reduce([int(c) for c in g_star.coeffs], p),
-                   _modp.reduce([int(c) for c in h_star.coeffs], p), p)
-    g2 = _modp.gcd(g1, _modp.reduce(t_coeffs, p), p)
-    if len(g2) != 1:
+    diff = [int(c) for c in (field.defining_poly - Poly(r) ** e).coeffs]
+    if any(c % p for c in diff) or (
+            e > 1 and len(_modp.gcd(r, _modp.reduce([c // p for c in diff], p), p)) != 1):
         raise IndexDivisor(
             f"prime {p} divides the index of Z[theta] in the maximal order; "
             "place data for this field at this prime is refused")
@@ -218,19 +196,38 @@ def _prime_splitting(field: WorkingField, p: int):
     mod p (by degree, then coefficients), cached on the field write-once.
     Threads may split the same prime at once; they store equal values.
 
-    A route gives (e, f, moved), moved[s] the factor of sigma_s(P_1).  The
-    group is transitive on the primes, so the distinct moved[s] are all the
-    factors.  tau_1 = (1/p) prod g_j(theta)^(e - [j = 1]) has valuation -1
-    at P_1 and >= 0 at the others, as g_j(theta) lies in P_j alone; so
+    The least k with gcd(m_F, x^(p^k) - x) not 1 mod p is the residue
+    degree f, and that gcd is the product r of the factors g_j of the
+    primes P_j above p (_modp.frobenius_powers), each of multiplicity
+    e = d / deg r in m_F mod p once _dedekind_index_check has passed.
+    One factor g_1 comes from a single branch of equal-degree splitting of
+    r, and P_1 = (p, g_1(theta)).  For each automorphism sigma with
+    A_sigma = sigma(theta), sigma(P_1) = (p, g_1(A_sigma(theta))), whose
+    factor is gcd(r, g_1(A_sigma)) mod p (Cohen, GTM 138, section 4.8);
+    for f = 1 that is x - s with A_sigma(s) = r_1 for the root r_1 of g_1,
+    and s = A_sigma^-1(r_1).  moved[i] is the factor of sigma_i(P_1); the
+    group is transitive on the primes, so the distinct moved[i] are all
+    the factors.
+
+    tau_1 = (1/p) prod g_j(theta)^(e - [j = 1]) has valuation -1 at P_1
+    and >= 0 at the others, as g_j(theta) lies in P_j alone; so
     sigma_s(tau_1) is an anti-uniformizer of sigma_s(P_1).
     """
     cached = field._place_cache.get(p)
     if cached is not None:
         return cached
-    if p == 2 or field.disc.numerator % p == 0:
-        e, f, moved = _dedekind_splitting(field, p)
+    m = _modp.reduce([int(c) for c in field.defining_poly.coeffs], p)
+    r, powers = _modp.frobenius_powers(m, p)
+    e, f = field.degree // (len(r) - 1), len(powers)
+    _dedekind_index_check(field, p, r, e)
+    g1 = _modp.equal_degree_factor(r, p, powers)
+    images = [_residue_poly(sigma.theta_image, p) for sigma in field.automorphisms]
+    if f == 1:
+        r1 = -g1[0] % p
+        # moved[i] = x - A_(sigma_i^-1)(r1), for i in order
+        moved = [(-eval_mod(images[j], r1, p) % p, 1) for j in field._inv_table]
     else:
-        e, f, moved = _galois_splitting(field, p)
+        moved = [tuple(_modp.gcd(r, _modp.compose(g1, a, r, p), p)) for a in images]
     movers = {}  # factor -> the automorphism indices moving P_1 there
     for s, g in enumerate(moved):
         movers.setdefault(g, []).append(s)
@@ -247,28 +244,6 @@ def _prime_splitting(field: WorkingField, p: int):
     return result
 
 
-def _dedekind_splitting(field: WorkingField, p: int) -> tuple:
-    """(e, f, moved) at p = 2 or p dividing disc(m_F), from gf_factor after
-    the Dedekind criterion, with P_1 the prime of the first factor g_1.
-
-    g_1(theta) lies in P_1 alone, as g_1 and g_j are coprime mod p, so
-    g_1(A_s(theta)) = sigma_s(g_1(theta)) lies in sigma_s(P_1) alone.  With
-    p prime to the index, an algebraic integer lies in P_j exactly when g_j
-    mod p divides its reduction: moved[s] is the one such g_j.
-    """
-    factors = _factor_mod_p(field.defining_poly, p)
-    _dedekind_index_check(field, p, factors)
-    g1, e = factors[0]
-    moved = []
-    for sigma in field.automorphisms:
-        image = _residue_poly(sigma.theta_image, p)
-        hits = [g for g, _ in factors if not _modp.compose(g1, image, g, p)]
-        if len(hits) != 1:
-            raise WitnessFailure("prime permutation was not uniquely determined")
-        moved.append(hits[0])
-    return e, len(g1) - 1, moved
-
-
 def _residue_poly(a: FieldElement, p: int) -> list:
     """The coordinate polynomial of a mod p, for a with its denominator
     prime to p."""
@@ -278,37 +253,11 @@ def _residue_poly(a: FieldElement, p: int) -> list:
     return _modp.reduce([n * inv for n in a.num], p)
 
 
-def _galois_splitting(field: WorkingField, p: int) -> tuple:
-    """(1, f, moved) at an odd p prime to disc(m_F), from one factor of m_F
-    mod p and the Galois group (Cohen, GTM 138, section 4.8).
-
-    m_F is squarefree mod p, and its irreducible factors all have the
-    residue degree f, the least k with x^(p^k) = x mod (m_F, p)
-    (_modp.frobenius_powers).  One factor g_1 comes from a single branch of
-    equal-degree splitting, and P_1 = (p, g_1(theta)).  For each
-    automorphism sigma with A_sigma = sigma(theta), sigma(P_1) is
-    (p, g_1(A_sigma(theta))), whose factor is gcd(m_F, g_1(A_sigma)) mod p;
-    for f = 1 that is x - r with A_sigma(r) = r_1 for the root r_1 of g_1,
-    and r = A_sigma^-1(r_1).
-    """
-    m = _modp.reduce([int(c) for c in field.defining_poly.coeffs], p)
-    powers = _modp.frobenius_powers(m, p)
-    g1 = _modp.equal_degree_factor(m, p, powers)
-    images = [_residue_poly(sigma.theta_image, p) for sigma in field.automorphisms]
-    if len(powers) == 1:
-        r1 = -g1[0] % p
-        # moved[i] = x - A_(sigma_i^-1)(r1), for i in order
-        moved = [(-eval_mod(images[j], r1, p) % p, 1) for j in field._inv_table]
-    else:
-        moved = [tuple(_modp.gcd(m, _modp.compose(g1, a, m, p), p)) for a in images]
-    return 1, len(powers), moved
-
-
 def local_factorization(field: WorkingField, a: FieldElement, p: int) -> LocalFactorization:
     """Primes of F above p with (e, f) and exact valuations of a.
 
-    Raises IndexDivisor when the Dedekind method cannot certify the
-    splitting at p.  The result is checked against the norm identity
+    Raises IndexDivisor when the Dedekind criterion finds that p divides
+    the index of Z[theta] in the maximal order (_dedekind_index_check).  The result is checked against the norm identity
     sum(f * v) = v_p(N(a)) and the computation aborts on any mismatch.
     """
     if a.is_zero():

@@ -214,6 +214,17 @@ def test_reducible_working_field_refuses_inverse():
     assert f.from_rational(3).inverse() == f.from_rational(Fraction(1, 3))
 
 
+def test_field_without_galois_group_refuses_by_name():
+    # Q(sqrt2) built directly has no Galois group: inverses, norms and
+    # subfields all refuse with the error that names make_field
+    f = WorkingField(Poly([-2, 0, 1]), 64)
+    a = f.element([1, 1])
+    for use in (a.inverse, a.norm, lambda: subfield(f, [f.theta()]),
+                lambda: rational_subfield(f)):
+        with pytest.raises(ValueError, match="build it with make_field"):
+            use()
+
+
 # -- the integer representation ---------------------------------------------
 
 small_fractions = st.fractions(min_value=-5, max_value=5, max_denominator=6)

@@ -5,7 +5,9 @@ from fractions import Fraction
 import pytest
 import sympy
 from sympy.polys.domains import ZZ
-from sympy.polys.galoistools import gf_from_int_poly, gf_rem
+from sympy.polys.galoistools import gf_factor, gf_from_int_poly, gf_rem
+from sympy.polys.numberfields.basis import round_two
+from sympy.polys.numberfields.primes import prime_decomp
 from test_golden import LADDER
 
 from heightlab import _modp
@@ -23,7 +25,6 @@ from heightlab.numberfield import (
 from heightlab.placespace import (
     PlaceId,
     _arch_permutation,
-    _factor_mod_p,
     _finite_permutation,
     _int_valuation,
     _prime_splitting,
@@ -123,6 +124,20 @@ def test_zero_rejected(field_sqrt2):
 # -- prime splitting from the Galois group ----------------------------------------
 
 
+def _factor_mod_p(poly: Poly, p: int):
+    """The gf_factor oracle: the irreducible factors of an integer polynomial
+    mod p, monic, sorted by (degree, coefficient tuple), as
+    [(coeffs_low_first, multiplicity)]."""
+    dense = [int(c) % p for c in reversed(poly.coeffs)]
+    _, factors = gf_factor(ZZ.map(dense), p, ZZ)
+    out = []
+    for f, mult in factors:
+        low_first = tuple(int(c) % p for c in reversed(f))
+        out.append((low_first, int(mult)))
+    out.sort(key=lambda fm: (len(fm[0]), fm[0]))
+    return out
+
+
 def _cyclotomic_field(n: int) -> WorkingField:
     """Q(zeta_n) with its Galois group written down, theta -> theta^k for k
     prime to n: the splitting needs no embeddings, which make_field would
@@ -150,10 +165,11 @@ def test_galois_splitting_matches_gf_factor():
     # every odd prime below 10^4 on the fields of degree at most 8 in turn;
     # 3, 5, 7 and 11 on every field of higher degree, whose small residue
     # fields give the largest residue degrees and may need splitting
-    # candidates beyond x + a; and 200 seeded primes in
-    # [10^4, 10^9], one on each field of higher degree and the rest on the
-    # fields of degree at most 8 in turn.  A prime dividing disc(m_F) is
-    # skipped.
+    # candidates beyond x + a; 200 seeded primes in [10^4, 10^9], one on
+    # each field of higher degree and the rest on the fields of degree at
+    # most 8 in turn; and 2 and every prime dividing disc(m_F) on every
+    # field, where m_F mod p may be a power and splitting runs on the
+    # trace at 2.  A prime dividing the index of Z[theta] is refused.
     fields = _split_fields()
     low = [f for f in fields if f.degree <= 8]
     high = [f for f in fields if f.degree > 8]
@@ -162,15 +178,23 @@ def test_galois_splitting_matches_gf_factor():
     pairs = [(low[i % len(low)], p) for i, p in enumerate(sympy.primerange(3, 10 ** 4))]
     pairs += [(f, p) for f in high for p in (3, 5, 7, 11)]
     pairs += list(zip(high + low * len(large), large))
+    pairs += [(f, p) for f in fields
+              for p in sorted({2} | set(sympy.primefactors(f.disc.numerator)))]
     tested = set()
+    shapes = set()
     for field, p in pairs:
-        if field.disc.numerator % p == 0:
+        try:
+            data = _prime_splitting(field, p)
+        except IndexDivisor:
+            assert field.disc.numerator % p == 0
             continue
-        data = _prime_splitting(field, p)
         assert [(pd.factor, pd.e) for pd in data] == _factor_mod_p(field.defining_poly, p)
         assert all(pd.f == len(pd.factor) - 1 for pd in data)
         tested.add(id(field))
+        shapes.add((p == 2, data[0].e > 1, data[0].f > 1))
     assert len(tested) == len(fields) > 50
+    # at 2 and at odd primes, ramified or not, with f = 1 and f > 1
+    assert len(shapes) == 8
 
 
 def test_transported_anti_uniformizers():
@@ -213,7 +237,7 @@ def _per_prime_anti_uniformizers(field, p):
     return taus
 
 
-def _dedekind_cases():
+def _two_and_ramified_cases():
     """(field, p) for p = 2 and every odd prime dividing disc(m_F) on the
     corpus fields, and the ramified primes of _PERMUTED_PRIMES."""
     cases = []
@@ -228,13 +252,13 @@ def _dedekind_cases():
 
 
 def test_ramified_primes_keep_gf_factor():
-    # p = 2 and the primes dividing disc(m_F) take the Dedekind route: the
-    # factors are gf_factor's, and each anti-uniformizer, carried from P_1
-    # by an automorphism, gives every valuation that the product built for
-    # that prime alone gives
+    # at p = 2 and at the primes dividing disc(m_F) the factors are
+    # gf_factor's, and each anti-uniformizer, carried from P_1 by an
+    # automorphism, gives every valuation that the product built for that
+    # prime alone gives
     rng = random.Random(17)
     shapes = set()
-    for field, p in _dedekind_cases():
+    for field, p in _two_and_ramified_cases():
         data = _prime_splitting(field, p)
         assert [(pd.factor, pd.e) for pd in data] == _factor_mod_p(field.defining_poly, p)
         shapes.add((data[0].e, data[0].f, len(data)))
@@ -254,6 +278,59 @@ def test_ramified_primes_keep_gf_factor():
     assert {e > 1 for e, _, _ in shapes} == {True, False}
     assert any(e > 1 and n > 1 for e, _, n in shapes)
     assert any(f > 1 for _, f, _ in shapes)
+
+
+# Q(sqrt a, sqrt b) for these (a, b), by the minimal polynomial
+# x^4 - 2(a + b)x^2 + (a - b)^2 of sqrt a + sqrt b
+_ORACLE_BIQUADRATICS = ((-1, 2), (-1, 3), (-1, 5), (-1, 7), (2, 3), (2, 5), (2, 7),
+                        (3, 5), (3, 7), (5, 7), (-1, -2), (-2, 2), (-2, 3))
+# sympy's round_two raises ClosureFailure on these, so the oracle has no
+# maximal order for them: x^4 - 18x^2 + 25, x^4 - 2x^2 + 25, x^4 - 8x^2 + 36,
+# x^4 - 14x^2 + 9 and x^4 - 2x^2 + 9
+_ROUND_TWO_FAILURES = {(25, 0, -18, 0, 1), (25, 0, -2, 0, 1), (36, 0, -8, 0, 1),
+                       (9, 0, -14, 0, 1), (9, 0, -2, 0, 1)}
+
+
+def _oracle_fields():
+    """The corpus fields; x^2 - D for squarefree and non-squarefree D, with
+    D = 1 mod 4 among them; the biquadratic fields above; cyclic cubic
+    fields, two of them with index divisors; and Q(zeta_n) with
+    phi(n) <= 16."""
+    polys = [tuple(doc["field"]) for doc in scenario_documents()]
+    polys += [(-D, 0, 1) for D in (-1, -2, -3, -5, -6, -7, -11, -15, 2, 3, 5, 6, 7,
+                                   13, 17, 21, 33, 45, 12, -12, 28)]
+    polys += [((a - b) ** 2, 0, -2 * (a + b), 0, 1) for a, b in _ORACLE_BIQUADRATICS]
+    polys += [(1, -3, 0, 1), (-1, -2, 1, 1), (1, -4, 1, 1), (-7, -6, 1, 1),
+              (-8, -10, 1, 1), (-11, -12, -1, 1), (8, -12, 0, 1), (27, -27, 0, 1)]
+    polys += [tuple(int(c) for c in cyclotomic(n).coeffs)
+              for n in range(3, 61) if euler_phi(n) <= 16 and n % 4 != 2]
+    return [c for c in dict.fromkeys(polys) if c not in _ROUND_TWO_FAILURES]
+
+
+def test_splitting_matches_round_two_maximal_order():
+    # sympy's Round-2 maximal order is an oracle independent of m_F mod p:
+    # at every prime below 40 and every prime dividing disc(m_F), p is
+    # refused exactly when it divides the index sqrt(disc(m_F) / d_F), and
+    # otherwise the (e, f) of the primes above p are prime_decomp's
+    x = sympy.Symbol("x")
+    pairs = refused = 0
+    for coeffs in _oracle_fields():
+        field = make_field(list(coeffs))
+        T = sympy.Poly(list(reversed(coeffs)), x)
+        ZK, dK = round_two(T)
+        index = math.isqrt(int(field.disc) // int(dK))
+        assert index ** 2 * int(dK) == field.disc
+        for p in sorted(set(sympy.primerange(2, 40)) | set(sympy.primefactors(index * dK))):
+            pairs += 1
+            one = field.from_rational(p)
+            if index % p == 0:
+                refused += 1
+                with pytest.raises(IndexDivisor):
+                    local_factorization(field, one, p)
+                continue
+            ours = sorted((fac.e, fac.f) for fac in local_factorization(field, one, p).factors)
+            assert ours == sorted((P.e, P.f) for P in prime_decomp(p, T, dK=dK, ZK=ZK))
+    assert pairs > 700 and refused > 20
 
 
 # -- place vectors ---------------------------------------------------------------
