@@ -23,6 +23,34 @@ def _trim(a: list) -> list:
     return a
 
 
+def monic(a, p: int) -> list:
+    """a divided by its leading coefficient."""
+    inv = pow(a[-1], -1, p)
+    return [c * inv % p for c in a]
+
+
+def derivative(a, p: int) -> list:
+    """The derivative a'."""
+    return _trim([i * c % p for i, c in enumerate(a)][1:])
+
+
+def product(a, b) -> list:
+    """a b over the integers, unreduced."""
+    if not a or not b:
+        return []
+    conv = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for k, y in enumerate(b, i):
+                conv[k] += x * y
+    return conv
+
+
+def mul(a, b, p: int) -> list:
+    """a b."""
+    return reduce(product(a, b), p)
+
+
 def sub(a, b, p: int) -> list:
     """a - b."""
     if len(a) < len(b):
@@ -59,14 +87,7 @@ def rem(a, b, p: int) -> list:
 
 def mulmod(a, b, m, p: int) -> list:
     """a b mod m."""
-    if not a or not b:
-        return []
-    conv = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for k, y in enumerate(b, i):
-                conv[k] += x * y
-    return rem(conv, m, p)
+    return rem(product(a, b), m, p)
 
 
 def powmod(a, n: int, m, p: int) -> list:
@@ -89,6 +110,20 @@ def gcd(a, b, p: int) -> list:
         inv = pow(a[-1], -1, p)
         a = [c * inv % p for c in a]
     return a
+
+
+def gcdex(a, b, p: int):
+    """(s, t) with s a + t b = 1, for coprime a and b, by the extended
+    Euclidean algorithm."""
+    r0, r1, s0, s1 = list(a), list(b), [1], []
+    while r1:
+        q, r = quo_rem(r0, r1, p)
+        r0, r1, s0, s1 = r1, r, s1, sub(s0, mul(q, s1, p), p)
+    # r0 is a nonzero constant
+    inv = pow(r0[0], -1, p)
+    s = [c * inv % p for c in s0]
+    t = quo_rem(sub([1], mul(s, a, p), p), b, p)[0]
+    return s, t
 
 
 def compose(g, h, m, p: int) -> list:
@@ -187,10 +222,41 @@ def equal_degree_factor(g, p: int, powers) -> list:
     return g
 
 
+def equal_degree_factors(g, p: int, powers) -> list:
+    """Every irreducible factor of g, for g and powers as in
+    equal_degree_factor."""
+    if len(g) - 1 == len(powers):
+        return [g]
+    h, _ = _split(g, powers, p, p)
+    return (equal_degree_factors(h, p, powers)
+            + equal_degree_factors(quo_rem(g, h, p)[0], p, powers))
+
+
+def distinct_degree_factors(f, p: int):
+    """([(k, g_k), ...], powers) for the monic squarefree f of degree at
+    least 1: g_k is the product of the irreducible factors of f of degree
+    k, for each k that has any (Cohen, GTM 138, algorithm 3.4.3), and
+    powers[i] is x^(p^i) mod a multiple of every g_k with k > i, so that
+    powers[:k] serve equal_degree_factors of g_k.  A last part of degree
+    above 2 len(powers) - 2 is irreducible, and its k may exceed
+    len(powers).  x^(p^k) comes from x^(p^(k-1)) by one power to the p,
+    reduced by what is left of f."""
+    x = rem([0, 1], f, p)
+    parts, powers, h = [], [x], x
+    while 2 * len(powers) <= len(f) - 1:
+        h = powmod(h, p, f, p)
+        g = gcd(f, sub(h, [0, 1], p), p)
+        if len(g) > 1:
+            parts.append((len(powers), g))
+            f = quo_rem(f, g, p)[0]
+            h = rem(h, f, p)
+        powers.append(h)
+    if len(f) > 1:
+        parts.append((len(f) - 1, f))
+    return parts, powers
+
+
 def distinct_roots(g, p: int) -> list:
     """The roots of g, a monic product of distinct linear factors mod the
     odd prime p, in no particular order."""
-    if len(g) == 2:
-        return [-g[0] % p]
-    h, _ = _split(g, [[0, 1]], p, p)
-    return distinct_roots(h, p) + distinct_roots(quo_rem(g, h, p)[0], p)
+    return [-h[0] % p for h in equal_degree_factors(g, p, [[0, 1]])]

@@ -291,12 +291,15 @@ def run_command(cmd: str, scenario: Scenario | None, args: dict) -> dict:
         report["norm_element"] = _coords(rep.norm_element)
         return report
 
+    scale_ref = args.get("scale")
     try:
-        scale = Fraction(args.get("scale") or 1)
+        scale = Fraction(scale_ref or 1)
     except (ValueError, ZeroDivisionError) as exc:
-        raise SchemaError(f"bad --scale value {args.get('scale')!r}") from exc
-    # GElement raises the element to the scale's numerator
-    check_power_budget(el, scale.numerator, f"--scale {args.get('scale')!r}")
+        raise SchemaError(f"bad --scale value {scale_ref!r}") from exc
+    # GElement raises the element to the scale's numerator; without a
+    # scale, only the element itself can be over the budget
+    check_power_budget(el, scale.numerator,
+                       f"--scale {scale_ref!r}" if scale_ref else f"--element {element_ref!r}")
     u = GElement(scenario.field, scale, el)
 
     if cmd == "fvector":

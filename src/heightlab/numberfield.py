@@ -34,9 +34,9 @@ from math import lcm as int_lcm
 from operator import mul
 
 import mpmath
-import sympy
 
 from . import _modp
+from ._integers import euler_phi, next_prime, prime_factors
 from ._padic import ReducedLattice, eval_mod, hensel_lift
 from .errors import NotGalois, ReduciblePolynomial, WitnessFailure
 from .polynomials import (
@@ -44,7 +44,6 @@ from .polynomials import (
     content_and_primitive,
     cyclotomic,
     discriminant,
-    euler_phi,
     inverse_mod,
     is_irreducible,
     squarefree_part,
@@ -190,14 +189,22 @@ class FieldElement:
         return self.field.from_rational(other) / self
 
     def __pow__(self, n: int) -> "FieldElement":
+        """Square and multiply from the lowest set bit of n, so that no
+        product is by 1."""
         if n < 0:
             return self.inverse() ** (-n)
-        result = self.field.one()
+        if n == 0:
+            return self.field.one()
         base = self
+        while not n & 1:
+            base = base * base
+            n >>= 1
+        result = base
+        n >>= 1
         while n:
+            base = base * base
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
         return result
 
@@ -308,6 +315,9 @@ class WorkingField:
         self._split_roots = {}
         self._lattice_cache = {}
         self._dtheta_inverse = None
+        # the (num, den) of the roots of unity, built by heights.is_torsion
+        # on first use; threads may build it at once and store equal values
+        self._torsion_keys = None
 
     # -- element constructors -------------------------------------------
 
@@ -352,6 +362,13 @@ class WorkingField:
         return out
 
     def _mul(self, a: FieldElement, b: FieldElement) -> FieldElement:
+        """a b; a rational operand scales the other's coordinates, with d
+        products instead of the d^2 of the convolution."""
+        if not any(b.num[1:]):
+            a, b = b, a
+        if not any(a.num[1:]):
+            c = a.num[0]
+            return _normalized(self, [c * n for n in b.num], a.den * b.den)
         return _normalized(self, self._mul_num(a.num, b.num), a.den * b.den)
 
     def _inverse(self, a: FieldElement) -> FieldElement:
@@ -442,7 +459,7 @@ def _split_prime(field: WorkingField, avoid: int):
     m_ints = [int(c) for c in reversed(field.defining_poly.coeffs)]
     q = 1
     while True:
-        q = sympy.nextprime(q)
+        q = next_prime(q)
         if bad % q == 0:
             continue
         roots = field._split_roots.get(q)
@@ -459,11 +476,9 @@ def _split_prime(field: WorkingField, avoid: int):
 
 
 # below this prime, roots mod q are found by evaluating the polynomial at
-# every residue.  On random polynomials of degree 2 to 24 that beat the gcd
-# with x^q - x and sympy 1.14's equal-degree factorization by 1.1x to 40x
-# up to q = 521, and lost to them by up to 2.7x at q = 2053.  Against the
-# _modp route that replaced sympy's, on 30 such polynomials, evaluation is
-# 1.3x faster at q = 131, even at q = 257 and 1.7x slower at q = 509 (pure
+# every residue.  Against the gcd with x^q - x and equal-degree splitting
+# in _modp, on 30 random polynomials of degree 2 to 24, evaluation is 1.3x
+# faster at q = 131, even at q = 257 and 1.7x slower at q = 509 (pure
 # Python 3.11 on a shared x86-64 host)
 _EVAL_PRIME_BOUND = 512
 
@@ -770,7 +785,7 @@ def _torsion_structure(field: WorkingField):
     d = field.degree
     orders = _automorphism_orders(field)
     w, gen = 1, field.one()
-    for p in sympy.primefactors(g):
+    for p in prime_factors(g):
         order, zeta = (2, minus_one) if p == 2 else (1, field.one())
         powers = []
         power = order * p

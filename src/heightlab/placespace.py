@@ -26,9 +26,9 @@ import math
 from fractions import Fraction
 
 import mpmath
-import sympy
 
 from . import _modp
+from ._integers import factor_search, isprime
 from ._padic import eval_mod
 from .errors import (
     FactorizationExhausted,
@@ -42,9 +42,9 @@ from .numberfield import FieldElement, WorkingField, eval_at_embeddings, eval_po
 from .polynomials import Poly
 from .roots import _disk, _may_meet, locked_workprec
 
-# trial division bound for sympy.factorint, which with a limit also bounds
-# its Pollard rho and p - 1 rounds: a product of two 25-digit primes is
-# refused in about 0.4 s instead of taking about 40 s to split
+# trial division bound of prime_support; _integers.factor_search goes on
+# past it with Pollard's methods on fixed budgets, so that a product of two
+# 25-digit primes is refused in well under a second
 _FACTOR_LIMIT = 2 ** 16
 
 
@@ -262,7 +262,7 @@ def local_factorization(field: WorkingField, a: FieldElement, p: int) -> LocalFa
     """
     if a.is_zero():
         raise ZeroElement("valuations of zero are undefined")
-    if not sympy.isprime(p):
+    if not isprime(p):
         raise ValueError(f"{p} is not prime")
     return _local_factorization(field, a, p, abs(int((a * a.den).norm())))
 
@@ -350,13 +350,13 @@ def f_vector(u: GElement) -> PlaceVector:
 def prime_support(*ints) -> set:
     """The primes dividing any of the given nonzero integers.
 
-    FactorizationExhausted when sympy.factorint, held to _FACTOR_LIMIT,
-    leaves a composite factor."""
+    FactorizationExhausted when _integers.factor_search, held to
+    _FACTOR_LIMIT, leaves a composite factor."""
     support = set()
     for n in ints:
-        support.update(sympy.factorint(abs(n), limit=_FACTOR_LIMIT))
+        support.update(factor_search(n, _FACTOR_LIMIT))
     for p in support:
-        if not sympy.isprime(p):
+        if not isprime(p):
             raise FactorizationExhausted(
                 f"{p} has no prime factor below {_FACTOR_LIMIT} and is not prime")
     return support

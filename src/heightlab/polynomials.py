@@ -1,24 +1,26 @@
 """Dense univariate polynomials over the rationals.
 
 Coefficients are `fractions.Fraction`, stored lowest degree first.  All
-arithmetic is exact.  Ring arithmetic and division are implemented here;
-every Euclidean algorithm (inverse, gcd, resultant, Sturm sequence) and
-factorization come from sympy's dense univariate layer over QQ and ZZ.
+arithmetic is exact.  The Euclidean algorithms (inverse, gcd, resultant,
+Sturm sequence) and the factorization run on the primitive integer parts,
+as lists of Python integers lowest degree first (Cohen, A Course in
+Computational Algebraic Number Theory, GTM 138, sections 3.1 to 3.5):
+pseudo-remainders with the content removed, the sub-resultant algorithm,
+and Zassenhaus's factorization over Z on top of the mod-p factorization of
+_modp.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 from fractions import Fraction
 from math import gcd as int_gcd
+from math import isqrt
 
-import sympy
-from sympy.polys.domains import QQ, ZZ
-from sympy.polys.euclidtools import dup_discriminant, dup_invert, dup_resultant
-from sympy.polys.factortools import dup_factor_list, dup_zz_cyclotomic_poly
-from sympy.polys.polyerrors import NotInvertible
-from sympy.polys.rootisolation import dup_count_real_roots
-from sympy.polys.sqfreetools import dup_sqf_p, dup_sqf_part
+from . import _modp
+from ._integers import euler_phi  # noqa: F401  (part of this module's API)
+from ._integers import next_prime, prime_factors
 
 
 class Poly:
@@ -157,33 +159,176 @@ class Poly:
         return "Poly(" + " + ".join(parts) + ")"
 
 
-def _to_dense(p: Poly) -> list:
-    """Coefficients of p over sympy's QQ, highest degree first."""
-    return [QQ(c.numerator, c.denominator) for c in reversed(p.coeffs)]
+# -- integer polynomials ---------------------------------------------------
+#
+# Lists of Python integers, lowest degree first, with no trailing zeros.
 
 
-def _fraction(c) -> Fraction:
-    """A QQ or ZZ element as a Fraction; int() also unwraps gmpy2 and
-    flint ground types."""
-    return Fraction(int(c.numerator), int(c.denominator))
+def _trim(a: list) -> list:
+    while a and not a[-1]:
+        a.pop()
+    return a
 
 
-def _from_dense(f) -> Poly:
-    """The Poly of a dense sympy list, highest degree first."""
-    return Poly([_fraction(c) for c in reversed(f)])
+def _primitive_ints(p: Poly):
+    """(c, P) with p = c P, c rational > 0 and P a primitive integer list
+    with positive leading coefficient."""
+    if p.is_zero():
+        raise ValueError("zero polynomial has no primitive part")
+    den = 1
+    for c in p.coeffs:
+        den = den * c.denominator // int_gcd(den, c.denominator)
+    ints = [c.numerator * (den // c.denominator) for c in p.coeffs]
+    g = int_gcd(*ints)
+    if ints[-1] < 0:
+        g = -g
+    return Fraction(g, den), [c // g for c in ints]
+
+
+def _primitive(a: list) -> list:
+    """a over its content, with positive leading coefficient."""
+    g = int_gcd(*a)
+    if a[-1] < 0:
+        g = -g
+    return [c // g for c in a] if g != 1 else a
+
+
+_mul = _modp.product
+
+
+def _add(a: list, b: list) -> list:
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for i, c in enumerate(b):
+        out[i] += c
+    return _trim(out)
+
+
+def _sub(a: list, b: list) -> list:
+    return _add(a, [-c for c in b])
+
+
+def _pseudo_divmod(a: list, b: list):
+    """(q, r) with lc(b)^(deg a - deg b + 1) a = q b + r and deg r < deg b
+    (Cohen, algorithm 3.1.2), for deg a >= deg b >= 0."""
+    n, lc = len(b) - 1, b[-1]
+    r = list(a)
+    q = [0] * (len(a) - n)
+    for i in range(len(a) - 1, n - 1, -1):
+        c = r[i]
+        if lc != 1:
+            q = [lc * x for x in q]
+            r = [lc * x for x in r[:i]]
+        q[i - n] += c
+        if c:
+            for j in range(n):
+                r[i - n + j] -= c * b[j]
+    return q, _trim(r[:n])
+
+
+def _divide(a: list, b: list):
+    """a / b when b divides a over Z, else None."""
+    n, lc = len(b) - 1, b[-1]
+    if len(a) <= n:
+        return [] if not a else None
+    r = list(a)
+    q = [0] * (len(a) - n)
+    for i in range(len(a) - 1, n - 1, -1):
+        c, m = divmod(r[i], lc)
+        if m:
+            return None
+        q[i - n] = c
+        if c:
+            for j in range(n):
+                r[i - n + j] -= c * b[j]
+    return q if not any(r[:n]) else None
+
+
+def _derivative(a: list) -> list:
+    return [i * c for i, c in enumerate(a)][1:]
+
+
+def _gcd(a: list, b: list) -> list:
+    """The primitive gcd, positive leading coefficient, of two nonzero
+    integer polynomials, by the primitive remainder sequence."""
+    a, b = _primitive(a), _primitive(b)
+    if len(a) < len(b):
+        a, b = b, a
+    while len(b) > 1:
+        _, r = _pseudo_divmod(a, b)
+        if not r:
+            return b
+        a, b = b, _primitive(r)
+    return [1]
+
+
+def _resultant(a: list, b: list) -> int:
+    """Res(a, b) of two nonzero integer polynomials, by the sub-resultant
+    algorithm (Cohen, algorithm 3.3.7)."""
+    ca, cb = int_gcd(*a), int_gcd(*b)
+    a, b = [c // ca for c in a], [c // cb for c in b]
+    t = ca ** (len(b) - 1) * cb ** (len(a) - 1)
+    s = 1
+    if len(a) < len(b):
+        a, b = b, a
+        if (len(a) - 1) * (len(b) - 1) % 2:
+            s = -1
+    g = h = 1
+    while len(b) > 1:
+        delta = len(a) - len(b)
+        if (len(a) - 1) * (len(b) - 1) % 2:
+            s = -s
+        _, r = _pseudo_divmod(a, b)
+        if not r:
+            return 0
+        div = g * h ** delta
+        a, b = b, [c // div for c in r]
+        g = a[-1]
+        h = g ** delta // h ** (delta - 1) if delta else h
+    n = len(a) - 1
+    if n == 0:
+        return s * t
+    return s * t * b[0] ** n // h ** (n - 1)
+
+
+def _squarefree_part(a: list) -> list:
+    """The primitive squarefree part of a primitive a of degree >= 1."""
+    g = _gcd(a, _derivative(a))
+    return a if len(g) == 1 else _primitive(_divide(a, g))
+
+
+# -- the public Euclidean algorithms ---------------------------------------
 
 
 def inverse_mod(a: Poly, m: Poly) -> Poly:
     """The inverse of a modulo m, of degree below deg m.
 
     m_F'(theta)^-1 for the root lifts of numberfield._lift_root, which run
-    before the field has a Galois group.  ZeroDivisionError when gcd(a, m)
-    is not constant."""
-    try:
-        return _from_dense(dup_invert(_to_dense(a), _to_dense(m), QQ))
-    except NotInvertible:
+    before the field has a Galois group.  The extended Euclidean algorithm
+    runs on the primitive remainder sequence r_i = s_i A mod M of the
+    primitive parts A and M, so that only integers grow.
+    ZeroDivisionError when gcd(a, m) is not constant."""
+    if m.degree < 1:
+        return Poly()
+    a = a % m
+    if a.is_zero():
         raise ZeroDivisionError(
-            "non-invertible modulo the polynomial (reducible modulus?)") from None
+            "non-invertible modulo the polynomial (reducible modulus?)")
+    ca, r1 = _primitive_ints(a)
+    r0 = _primitive_ints(m)[1]
+    s0, s1 = [], [1]
+    while len(r1) > 1:
+        lead = r1[-1] ** (len(r0) - len(r1) + 1)
+        q, r = _pseudo_divmod(r0, r1)
+        if not r:
+            raise ZeroDivisionError(
+                "non-invertible modulo the polynomial (reducible modulus?)")
+        s = _sub([lead * c for c in s0], _mul(q, s1))
+        g = int_gcd(*r, *s)
+        r0, s0, r1, s1 = r1, s1, [c // g for c in r], [c // g for c in s]
+    # s1 A = r1 mod M, with r1 a constant
+    return Poly([Fraction(c, r1[0]) for c in s1]) * (1 / ca)
 
 
 def lagrange_interpolate(points) -> Poly:
@@ -206,66 +351,232 @@ def lagrange_interpolate(points) -> Poly:
 
 def is_squarefree(p: Poly) -> bool:
     """True when p has no repeated factor over Q."""
-    return dup_sqf_p(_to_dense(p), QQ)
+    if p.degree < 1:
+        return True
+    f = _primitive_ints(p)[1]
+    return len(_gcd(f, _derivative(f))) == 1
 
 
 def squarefree_part(p: Poly) -> Poly:
     """Monic squarefree part of p."""
-    return _from_dense(dup_sqf_part(_to_dense(p), QQ))
+    if p.is_zero():
+        return p
+    if p.degree == 0:
+        return Poly.one()
+    f = _squarefree_part(_primitive_ints(p)[1])
+    return Poly([Fraction(c, f[-1]) for c in f])
 
 
 def resultant(a: Poly, b: Poly) -> Fraction:
     """Res(a, b), exact over Q; 0 when either is zero."""
-    if a.degree < b.degree:
-        # sympy's subresultant PRS swaps such arguments without the sign
-        # (-1)^(deg a deg b) and so returns Res(b, a)
-        r = resultant(b, a)
-        return -r if a.degree * b.degree % 2 else r
-    return _fraction(dup_resultant(_to_dense(a), _to_dense(b), QQ))
+    if a.is_zero() or b.is_zero():
+        return Fraction(0)
+    ca, fa = _primitive_ints(a)
+    cb, fb = _primitive_ints(b)
+    return ca ** b.degree * cb ** a.degree * _resultant(fa, fb)
 
 
 def discriminant(p: Poly) -> Fraction:
     """disc(p) = (-1)^{d(d-1)/2} Res(p, p') / lc(p)."""
     if p.degree < 1:
         raise ValueError("discriminant needs degree >= 1")
-    return _fraction(dup_discriminant(_to_dense(p), QQ))
+    d = p.degree
+    r = resultant(p, p.derivative()) / p.lc
+    return -r if d * (d - 1) // 2 % 2 else r
 
 
 def content_and_primitive(p: Poly):
     """Write p = c * P with c rational > 0 and P a primitive integer
     polynomial with positive leading coefficient."""
-    if p.is_zero():
-        raise ValueError("zero polynomial has no primitive part")
-    den = 1
-    for c in p.coeffs:
-        den = den * c.denominator // int_gcd(den, c.denominator)
-    ints = [int(c * den) for c in p.coeffs]
-    g = 0
-    for c in ints:
-        g = int_gcd(g, abs(c))
-    ints = [c // g for c in ints]
-    sign = 1
-    if ints[-1] < 0:
-        sign = -1
-        ints = [-c for c in ints]
-    return Fraction(sign * g, den), Poly(ints)
+    c, ints = _primitive_ints(p)
+    return c, Poly(ints)
 
 
 def real_root_count(p: Poly) -> int:
-    """Number of distinct real roots, by Sturm's theorem (exact)."""
-    return dup_count_real_roots(_to_dense(p), QQ)
+    """Number of distinct real roots, by Sturm's theorem (exact): the sign
+    changes at -infinity less those at +infinity along the sequence
+    f, f', -rem(f, f'), ..., with each remainder taken as a positive
+    multiple of the pseudo-remainder."""
+    if p.degree < 1:
+        return 0
+    f = _primitive_ints(p)[1]
+    seq = [f, _derivative(f)]
+    while len(seq[-1]) > 1:
+        a, b = seq[-2], seq[-1]
+        _, r = _pseudo_divmod(a, b)
+        if not r:
+            break
+        # lc(b)^(deg a - deg b + 1) is negative when odd and lc(b) < 0
+        if b[-1] < 0 and (len(a) - len(b)) % 2 == 0:
+            r = [-c for c in r]
+        g = int_gcd(*r)
+        seq.append([-c // g for c in r])
+
+    def changes(signs):
+        return sum(x != y for x, y in zip(signs, signs[1:]))
+
+    top = [1 if s[-1] > 0 else -1 for s in seq]
+    bottom = [t if len(s) % 2 else -t for t, s in zip(top, seq)]
+    return changes(bottom) - changes(top)
 
 
 @functools.lru_cache(maxsize=None)
 def cyclotomic(n: int) -> Poly:
-    """The n-th cyclotomic polynomial."""
+    """The n-th cyclotomic polynomial: for each prime q dividing n,
+    Phi_(mq)(x) = Phi_m(x^q) / Phi_m(x) when q does not divide m, and
+    Phi_(m r^k)(x) = Phi_(m r)(x^(r^(k-1))) for the product m r of the
+    distinct primes."""
     if n < 1:
         raise ValueError("n must be positive")
-    return _from_dense(dup_zz_cyclotomic_poly(n, ZZ))
+    h, radical = [-1, 1], 1
+    for q in prime_factors(n):
+        spread = [0] * (q * (len(h) - 1) + 1)
+        spread[::q] = h
+        h, radical = _divide(spread, h), radical * q
+    k = n // radical
+    out = [0] * (k * (len(h) - 1) + 1)
+    out[::k] = h
+    return Poly(out)
 
 
-def euler_phi(n: int) -> int:
-    return int(sympy.totient(n))
+# -- factorization over Z --------------------------------------------------
+
+# Zassenhaus tries this many primes p at which f mod p is squarefree, and
+# lifts the factorization at the one with the fewest factors
+_ZASSENHAUS_PRIMES = 5
+
+
+def _hensel_step(m: int, f: list, g: list, h: list, s: list, t: list):
+    """One quadratic Hensel step (von zur Gathen and Gerhard, Modern
+    Computer Algebra, algorithm 15.10): from f = g h and s g + t h = 1 mod
+    m, with h monic, the same mod m^2.  The _modp routines serve the
+    composite modulus m^2, as the only divisor, h, is monic."""
+    m2 = m * m
+    e = _modp.reduce(_sub(f, _mul(g, h)), m2)
+    q, r = _modp.quo_rem(_mul(s, e), h, m2)
+    g2 = _modp.reduce(_add(_add(g, _mul(t, e)), _mul(q, g)), m2)
+    h2 = _modp.reduce(_add(h, r), m2)
+    b = _modp.reduce(_sub(_add(_mul(s, g2), _mul(t, h2)), [1]), m2)
+    c, d = _modp.quo_rem(_mul(s, b), h2, m2)
+    s2 = _modp.reduce(_sub(s, d), m2)
+    t2 = _modp.reduce(_sub(_sub(t, _mul(t, b)), _mul(c, g2)), m2)
+    return g2, h2, s2, t2
+
+
+def _hensel_lift(p: int, f: list, factors: list, k: int) -> list:
+    """Monic g_i with f = lc(f) g_1 ... g_r mod p^k, for the monic factors
+    mod p of f with f mod p squarefree: the factors are split in two
+    halves, each pair lifted quadratically, and each half in turn."""
+    modulus = p ** k
+    if len(factors) == 1:
+        inv = pow(f[-1], -1, modulus)
+        return [[c * inv % modulus for c in f]]
+    half = len(factors) // 2
+    g = [f[-1] % p]
+    for u in factors[:half]:
+        g = _modp.mul(g, u, p)
+    h = [1]
+    for u in factors[half:]:
+        h = _modp.mul(h, u, p)
+    s, t = _modp.gcdex(g, h, p)
+    m = p
+    while m < modulus:
+        g, h, s, t = _hensel_step(m, f, g, h, s, t)
+        m *= m
+    return (_hensel_lift(p, g, factors[:half], k)
+            + _hensel_lift(p, h, factors[half:], k))
+
+
+def _symmetric(a: list, m: int) -> list:
+    half = m // 2
+    return _trim([c - m if c > half else c for c in (c % m for c in a)])
+
+
+def _zassenhaus(f: list) -> list:
+    """The irreducible factors over Z of the primitive squarefree f of
+    degree >= 1 with f(0) != 0 and positive leading coefficient (Cohen,
+    algorithm 3.5.7).
+
+    Mod each of _ZASSENHAUS_PRIMES primes p prime to lc(f) with f mod p
+    squarefree, distinct-degree factorization gives the degrees of the
+    irreducible factors mod p, and so the degrees that a factor over Z can
+    have, the sums of subsets of them; when no degree strictly between 0
+    and deg f survives every prime, f is irreducible.  Otherwise the
+    factorization at the prime with the fewest factors (the last such, as a
+    larger p has more linear candidates to split with) is completed by
+    equal-degree splitting and lifted to p^k > 2B, for
+    B = lc(f) 2^n |f|_2 >= lc(f) |g|_1 |h|_1 for every f = g h (Mignotte).
+    A set S of lifted factors gives G = lc(f) prod_S g_i and H the same
+    over the rest, in the symmetric residues mod p^k, and |G|_1 |H|_1 <= B
+    proves G H = lc(f) f (both sides agree mod p^k and are below p^k / 2);
+    every factor over Z comes out of such a set.  Sets are tried by size,
+    up to half of the factors left, after a test that G(0) divides
+    lc(f) f(0)."""
+    n = len(f) - 1
+    if n == 1:
+        return [f]
+    lead = f[-1]
+    degrees = (1 << (n + 1)) - 1
+    best = None
+    tried = 0
+    p = 2
+    while tried < _ZASSENHAUS_PRIMES:
+        p = next_prime(p)
+        if lead % p == 0:
+            continue
+        fp = _modp.monic(_modp.reduce(f, p), p)
+        if len(_modp.gcd(fp, _modp.derivative(fp, p), p)) > 1:
+            continue
+        tried += 1
+        parts, powers = _modp.distinct_degree_factors(fp, p)
+        sums = 1
+        count = 0
+        for k, g in parts:
+            for _ in range((len(g) - 1) // k):
+                sums |= sums << k
+                count += 1
+        degrees &= sums
+        if degrees == 1 | 1 << n:
+            return [f]
+        if best is None or count <= best[0]:
+            best = (count, p, parts, powers)
+    _, p, parts, powers = best
+    modular = []
+    for k, g in parts:
+        modular += [g] if len(g) - 1 == k else _modp.equal_degree_factors(g, p, powers[:k])
+    bound = lead * 2 ** n * (isqrt(sum(c * c for c in f)) + 1)
+    k = 1
+    while p ** k <= 2 * bound:
+        k += 1
+    modulus = p ** k
+    lifted = _hensel_lift(p, f, modular, k)
+
+    found = []
+    size = 1
+    while 2 * size <= len(lifted):
+        for subset in itertools.combinations(range(len(lifted)), size):
+            c = lead
+            for i in subset:
+                c = c * lifted[i][0] % modulus
+            c = _symmetric([c], modulus)
+            if not c or lead * f[0] % c[0]:
+                continue
+            g, h = [lead], [lead]
+            for i, u in enumerate(lifted):
+                if i in subset:
+                    g = _symmetric(_mul(g, u), modulus)
+                else:
+                    h = _symmetric(_mul(h, u), modulus)
+            if sum(map(abs, g)) * sum(map(abs, h)) > bound:
+                continue
+            found.append(_primitive(g))
+            f = _primitive(h)
+            lead = f[-1]
+            lifted = [u for i, u in enumerate(lifted) if i not in subset]
+            break
+        else:
+            size += 1
+    return found + [f]
 
 
 def factor_rational(p: Poly):
@@ -274,15 +585,25 @@ def factor_rational(p: Poly):
     Returns a deterministic list of (factor, multiplicity) with each factor
     a primitive integer polynomial with positive leading coefficient.  The
     product of the factors agrees with the input up to a rational constant.
+    The factors are those of the squarefree part by _zassenhaus, after x,
+    and the multiplicities come from repeated division.
     """
     if p.is_zero():
         raise ValueError("cannot factor the zero polynomial")
     if p.degree == 0:
         return []
-    # over QQ, sympy factors the primitive integer part over ZZ
-    _, factors = dup_factor_list(_to_dense(p), QQ)
-    out = [(content_and_primitive(_from_dense(f))[1], int(mult))
-           for f, mult in factors]
+    f = _primitive_ints(p)[1]
+    out = []
+    zeros = next(i for i, c in enumerate(f) if c)
+    if zeros:
+        out.append((Poly([0, 1]), zeros))
+        f = f[zeros:]
+    if len(f) > 1:
+        for g in _zassenhaus(_squarefree_part(f)):
+            mult = 0
+            while (q := _divide(f, g)) is not None:
+                f, mult = q, mult + 1
+            out.append((Poly(g), mult))
     out.sort(key=lambda fm: (fm[0].degree, fm[0].coeffs))
     return out
 
@@ -290,5 +611,9 @@ def factor_rational(p: Poly):
 def is_irreducible(p: Poly) -> bool:
     if p.degree < 1:
         return False
-    factors = factor_rational(p)
-    return len(factors) == 1 and factors[0][1] == 1
+    if p.degree == 1:
+        return True
+    f = _primitive_ints(p)[1]
+    if not f[0] or _squarefree_part(f) != f:
+        return False
+    return len(_zassenhaus(f)) == 1

@@ -85,3 +85,49 @@ def test_frobenius_powers_find_the_radical(case):
     assert len(powers) == f
     assert powers == [_modp.powmod([0, 1], p ** i, m, p) if i else _modp.rem([0, 1], m, p)
                       for i in range(f)]
+
+
+@st.composite
+def _squarefree_products(draw):
+    """(p, g): a monic product of distinct irreducibles of degrees 1 to 4
+    mod a prime p."""
+    p = draw(st.sampled_from([2, 3, 5, 7, 11]))
+    chosen = []
+    for f in range(1, 5 if p < 5 else 3):
+        pool = _irreducibles(p, f)
+        chosen += draw(st.lists(st.sampled_from(pool), max_size=min(2, len(pool)),
+                                unique_by=tuple))
+    return p, functools.reduce(lambda a, b: _mul(a, b, p), chosen, [1])
+
+
+@settings(max_examples=150, deadline=None)
+@given(_squarefree_products())
+def test_distinct_and_equal_degree_factors_match_gf_factor(case):
+    # distinct-degree parts, each split completely by equal-degree
+    # splitting, give sympy's factors
+    p, g = case
+    if len(g) < 2:
+        return
+    parts, powers = _modp.distinct_degree_factors(g, p)
+    factors = []
+    for k, part in parts:
+        if len(part) - 1 == k:
+            factors.append(tuple(part))
+        else:
+            found = _modp.equal_degree_factors(part, p, powers[:k])
+            assert all(len(h) - 1 == k for h in found)
+            factors += [tuple(h) for h in found]
+    assert sorted(factors) == _gf_factors(g, p)
+    assert [k for k, _ in parts] == sorted({len(h) - 1 for h in factors})
+
+
+@settings(max_examples=100, deadline=None)
+@given(_squarefree_products(), _squarefree_products())
+def test_gcdex_gives_bezout_coefficients(case_a, case_b):
+    p, a = case_a
+    b = _modp.reduce(case_b[1], p)
+    if not b or len(_modp.gcd(a, b, p)) != 1:
+        return
+    s, t = _modp.gcdex(a, b, p)
+    assert _modp.sub(_mul(s, a, p), _modp.sub([1], _mul(t, b, p), p), p) == []
+    assert len(s) < max(len(b), 2) and len(t) < max(len(a), 2)

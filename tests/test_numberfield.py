@@ -28,6 +28,7 @@ from heightlab.numberfield import (
     FieldElement,
     WorkingField,
     _lattice,
+    _normalized,
     _make_field_cached,
     _precision_bound,
     _roots_mod,
@@ -236,6 +237,29 @@ def normal(x):
     assert x.den > 0
     assert math.gcd(x.den, *x.num) == 1
     return x
+
+
+@pytest.mark.parametrize("name", CORPUS_NAMES)
+@settings(max_examples=25, deadline=None)
+@given(u=coordinate_lists, q=small_fractions, n=st.integers(-7, 12))
+def test_rational_operands_and_powers_match_the_convolution(name, u, q, n):
+    # a product with a rational operand scales the other one, and powers
+    # start at the lowest set bit of n; both against the d^2 convolution
+    f = bundled_scenario(name).field
+
+    def convolution(a, b):
+        return _normalized(f, f._mul_num(a.num, b.num), a.den * b.den)
+
+    a, r = f.element(u[:f.degree]), f.from_rational(q)
+    assert normal(a * r) == normal(r * a) == convolution(a, r)
+    assert normal(r * r) == convolution(r, r)
+    if a.is_zero() and n < 0:
+        return
+    base = a if n >= 0 else a.inverse()
+    expected = f.one()
+    for _ in range(abs(n)):
+        expected = convolution(expected, base)
+    assert normal(a ** n) == expected
 
 
 @pytest.mark.parametrize("name", CORPUS_NAMES)

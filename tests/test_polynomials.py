@@ -2,14 +2,25 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from sympy.polys.domains import QQ, ZZ
+from sympy.polys.euclidtools import dup_discriminant, dup_invert, dup_resultant
+from sympy.polys.factortools import dup_factor_list, dup_zz_cyclotomic_poly
+from sympy.polys.polyerrors import NotInvertible
+from sympy.polys.rootisolation import dup_count_real_roots
+from sympy.polys.specialpolys import swinnerton_dyer_poly
+from sympy.polys.sqfreetools import dup_sqf_p, dup_sqf_part
+from test_golden import LADDER
 
+from heightlab.corpus import scenario_documents
 from heightlab.polynomials import (
     Poly,
     content_and_primitive,
     cyclotomic,
     discriminant,
+    euler_phi,
     factor_rational,
     inverse_mod,
     is_irreducible,
@@ -17,6 +28,7 @@ from heightlab.polynomials import (
     lagrange_interpolate,
     real_root_count,
     resultant,
+    squarefree_part,
 )
 
 X = Poly.x()
@@ -222,3 +234,113 @@ def test_lagrange_interpolation():
 def test_eval_horner():
     p = poly_of(1, -3, 2)
     assert p(Fraction(2)) == 1 - 6 + 8
+
+
+# -- against sympy's dense layer, the oracle --------------------------------
+
+
+def _dense(p: Poly) -> list:
+    return [QQ(c.numerator, c.denominator) for c in reversed(p.coeffs)]
+
+
+def _fraction(c) -> Fraction:
+    return Fraction(int(c.numerator), int(c.denominator))
+
+
+def _from_dense(f) -> Poly:
+    return Poly([_fraction(c) for c in reversed(f)])
+
+
+def _sympy_factors(p: Poly) -> list:
+    _, factors = dup_factor_list(_dense(p), QQ)
+    out = [(content_and_primitive(_from_dense(f))[1], int(m)) for f, m in factors]
+    return sorted(out, key=lambda fm: (fm[0].degree, fm[0].coeffs))
+
+
+def _assert_factors_match(p: Poly):
+    expected = _sympy_factors(p)
+    assert factor_rational(p) == expected
+    assert is_irreducible(p) == (p.degree >= 1 and len(expected) == 1 and expected[0][1] == 1)
+
+
+fraction_polys = st.lists(st.fractions(min_value=-9, max_value=9, max_denominator=3),
+                          min_size=0, max_size=7).map(Poly)
+
+
+@settings(max_examples=150, deadline=None)
+@given(fraction_polys, fraction_polys)
+@example(Poly([1, 1]), Poly([0, 0, 0, 1]))
+@example(Poly([2]), Poly([3]))
+def test_euclidean_algorithms_match_sympy(a, b):
+    if a and b:
+        if a.degree < b.degree:
+            # sympy's subresultant PRS returns Res(b, a) for such arguments
+            sign = -1 if a.degree * b.degree % 2 else 1
+            assert resultant(a, b) == sign * _fraction(dup_resultant(_dense(b), _dense(a), QQ))
+        else:
+            assert resultant(a, b) == _fraction(dup_resultant(_dense(a), _dense(b), QQ))
+    if a.degree >= 1:
+        assert discriminant(a) == _fraction(dup_discriminant(_dense(a), QQ))
+    for p in (a, a * a * b, a * b * b * X):
+        assert is_squarefree(p) == dup_sqf_p(_dense(p), QQ)
+        assert squarefree_part(p) == _from_dense(dup_sqf_part(_dense(p), QQ))
+        assert real_root_count(p) == dup_count_real_roots(_dense(p), QQ)
+    if b.degree >= 1:
+        try:
+            expected = _from_dense(dup_invert(_dense(a), _dense(b), QQ))
+        except NotInvertible:
+            with pytest.raises(ZeroDivisionError):
+                inverse_mod(a, b)
+        else:
+            assert inverse_mod(a, b) == expected
+
+
+def test_cyclotomic_matches_sympy():
+    for n in range(1, 201):
+        assert cyclotomic(n) == _from_dense(dup_zz_cyclotomic_poly(n, ZZ))
+
+
+int_polys = st.lists(st.integers(-9, 9), min_size=1, max_size=5).map(Poly).filter(bool)
+
+
+@settings(max_examples=200, deadline=None)
+@given(int_polys, int_polys, int_polys, st.integers(0, 2))
+@example(Poly([-2, 0, 1]), Poly([-3, 0, 1]), Poly([1]), 0)
+def test_factorization_matches_sympy(a, b, c, k):
+    # products with repeated factors and powers of x
+    _assert_factors_match(a)
+    _assert_factors_match(a * b)
+    _assert_factors_match(a * b * b * c * X ** k)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_swinnerton_dyer_factorization(n):
+    # irreducible, yet mod every prime a product of factors of degree at
+    # most 2, so the degrees mod p never prove it and every subset of up to
+    # half of the lifted factors is tried
+    x = sympy.Symbol("x")
+    sd = Poly([int(c) for c in reversed(sympy.Poly(swinnerton_dyer_poly(n, x), x).all_coeffs())])
+    assert sd.degree == 2 ** n and is_irreducible(sd)
+    _assert_factors_match(sd)
+    _assert_factors_match(sd * Poly([-5, 0, 1]) * cyclotomic(8))
+
+
+def _split_oracle_polynomials():
+    """The corpus fields, the larger rungs of the field-build ladder, and
+    Phi_n for every other n >= 3 with phi(n) <= 24."""
+    polys = [tuple(doc["field"]) for doc in scenario_documents()] + list(LADDER)
+    for n in range(3, 2 * 24 ** 2 + 1):
+        coeffs = tuple(int(c) for c in cyclotomic(n).coeffs)
+        if euler_phi(n) <= 24 and coeffs not in polys:
+            polys.append(coeffs)
+    return [Poly(c) for c in polys]
+
+
+def test_field_polynomials_factor_as_sympy():
+    polys = _split_oracle_polynomials()
+    assert len(polys) > 50
+    for i, p in enumerate(polys):
+        assert is_irreducible(p)
+        assert factor_rational(p) == [(p, 1)]
+        # each times the next, so that the lifted factors must recombine
+        _assert_factors_match(p * polys[(i + 1) % len(polys)])

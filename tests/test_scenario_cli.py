@@ -256,6 +256,20 @@ def test_huge_scale_refused_fast(capsys):
         capsys.readouterr()
 
 
+def test_power_budget_error_names_the_element(capsys):
+    # with no --scale, an element over the budget is named, not "--scale None"
+    n = "9" * 4000
+    text = f"({n}+t)/({n}-t^3)"
+    assert main(["fvector", "--scenario", "cbrt2_split", "--element", text]) == 2
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error["kind"] == "EvalError"
+    assert error["message"] == \
+        f"power 1 in --element {text!r} exceeds the 65536-bit coefficient budget"
+    assert main(["fvector", "--scenario", "cbrt2_split", "--element", text,
+                 "--scale", "1"]) == 2
+    assert "in --scale '1' exceeds" in json.loads(capsys.readouterr().out)["error"]["message"]
+
+
 def test_unfactorable_norm_refused_fast(capsys):
     # the product of two 25-digit primes has no factor within the budget
     load_scenario("rationals")
