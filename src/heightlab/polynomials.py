@@ -164,10 +164,8 @@ class Poly:
 # Lists of Python integers, lowest degree first, with no trailing zeros.
 
 
-def _trim(a: list) -> list:
-    while a and not a[-1]:
-        a.pop()
-    return a
+_trim = _modp._trim
+_mul = _modp.product
 
 
 def _primitive_ints(p: Poly):
@@ -191,9 +189,6 @@ def _primitive(a: list) -> list:
     if a[-1] < 0:
         g = -g
     return [c // g for c in a] if g != 1 else a
-
-
-_mul = _modp.product
 
 
 def _add(a: list, b: list) -> list:

@@ -28,8 +28,8 @@ from heightlab.numberfield import (
     FieldElement,
     WorkingField,
     _lattice,
-    _normalized,
     _make_field_cached,
+    _normalized,
     _precision_bound,
     _roots_mod,
     _split_prime,
