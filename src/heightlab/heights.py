@@ -6,7 +6,7 @@ h(a) = (1/d) sum over the d embeddings tau of log+|tau(a)| + (1/e) log lead,
 where e and lead are the degree and the leading coefficient of the
 primitive integer minimal polynomial of a.  This is the archimedean part
 of the place vector, so ||f(a)||_1 = 2 h(a).  Torsion decisions are always
-exact (a lookup among the field's roots of unity), never numeric.
+exact (a power test against the field's torsion order), never numeric.
 
 Elements of the Q-vector space are scalar--base pairs (q, b) denoting b^q
 up to roots of unity, kept in the canonical form (1/s, b^r) for q = r/s.
@@ -102,21 +102,11 @@ def weil_height(a: FieldElement) -> HeightValue:
 
 
 def is_torsion(a: FieldElement) -> bool:
-    """Exact root-of-unity test: F holds exactly w roots of unity, the
-    powers of its torsion generator, so a is one exactly when its lowest-
-    terms (num, den) is one of theirs.  The w keys are built on first use
-    and kept on the field."""
+    """Exact root-of-unity test: a^w == 1 for the field torsion order w."""
     if a.is_zero():
         raise ZeroElement("torsion test of zero is undefined")
-    field = a.field
-    keys = field._torsion_keys
-    if keys is None:
-        power, found = field.one(), set()
-        for _ in range(field.torsion_order):
-            found.add((power.num, power.den))
-            power = power * field.torsion_generator
-        keys = field._torsion_keys = frozenset(found)
-    return (a.num, a.den) in keys
+    p = a ** a.field.torsion_order
+    return p.is_rational() and p.as_rational() == 1
 
 
 class GElement:

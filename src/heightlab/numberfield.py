@@ -315,9 +315,6 @@ class WorkingField:
         self._split_roots = {}
         self._lattice_cache = {}
         self._dtheta_inverse = None
-        # the (num, den) of the roots of unity, built by heights.is_torsion
-        # on first use; threads may build it at once and store equal values
-        self._torsion_keys = None
 
     # -- element constructors -------------------------------------------
 

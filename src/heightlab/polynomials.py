@@ -434,6 +434,18 @@ def cyclotomic(n: int) -> Poly:
     return Poly(out)
 
 
+@functools.lru_cache(maxsize=None)
+def _cyclotomic_orders(m: int) -> tuple:
+    """The n with phi(n) = m; phi(n) >= sqrt(n) for n > 6 bounds them."""
+    return tuple(n for n in range(1, max(m * m, 6) + 1) if euler_phi(n) == m)
+
+
+def _is_cyclotomic(f: list) -> bool:
+    """f, an integer polynomial of degree >= 2, is Phi_n for some n."""
+    return f[-1] == 1 and f == f[::-1] and any(
+        list(cyclotomic(n).coeffs) == f for n in _cyclotomic_orders(len(f) - 1))
+
+
 # -- factorization over Z --------------------------------------------------
 
 # Zassenhaus tries this many primes p at which f mod p is squarefree, and
@@ -506,9 +518,14 @@ def _zassenhaus(f: list) -> list:
     proves G H = lc(f) f (both sides agree mod p^k and are below p^k / 2);
     every factor over Z comes out of such a set.  Sets are tried by size,
     up to half of the factors left, after a test that G(0) divides
-    lc(f) f(0)."""
+    lc(f) f(0).  A cyclotomic f is recognised first, and so is a
+    cyclotomic cofactor left by recombination: the Galois group (Z/n)^* of
+    Phi_n is not cyclic for most n, and then no degree pattern proves it
+    irreducible."""
     n = len(f) - 1
     if n == 1:
+        return [f]
+    if _is_cyclotomic(f):
         return [f]
     lead = f[-1]
     degrees = (1 << (n + 1)) - 1
@@ -568,6 +585,8 @@ def _zassenhaus(f: list) -> list:
             f = _primitive(h)
             lead = f[-1]
             lifted = [u for i, u in enumerate(lifted) if i not in subset]
+            if _is_cyclotomic(f):
+                lifted = []
             break
         else:
             size += 1

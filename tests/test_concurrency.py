@@ -1,7 +1,6 @@
 """Concurrent reads are safe: fields are immutable after construction and
-the per-prime splitting cache, the subgroup-chain cache and the torsion
-keys are write-once: threads that fill an entry at once store equal
-values."""
+the per-prime splitting cache and the subgroup-chain cache are
+write-once: threads that fill an entry at once store equal values."""
 
 import random
 import sys
@@ -10,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from heightlab.heights import GElement, is_torsion, weil_height
+from heightlab.heights import GElement, weil_height
 from heightlab.numberfield import Subfield, _closure, _make_field_cached, rational_subfield
 from heightlab.orbits import orbit_mod_torsion
 from heightlab.placespace import f_vector, l1_norm
@@ -110,29 +109,3 @@ def test_parallel_place_vectors_on_a_cold_field():
             [(pd.factor, pd.e, pd.f) for pd in serial_cache[p]]
         assert [pd.anti_uniformizer.coords for pd in data] == \
             [pd.anti_uniformizer.coords for pd in serial_cache[p]]
-
-
-def test_parallel_torsion_tests_on_a_cold_field():
-    # threads on a field built past make_field's cache find the torsion keys
-    # unbuilt and race to build them
-    coeffs = tuple(int(c) for c in cyclotomic(21).coeffs)
-
-    def run(pool_map):
-        f = _make_field_cached.__wrapped__(coeffs, 64)
-        rng = random.Random(21)
-        zeta = f.torsion_generator
-        elements = [zeta ** rng.randrange(42) * rng.choice([1, 2]) for _ in range(24)]
-        elements += [f.element([rng.randint(-2, 2) for _ in range(f.degree)]) + 3
-                     for _ in range(8)]
-        return list(pool_map(is_torsion, elements)), f._torsion_keys
-
-    serial, serial_keys = run(map)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        with ThreadPoolExecutor(max_workers=8) as pool:
-            parallel, keys = run(pool.map)
-    finally:
-        sys.setswitchinterval(interval)
-    assert parallel == serial and True in serial and False in serial
-    assert keys == serial_keys and len(keys) == 42

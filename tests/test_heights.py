@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from heightlab.corpus import bundled_corpus, scenario_documents
+from heightlab.corpus import bundled_corpus
 from heightlab.errors import ZeroElement
 from heightlab.heights import (
     GElement,
@@ -17,8 +17,8 @@ from heightlab.heights import (
     is_torsion,
     weil_height,
 )
-from heightlab.numberfield import make_field, minimal_polynomial
-from heightlab.polynomials import Poly, cyclotomic
+from heightlab.numberfield import minimal_polynomial
+from heightlab.polynomials import Poly
 
 LOG2 = math.log(2)
 SILVER = math.log(1 + math.sqrt(2))
@@ -88,29 +88,6 @@ def test_torsion_examples(field_sqrt2, field_zeta3):
     assert is_torsion(zeta6)
     assert (zeta6 ** 6) == field_zeta3.one()
     assert (zeta6 ** 3) != field_zeta3.one()
-
-
-_TORSION_FIELDS = [tuple(doc["field"]) for doc in scenario_documents()] + [
-    tuple(int(c) for c in cyclotomic(n).coeffs) for n in (13, 21)]
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.sampled_from(_TORSION_FIELDS),
-       st.lists(st.integers(-2, 2), min_size=12, max_size=12),
-       st.integers(0, 100), st.sampled_from([1, -1, Fraction(1, 2)]))
-def test_torsion_lookup_matches_the_power_test(coeffs, coords, k, q):
-    # the lookup among the powers of the torsion generator against a^w == 1,
-    # on random elements, on roots of unity and on their rational multiples
-    field = make_field(list(coeffs))
-    w = field.torsion_order
-    zeta = field.torsion_generator ** k
-    cases = [zeta, zeta * q, field.element(coords[:field.degree])]
-    cases.append(cases[-1] * zeta)
-    for a in cases:
-        if not a.is_zero():
-            assert is_torsion(a) == (a ** w == field.one())
-    assert is_torsion(zeta)
-    assert len(field._torsion_keys) == w
 
 
 def test_torsion_rejects_zero(field_sqrt2):

@@ -112,6 +112,15 @@ def test_factor_search_completes_what_sympy_completes():
     assert completed >= 55
 
 
+def test_factor_search_reaches_past_trial_division_on_a_large_part():
+    # a 2 203-bit part gets 256/2203 of the p - 1 bound and rho iterations;
+    # that still splits off a 24-bit safe prime q, whose q - 1 is not smooth
+    big = 2 ** 2203 - 1
+    for q in (8389163, 8391743):
+        assert isprime((q - 1) // 2)
+        assert factor_search(big * q, _FACTOR_LIMIT) == {q: 1, big: 1}
+
+
 def test_factor_search_leaves_a_composite_within_budget():
     # two 25-digit primes: no step splits them, and the product is left whole
     n = 10000000000000000000000083000000000000000000000091

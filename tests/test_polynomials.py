@@ -7,13 +7,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from sympy.polys.domains import QQ, ZZ
 from sympy.polys.euclidtools import dup_discriminant, dup_invert, dup_resultant
-from sympy.polys.factortools import dup_factor_list, dup_zz_cyclotomic_poly
+from sympy.polys.factortools import dup_cyclotomic_p, dup_factor_list, dup_zz_cyclotomic_poly
 from sympy.polys.polyerrors import NotInvertible
 from sympy.polys.rootisolation import dup_count_real_roots
 from sympy.polys.specialpolys import swinnerton_dyer_poly
 from sympy.polys.sqfreetools import dup_sqf_p, dup_sqf_part
 from test_golden import LADDER
 
+from heightlab import polynomials
 from heightlab.corpus import scenario_documents
 from heightlab.polynomials import (
     Poly,
@@ -298,6 +299,31 @@ def test_euclidean_algorithms_match_sympy(a, b):
 def test_cyclotomic_matches_sympy():
     for n in range(1, 201):
         assert cyclotomic(n) == _from_dense(dup_zz_cyclotomic_poly(n, ZZ))
+
+
+def test_cyclotomic_recognition_matches_sympy():
+    # _zassenhaus takes Phi_n as irreducible on sight; palindromic monic
+    # neighbours of each Phi_n of degree <= 24 are recognised only where
+    # sympy agrees
+    for n in range(3, 91):
+        f = [int(c) for c in cyclotomic(n).coeffs]
+        assert polynomials._is_cyclotomic(f)
+        d = len(f) - 1
+        if d > 24:
+            continue
+        for i in {1, d // 2}:
+            g = list(f)
+            g[i] += 1
+            g[d - i] += 1 if d - i != i else 0
+            assert polynomials._is_cyclotomic(g) == dup_cyclotomic_p(g[::-1], ZZ)
+
+
+@pytest.mark.parametrize("n", [16, 21, 32, 45, 60])
+def test_cyclotomic_irreducible_without_the_shortcut(n, monkeypatch):
+    # the lift and recombination still prove Phi_n irreducible
+    monkeypatch.setattr(polynomials, "_is_cyclotomic", lambda f: False)
+    assert is_irreducible(cyclotomic(n))
+    assert factor_rational(cyclotomic(n) * X) == [(X, 1), (cyclotomic(n), 1)]
 
 
 int_polys = st.lists(st.integers(-9, 9), min_size=1, max_size=5).map(Poly).filter(bool)

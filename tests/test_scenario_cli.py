@@ -282,6 +282,21 @@ def test_unfactorable_norm_refused_fast(capsys):
     assert error["kind"] == "FactorizationExhausted"
 
 
+def test_large_unfactorable_norm_refused_fast(capsys):
+    # the norm leaves a 4 555-bit composite after trial division; the p - 1
+    # bound and rho iterations shrink with its size, so the refusal takes
+    # about 3 s on a 2-core x86-64 host, where sympy's factorint took 19 s
+    n = 10 ** 40 - 1
+    load_scenario("cbrt2_split")
+    start = time.perf_counter()
+    code = main(["fvector", "--scenario", "cbrt2_split", "--element",
+                 f"({n}+t)/({n}-t^3)"])
+    assert time.perf_counter() - start < 10
+    assert code == 1
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error["kind"] == "FactorizationExhausted"
+
+
 @pytest.mark.parametrize("cmd, subfields", [
     ("project", ["--K", "Q"]), ("member", ["--D", "Q"]), ("decompose", ["--D", "Q"]),
 ])
