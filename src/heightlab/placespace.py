@@ -43,8 +43,10 @@ from .polynomials import Poly
 from .roots import _disk, _may_meet, locked_workprec
 
 # trial division bound of prime_support; _integers.factor_search goes on
-# past it with Pollard's methods on fixed budgets, so that a product of two
-# 25-digit primes is refused in well under a second
+# past it with Pollard's methods on fixed budgets, which shrink with the
+# size of a part past 256 bits, so that a product of two 25-digit primes is
+# refused in well under a second and a larger composite in time linear in
+# its size
 _FACTOR_LIMIT = 2 ** 16
 
 

@@ -20,7 +20,7 @@ from math import isqrt
 
 from . import _modp
 from ._integers import euler_phi  # noqa: F401  (part of this module's API)
-from ._integers import next_prime, prime_factors
+from ._integers import isprime, next_prime, prime_factors
 
 
 class Poly:
@@ -436,8 +436,13 @@ def cyclotomic(n: int) -> Poly:
 
 @functools.lru_cache(maxsize=None)
 def _cyclotomic_orders(m: int) -> tuple:
-    """The n with phi(n) = m; phi(n) >= sqrt(n) for n > 6 bounds them."""
-    return tuple(n for n in range(1, max(m * m, 6) + 1) if euler_phi(n) == m)
+    """The n with phi(n) = m.  Such n is m prod p/(p - 1) over the primes p
+    dividing it, and p - 1 divides m for each, which bounds n."""
+    bound = Fraction(m)
+    for d in range(1, m + 1):
+        if m % d == 0 and isprime(d + 1):
+            bound *= Fraction(d + 1, d)
+    return tuple(n for n in range(1, int(bound) + 1) if euler_phi(n) == m)
 
 
 def _is_cyclotomic(f: list) -> bool:

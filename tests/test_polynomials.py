@@ -305,6 +305,9 @@ def test_cyclotomic_recognition_matches_sympy():
     # _zassenhaus takes Phi_n as irreducible on sight; palindromic monic
     # neighbours of each Phi_n of degree <= 24 are recognised only where
     # sympy agrees
+    for m in range(1, 61):
+        assert polynomials._cyclotomic_orders(m) == tuple(
+            n for n in range(1, max(m * m, 6) + 1) if euler_phi(n) == m)
     for n in range(3, 91):
         f = [int(c) for c in cyclotomic(n).coeffs]
         assert polynomials._is_cyclotomic(f)
