@@ -523,10 +523,9 @@ def _zassenhaus(f: list) -> list:
     proves G H = lc(f) f (both sides agree mod p^k and are below p^k / 2);
     every factor over Z comes out of such a set.  Sets are tried by size,
     up to half of the factors left, after a test that G(0) divides
-    lc(f) f(0).  A cyclotomic f is recognised first, and so is a
-    cyclotomic cofactor left by recombination: the Galois group (Z/n)^* of
-    Phi_n is not cyclic for most n, and then no degree pattern proves it
-    irreducible."""
+    lc(f) f(0).  A cyclotomic f is recognised first: the Galois group
+    (Z/n)^* of Phi_n is not cyclic for most n, and then no degree pattern
+    proves it irreducible."""
     n = len(f) - 1
     if n == 1:
         return [f]
@@ -590,8 +589,6 @@ def _zassenhaus(f: list) -> list:
             f = _primitive(h)
             lead = f[-1]
             lifted = [u for i, u in enumerate(lifted) if i not in subset]
-            if _is_cyclotomic(f):
-                lifted = []
             break
         else:
             size += 1
