@@ -255,8 +255,3 @@ def distinct_degree_factors(f, p: int):
         parts.append((len(f) - 1, f))
     return parts, powers
 
-
-def distinct_roots(g, p: int) -> list:
-    """The roots of g, a monic product of distinct linear factors mod the
-    odd prime p, in no particular order."""
-    return [-h[0] % p for h in equal_degree_factors(g, p, [[0, 1]])]

@@ -149,10 +149,18 @@ def _default_precision() -> int:
 
 
 def load_scenario(ref: str, precision_bits: int | None = None) -> Scenario:
-    """Load a scenario from a JSON file path or a bundled scenario name."""
+    """Load a scenario from a JSON file path or a bundled scenario name.
+
+    Only a regular file is read, so a directory falls through to the
+    bundled names; a file that cannot be read or is not UTF-8 is a
+    SchemaError."""
     path = Path(ref)
-    if path.exists():
-        return parse_scenario(path.read_text(), precision_bits)
+    if path.is_file():
+        try:
+            text = path.read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
+            raise SchemaError(f"cannot read scenario file {ref!r}: {exc}") from exc
+        return parse_scenario(text, precision_bits)
     try:
         if precision_bits in (None, DEFAULT_PRECISION_BITS):
             return bundled_scenario(ref)

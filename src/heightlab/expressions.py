@@ -49,8 +49,7 @@ def check_power_budget(base: FieldElement, exponent: int, where: str) -> None:
     length among the lowest-terms coordinates of base + bit length of m_F's
     largest coefficient + 1) bits; `where` names the input in the message.
     """
-    modulus_bits = max(abs(int(c)).bit_length()
-                       for c in base.field.defining_poly.coeffs)
+    modulus_bits = max(abs(c).bit_length() for c in base.field.m_ints)
     base_bits = max(max(c.numerator.bit_length(), c.denominator.bit_length())
                     for c in base.coords)
     if abs(exponent) * (base_bits + modulus_bits + 1) > MAX_POWER_BITS:

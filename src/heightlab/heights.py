@@ -28,7 +28,6 @@ from .numberfield import (
     eval_at_embeddings,
     minimal_polynomial,
 )
-from .polynomials import content_and_primitive
 from .roots import locked_workprec
 
 # cushion for binary64 output of values computed at much higher precision
@@ -75,13 +74,12 @@ def weil_height(a: FieldElement) -> HeightValue:
     if is_torsion(a):
         return HeightValue.exact_zero()
     mp = minimal_polynomial(a)
-    _, P = content_and_primitive(mp)
     e = mp.degree
-    lead = int(P.coeffs[-1])
+    # the leading coefficient of the primitive integer multiple of mp
+    lead = int_lcm(*(c.denominator for c in mp.coeffs))
     if e == 1:
-        # qx - p: height of the rational p/q is log max(|p|, |q|)
-        p = abs(int(P.coeffs[0]))
-        val = _log_big(max(p, lead))
+        # x + p/q: height of the rational p/q is log max(|p|, q)
+        val = _log_big(max(abs(mp.coeffs[0].numerator), lead))
         return HeightValue(val, _FLOAT_SLACK * (1.0 + val))
     d = field.degree
     with locked_workprec(field.precision_bits):

@@ -35,7 +35,6 @@ from operator import mul
 
 import mpmath
 
-from . import _modp
 from ._integers import euler_phi, next_prime, prime_factors
 from ._padic import ReducedLattice, eval_mod, hensel_lift
 from .errors import NotGalois, ReduciblePolynomial, WitnessFailure
@@ -284,10 +283,12 @@ class WorkingField:
         self.degree = defining_poly.degree
         self.precision_bits = precision_bits
         self.disc = discriminant(defining_poly)
+        # the integer coefficients of m_F, lowest degree first
+        self.m_ints = tuple(int(c) for c in defining_poly.coeffs)
         d = self.degree
         # reduction rows: integer coords of theta^(d+k) for k = 0..d-2
         rows = []
-        current = [-int(c) for c in defining_poly.coeffs[:-1]]  # theta^d
+        current = [-c for c in self.m_ints[:-1]]  # theta^d
         rows.append(tuple(current))
         for _ in range(d - 2):
             shifted = [0] + current[:-1]
@@ -338,7 +339,7 @@ class WorkingField:
 
     def theta(self) -> FieldElement:
         if self.degree == 1:
-            return self.element([-self.defining_poly.coeffs[0]])
+            return self.element([-self.m_ints[0]])
         return self.element([0, 1])
 
     # -- arithmetic backend ----------------------------------------------
@@ -453,7 +454,6 @@ def _split_prime(field: WorkingField, avoid: int):
     NotGalois.
     """
     bad = int(field.disc) * avoid
-    m_ints = [int(c) for c in reversed(field.defining_poly.coeffs)]
     q = 1
     while True:
         q = next_prime(q)
@@ -461,7 +461,7 @@ def _split_prime(field: WorkingField, avoid: int):
             continue
         roots = field._split_roots.get(q)
         if roots is None:
-            roots = _roots_mod(m_ints, q)
+            roots = _roots_mod(field.m_ints, q)
             if 0 < len(roots) < field.degree:
                 raise NotGalois(
                     f"the defining polynomial has {len(roots)} of "
@@ -472,40 +472,19 @@ def _split_prime(field: WorkingField, avoid: int):
             return q, roots[0]
 
 
-# below this prime, roots mod q are found by evaluating the polynomial at
-# every residue.  Against the gcd with x^q - x and equal-degree splitting
-# in _modp, on 30 random polynomials of degree 2 to 24, evaluation is 1.3x
-# faster at q = 131, even at q = 257 and 1.7x slower at q = 509 (pure
-# Python 3.11 on a shared x86-64 host)
-_EVAL_PRIME_BOUND = 512
-
-
-def _roots_mod(ints_high_first, q: int) -> tuple:
-    """The distinct roots mod q of an integer polynomial (highest degree
-    first) whose leading coefficient is prime to q, in increasing order.
-
-    Below _EVAL_PRIME_BOUND they are the residues where it vanishes (at most
-    its degree of them); above, the linear factors of its gcd with x^q - x,
-    from equal-degree factorization."""
-    if q < _EVAL_PRIME_BOUND:
-        n = len(ints_high_first) - 1
-        cs = [c % q for c in ints_high_first]
-        roots = []
-        for r in range(q):
-            acc = 0
-            for c in cs:
-                acc = (acc * r + c) % q
-            if not acc:
-                roots.append(r)
-                if len(roots) == n:
-                    break
-        return tuple(roots)
-    fbar = _modp.reduce(ints_high_first[::-1], q)
-    frob = _modp.powmod([0, 1], q, fbar, q)
-    g = _modp.gcd(fbar, _modp.sub(frob, [0, 1], q), q)
-    if len(g) < 2:
-        return ()
-    return tuple(sorted(_modp.distinct_roots(g, q)))
+def _roots_mod(ints, q: int) -> tuple:
+    """The distinct roots mod q of an integer polynomial (lowest degree
+    first) whose leading coefficient is prime to q, in increasing order:
+    the residues where it vanishes, at most its degree of them."""
+    n = len(ints) - 1
+    cs = [c % q for c in ints]
+    roots = []
+    for r in range(q):
+        if not eval_mod(cs, r, q):
+            roots.append(r)
+            if len(roots) == n:
+                break
+    return tuple(roots)
 
 
 def _lattice(field: WorkingField, q: int, r1: int, k: int):
@@ -520,7 +499,7 @@ def _lattice(field: WorkingField, q: int, r1: int, k: int):
     if cached is not None and cached[0] >= k:
         return cached
     modulus = q ** k
-    lifted = hensel_lift([int(c) for c in field.defining_poly.coeffs], r1, q, k)
+    lifted = hensel_lift(field.m_ints, r1, q, k)
     d = field.degree
     rows = [[modulus] + [0] * (d - 1)]
     power = 1
@@ -554,7 +533,7 @@ def _precision_bound(field: WorkingField, f_ints, q: int) -> int:
     image of a root in F.  The bound is compared squared, in integers, with
     2^ceil(d/2) in place of 2^(d/2).
     """
-    a = [int(c) for c in field.defining_poly.coeffs]
+    a = field.m_ints
     d = field.degree
     radius = 1 + max(abs(c) for c in a[:-1])
     gamma = f_ints[-1] + max(abs(c) for c in f_ints[:-1])
@@ -570,9 +549,10 @@ def _precision_bound(field: WorkingField, f_ints, q: int) -> int:
     return k
 
 
-def _lift_root(field: WorkingField, f: Poly, q: int, r1: int, rho: int, k_max: int):
-    """The root of the primitive integer polynomial f in F above its simple
-    root rho mod q, verified by substitution, or None when F has none.
+def _lift_root(field: WorkingField, f_ints, q: int, r1: int, rho: int, k_max: int):
+    """The root in F of the primitive integer polynomial f with coefficients
+    f_ints (lowest degree first) above its simple root rho mod q, verified
+    by substitution, or None when F has none.
 
     The field embeds in Q_q by theta -> r1 (q prime to disc(m_F), to the
     leading coefficient l of f and to disc(f)).  l m_F'(theta) times the
@@ -584,14 +564,12 @@ def _lift_root(field: WorkingField, f: Poly, q: int, r1: int, rho: int, k_max: i
     in F lies above rho.
     """
     d = field.degree
-    f_ints = [int(c) for c in f.coeffs]
     lead = f_ints[-1]
-    dm = field.defining_poly.derivative()
+    dm_ints = [i * c for i, c in enumerate(field.m_ints)][1:]
     inv = field._dtheta_inverse
     if inv is None:
-        inv = field.element(inverse_mod(dm, field.defining_poly).coeffs)
+        inv = field.element(inverse_mod(Poly(dm_ints), field.defining_poly).coeffs)
         field._dtheta_inverse = inv
-    dm_ints = [int(c) for c in dm.coeffs]
     # first try q^k near 2^(d^2/2), where the reduced basis vectors (of
     # length about q^(k/d)) outgrow Babai's factor 2^(d/2)
     k = min(k_max, max(1, d * d // (2 * q.bit_length())))
@@ -602,7 +580,7 @@ def _lift_root(field: WorkingField, f: Poly, q: int, r1: int, rho: int, k_max: i
         target = scale * hensel_lift(f_ints, rho, q, k) % modulus
         c = lattice.nearest_plane_residual([target] + [0] * (d - 1))
         candidate = _normalized(field, c, lead) * inv
-        if eval_poly(f, candidate).is_zero():
+        if eval_poly(Poly(f_ints), candidate).is_zero():
             return candidate
         if k >= k_max:
             return None
@@ -629,8 +607,8 @@ def roots_in_field(p: Poly, field: WorkingField) -> list[FieldElement]:
     f_ints = [int(c) for c in f.coeffs]
     q, r1 = _split_prime(field, f_ints[-1] * int(discriminant(f)))
     k_max = _precision_bound(field, f_ints, q)
-    lifts = (_lift_root(field, f, q, r1, rho, k_max)
-             for rho in _roots_mod(f_ints[::-1], q))
+    lifts = (_lift_root(field, f_ints, q, r1, rho, k_max)
+             for rho in _roots_mod(f_ints, q))
     return sorted((r for r in lifts if r is not None), key=lambda r: r.coords)
 
 
@@ -679,7 +657,7 @@ def _galois_group(field: WorkingField):
     """
     d = field.degree
     q, r1 = _split_prime(field, 1)
-    k_max = _precision_bound(field, [int(c) for c in field.defining_poly.coeffs], q)
+    k_max = _precision_bound(field, field.m_ints, q)
     autos, residues, index = [], [], {}  # index: residue -> position in autos
     products = {}  # (a, b) -> position of autos[a] after autos[b]
 
@@ -701,7 +679,7 @@ def _galois_group(field: WorkingField):
         i += 1
         if i == len(autos) < d:
             rho = min(r for r in field._split_roots[q] if r not in index)
-            image = _lift_root(field, field.defining_poly, q, r1, rho, k_max)
+            image = _lift_root(field, field.m_ints, q, r1, rho, k_max)
             if image is None:
                 raise NotGalois(
                     f"no root of the defining polynomial in the field lies above "
@@ -722,10 +700,9 @@ def _root_of_unity(field: WorkingField, n: int, q: int, r1: int):
     Phi_n splits into distinct linear factors mod q, and Q(zeta_n) in F
     puts a root of F above each of them, so one lift above the least root
     decides; the others are the powers zeta^j with gcd(j, n) = 1."""
-    cyc = cyclotomic(n)
-    f_ints = [int(c) for c in cyc.coeffs]
-    rho = _roots_mod(f_ints[::-1], q)[0]
-    zeta = _lift_root(field, cyc, q, r1, rho, _precision_bound(field, f_ints, q))
+    f_ints = [int(c) for c in cyclotomic(n).coeffs]
+    rho = _roots_mod(f_ints, q)[0]
+    zeta = _lift_root(field, f_ints, q, r1, rho, _precision_bound(field, f_ints, q))
     if zeta is None:
         return None
     best, power = zeta, zeta

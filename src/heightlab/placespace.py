@@ -172,7 +172,12 @@ def _dedekind_index_check(field: WorkingField, p: int, r: list, e: int) -> None:
     """
     if len(r) - 1 == field.degree:
         return
-    diff = [int(c) for c in (field.defining_poly - Poly(r) ** e).coeffs]
+    diff = list(field.m_ints)  # m_F - R^e
+    power = [1]
+    for _ in range(e):
+        power = _modp.product(power, r)
+    for i, c in enumerate(power):
+        diff[i] -= c
     if any(c % p for c in diff) or (
             e > 1 and len(_modp.gcd(r, _modp.reduce([c // p for c in diff], p), p)) != 1):
         raise IndexDivisor(
@@ -218,7 +223,7 @@ def _prime_splitting(field: WorkingField, p: int):
     cached = field._place_cache.get(p)
     if cached is not None:
         return cached
-    m = _modp.reduce([int(c) for c in field.defining_poly.coeffs], p)
+    m = _modp.reduce(field.m_ints, p)
     r, powers = _modp.frobenius_powers(m, p)
     e, f = field.degree // (len(r) - 1), len(powers)
     _dedekind_index_check(field, p, r, e)

@@ -165,7 +165,7 @@ def is_member(u: GElement, spec: ProjectionSpec) -> DecompositionResult:
     """
     d_part = composite_project(u, spec)
     e_part = g_sub(u, d_part)
-    member = g_equal(d_part, u)
+    member = e_part.is_zero()
     witness = None
     if member and spec.fields_D and not spec.fields_E:
         witness = _membership_witness(u, spec)

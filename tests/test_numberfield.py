@@ -12,6 +12,8 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath.libmp import mpf_neg
+from sympy.polys.domains import ZZ
+from sympy.polys.galoistools import gf_factor
 
 from test_golden import LADDER
 
@@ -141,9 +143,9 @@ def test_torsion_tries_only_prime_powers_dividing_split_primes(monkeypatch):
     tried = []
     lift = numberfield._lift_root
 
-    def recording(field, f, *args):
-        tried.append(f)
-        return lift(field, f, *args)
+    def recording(field, f_ints, *args):
+        tried.append(Poly(f_ints))
+        return lift(field, f_ints, *args)
 
     monkeypatch.setattr(numberfield, "_lift_root", recording)
     coeffs = tuple(int(c) for c in cyclotomic(45).coeffs)
@@ -516,33 +518,28 @@ def test_miss_is_proven_with_a_finer_cached_lattice():
     assert field._lattice_cache[q] is finest
 
 
-def _roots_mod_by_evaluation(ints_high_first, q):
-    return tuple(r for r in range(q)
-                 if sympy.Poly(ints_high_first, sympy.Symbol("x")).eval(r) % q == 0)
+def _roots_mod_by_gf_factor(ints, q):
+    """The roots mod q of ints (lowest degree first), from the linear
+    factors in sympy's factorization mod q."""
+    _, factors = gf_factor(ZZ.map([c % q for c in reversed(ints)]), q, ZZ)
+    return tuple(sorted(-int(h[1]) % q for h, _ in factors if len(h) == 2))
 
 
 @pytest.mark.parametrize("q", [2, 3, 13, 131, 509, 521, 2053])
-def test_roots_mod_both_routes_agree(q, monkeypatch):
-    # evaluation at every residue and equal-degree factorization find the
-    # same sorted roots, on both sides of the bound between them
+def test_roots_mod_both_routes_agree(q):
+    # evaluation at every residue and sympy's factorization mod q find the
+    # same sorted roots, on random polynomials and products of linear
+    # factors, lowest degree first
     rng = random.Random(q)
-    cases = []
     for _ in range(25):
         n = rng.randint(1, 12)
-        ints = [rng.choice([1, -1]) * rng.randint(1, q - 1) if q > 2 else 1]
-        ints += [rng.randint(-10 ** 6, 10 ** 6) for _ in range(n)]
+        ints = [rng.randint(-10 ** 6, 10 ** 6) for _ in range(n)]
+        ints += [rng.choice([1, -1]) * rng.randint(1, q - 1) if q > 2 else 1]
         if rng.random() < 0.5:  # a product of linear factors mod q
             ints = [1]
             for r in rng.sample(range(q), min(n, q)):
-                ints = [a - r * b for a, b in zip(ints + [0], [0] + ints)]
-        cases.append(ints)
-    default = [_roots_mod(ints, q) for ints in cases]
-    monkeypatch.setattr(numberfield, "_EVAL_PRIME_BOUND",
-                        10 ** 9 if q >= numberfield._EVAL_PRIME_BOUND else 2)
-    other = [_roots_mod(ints, q) for ints in cases]
-    assert default == other
-    if q < 200:
-        assert default == [_roots_mod_by_evaluation(ints, q) for ints in cases]
+                ints = [a - r * b for a, b in zip([0] + ints, ints + [0])]
+        assert _roots_mod(ints, q) == _roots_mod_by_gf_factor(ints, q)
 
 
 _EVAL_FIELDS = [(-2, 0, 1), (1, 1, 1), (1, -3, 0, 5, 0, -3, 1), (-1, 1)]
@@ -968,9 +965,9 @@ def test_torsion_skips_roots_of_unity_the_group_excludes(monkeypatch):
     tried = []
     lift = numberfield._lift_root
 
-    def recording(field, f, *args):
-        tried.append(f)
-        return lift(field, f, *args)
+    def recording(field, f_ints, *args):
+        tried.append(Poly(f_ints))
+        return lift(field, f_ints, *args)
 
     monkeypatch.setattr(numberfield, "_lift_root", recording)
     field = _make_field_cached.__wrapped__((576, 0, 28, 0, 1), DEFAULT_PRECISION_BITS)

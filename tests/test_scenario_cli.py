@@ -361,6 +361,32 @@ def test_bundled_scenario_lookup():
         load_scenario("no_such_scenario")
 
 
+def test_directory_scenario_is_a_schema_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code, out = run_main(tmp_path, capsys, "height", "--scenario", ".", "--element", "1")
+    assert code == 2
+    assert json.loads(out)["error"]["kind"] == "SchemaError"
+
+
+def test_directory_named_like_a_bundled_scenario_loads_it(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sqrt2").mkdir()
+    assert load_scenario("sqrt2").name == "sqrt2"
+    code, out = run_main(tmp_path, capsys, "height", "--scenario", "sqrt2",
+                         "--element", "u", "--json")
+    assert code == 0
+    assert json.loads(out)["scenario"] == "sqrt2"
+
+
+def test_scenario_file_not_utf8_is_a_schema_error(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(json.dumps(DEMO).replace("demo", "d\xe9mo").encode("latin-1"))
+    code, out = run_main(tmp_path, capsys, "height", "--scenario", str(path),
+                         "--element", "a")
+    assert code == 2
+    assert json.loads(out)["error"]["kind"] == "SchemaError"
+
+
 def test_main_strict_condition_refusal(capsys):
     # the two cube-root fields violate the pairwise Galois condition; the
     # strict mode turns the warning into a refusal
