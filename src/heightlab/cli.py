@@ -64,6 +64,15 @@ MAX_PRECISION_BITS = 1 << 14
 MAX_COUNT = 1000
 DEFAULT_COUNT = 50
 
+# the most subfield names accepted in --D and --E together, and in
+# --field-list.  member's witness expands 2^N nested norms whose bases grow
+# by |H| at each level: on the bundled scenarios 8 names take at most
+# 0.07 s, and each further name multiplies that by 3 to 30 (12 names take
+# about 90 s on cbrt2_split).  commutes checks N(N - 1)/2 pairs: 8 names
+# take 0.5 s at the default count and 7.7 s at MAX_COUNT on cbrt2_split, on
+# a 2-core x86-64 host
+MAX_SUBFIELD_NAMES = 8
+
 
 def _frac(q) -> str:
     q = Fraction(q)
@@ -184,6 +193,12 @@ def _split_names(arg: str):
     return [n.strip() for n in arg.split(",") if n.strip()]
 
 
+def _check_name_count(names, flags: str) -> None:
+    if len(names) > MAX_SUBFIELD_NAMES:
+        raise SchemaError(f"{flags} may name at most {MAX_SUBFIELD_NAMES} subfields, "
+                          f"not {len(names)}")
+
+
 def run_command(cmd: str, scenario: Scenario | None, args: dict) -> dict:
     """Dispatch a single command to the library and shape its JSON report."""
     report = {"command": cmd}
@@ -230,6 +245,7 @@ def run_command(cmd: str, scenario: Scenario | None, args: dict) -> dict:
         names = _split_names(args.get("field_list") or "")
         if len(names) < 2:
             raise SchemaError("commutes requires --field-list with at least two names")
+        _check_name_count(names, "--field-list")
         count = args.get("count")
         try:
             count = DEFAULT_COUNT if count is None else _count(count)
@@ -339,6 +355,7 @@ def run_command(cmd: str, scenario: Scenario | None, args: dict) -> dict:
         e_names = _split_names(args.get("E") or "")
         if not d_names and not e_names:
             raise SchemaError(f"{cmd} requires --D (and optionally --E)")
+        _check_name_count(d_names + e_names, "--D and --E together")
         spec = ProjectionSpec.build(
             [_resolve_subfield(scenario, n) for n in d_names],
             [_resolve_subfield(scenario, n) for n in e_names])

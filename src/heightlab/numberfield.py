@@ -15,10 +15,13 @@ Q.  It finds the Galois group at the least prime q where m_F splits: it
 lifts one root of m_F to F above each root mod q that the automorphisms
 found so far do not cover, and closes them under composition.  A field
 that is not Galois is refused there, before any multiprecision work.  It
-certifies the d complex embeddings from one root of m_F and the
-automorphisms (roots.galois_roots), with their archimedean classes.  Last
-it finds the roots of unity, with one lift for each prime power that the
-Galois group and the split primes allow.
+certifies the d complex embeddings from one root theta_1 of m_F and the
+automorphisms (roots.galois_roots): embedding i is t -> A_j(theta_1) for
+the automorphism t -> A_j(t) of its label j, enclosed by a disk that holds
+that value by construction, so the composition table tells how the
+automorphisms permute the embeddings.  Last it finds the roots of unity,
+with one lift for each prime power that the Galois group and the split
+primes allow.
 
 Inverses are products of automorphism images, so only a field from
 make_field inverts beyond Q; the root lifts that build the group take
@@ -47,14 +50,7 @@ from .polynomials import (
     is_irreducible,
     squarefree_part,
 )
-from .roots import (
-    DEFAULT_PRECISION_BITS,
-    _float_upper,
-    _gamma,
-    _horner_with_bound,
-    _to_mpf,
-    galois_roots,
-)
+from .roots import DEFAULT_PRECISION_BITS, _bounded_eval, _to_mpf, galois_roots
 
 
 def _normalized(field: "WorkingField", num, den: int) -> "FieldElement":
@@ -301,6 +297,9 @@ class WorkingField:
         self.embeddings = None
         # real embeddings and complex-conjugate pairs, as index lists
         self.archimedean_classes = None
+        # embedding_labels[i] = j: embedding i is t -> A_j(theta_1), theta_1
+        # after the automorphism j (roots.galois_roots)
+        self.embedding_labels = None
         self.automorphisms = None
         self.torsion_order = None
         self.torsion_generator = None
@@ -414,30 +413,16 @@ def eval_poly(p: Poly, a: FieldElement) -> FieldElement:
 
 def eval_at_embeddings(a: FieldElement, roots) -> list:
     """The images of a under the embeddings t -> root, one per root, each
-    with a rigorous bound on its distance from the true image; the
-    coordinates of a are converted to mpf once.
-
-    For the coordinate polynomial A of degree n < d, the true root lies
-    within r = root.radius of z = root.value, where |A'| <= D, so
-    |A(z) - A(true)| <= D r; roots._horner_with_bound computes A(z) to
-    within gamma_{8n+16} M and D and M from rounded |c_k| and R = |z| + r,
-    with at most 4n + 4 roundings along any term.  The bound
-    (D r + gamma_{8n+16} M) takes 4 more, 1 + gamma_{4n+12} covers them,
-    and the result is rounded up to a float.  The arithmetic runs at the
-    current precision, but at no fewer than 53 bits, so that every gamma
-    is below 1.  Call under roots.locked_workprec.
+    with a rigorous bound on its distance from the true image
+    (roots._bounded_eval, the bound galois_roots encloses its roots with);
+    the coordinates of a are converted to mpf once.  The arithmetic runs
+    at the current precision, but at no fewer than 53 bits, so that every
+    gamma is below 1.  Call under roots.locked_workprec.
     """
     prec = max(mpmath.mp.prec, 53)
     with mpmath.workprec(prec):
         cs = _to_mpf(a.coords)
-        widen = 1 + _gamma(4 * (len(cs) - 1) + 12, prec)
-        out = []
-        for root in roots:
-            reach = abs(root.value) + root.radius
-            value, error, slope = _horner_with_bound(
-                cs, root.value._mpc_, reach._mpf_, prec, slope=True)
-            out.append((value, _float_upper((slope * root.radius + error) * widen)))
-        return out
+        return [_bounded_eval(cs, root.value, root.radius, prec) for root in roots]
 
 
 # -- root finding inside the field ----------------------------------------
@@ -792,7 +777,7 @@ def _make_field_cached(int_coeffs: tuple, precision_bits: int) -> WorkingField:
         raise ReduciblePolynomial(f"{poly!r} is reducible over Q")
     field = WorkingField(poly, precision_bits)
     field.automorphisms, field._comp_table, field._inv_table = _galois_group(field)
-    field.embeddings, field.archimedean_classes = galois_roots(
+    field.embeddings, field.archimedean_classes, field.embedding_labels = galois_roots(
         poly, [s.theta_image.coords for s in field.automorphisms], field._comp_table,
         precision_bits)
     field.torsion_order, field.torsion_generator = _torsion_structure(field)
@@ -805,9 +790,9 @@ def make_field(defining_poly, precision_bits: int | None = None) -> WorkingField
     The steps run in this order: the irreducibility proof; the Galois group
     from generators (_galois_group), which raises NotGalois before any
     embedding is computed; the certified embeddings, each one root theta_1
-    of m_F carried by an automorphism, and their archimedean classes, read
-    off the complex conjugation among the automorphisms
-    (roots.galois_roots); and the torsion order and generator
+    of m_F carried by an automorphism and labelled by it, and their
+    archimedean classes, read off the complex conjugation among the
+    automorphisms (roots.galois_roots); and the torsion order and generator
     (_torsion_structure).
 
     Raises ReduciblePolynomial, NotGalois, or PrecisionExhausted when the

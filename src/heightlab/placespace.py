@@ -12,7 +12,8 @@ prime P_1, and its images under the automorphisms the factor of
 sigma(P_1) for each automorphism sigma.
 
 One anti-uniformizer of P_1, carried by the automorphisms, serves every
-prime above p, and the composition table permutes the primes.
+prime above p, and the composition table permutes the primes and,
+through their labels, the embeddings.
 
 Place weights follow the local-degree normalization: weight(v) = e*f/d at a
 finite place, 1/d per real embedding and 2/d per conjugate pair, so that
@@ -40,7 +41,7 @@ from .errors import (
 from .heights import _FLOAT_SLACK, GElement
 from .numberfield import FieldElement, WorkingField, eval_at_embeddings, eval_poly
 from .polynomials import Poly
-from .roots import _disk, _may_meet, locked_workprec
+from .roots import locked_workprec
 
 # trial division bound of prime_support; _integers.factor_search goes on
 # past it with Pollard's methods on fixed budgets, which shrink with the
@@ -387,24 +388,15 @@ def vector_error_bound(v: PlaceVector) -> float:
 
 
 def _arch_permutation(field: WorkingField, sigma):
-    """perm[c] = class index of (embedding_c composed with sigma), the one
-    class of all embedding disks that may meet the disk about the image of
-    theta (which holds the true image); two or more classes are refused."""
+    """perm[c] = the class of embedding_c composed with sigma, read off the
+    composition table: an embedding labelled j is theta_1 after sigma_j,
+    so after sigma it is theta_1 after sigma_j sigma, the embedding
+    labelled comp[j][sigma]."""
+    labels = field.embedding_labels
     classes = field.archimedean_classes
-    class_of_embedding = {i: idx for idx, cls in enumerate(classes) for i in cls}
-    disks = [_disk(r.value, r.radius) for r in field.embeddings]
-    perm = []
-    with locked_workprec(field.precision_bits):
-        images = eval_at_embeddings(sigma.theta_image,
-                                    [field.embeddings[cls[0]] for cls in classes])
-        for w, delta in images:
-            image = _disk(w, delta)
-            hits = {class_of_embedding[j] for j, disk in enumerate(disks)
-                    if _may_meet(image, disk)}
-            if len(hits) != 1:
-                raise PrecisionExhausted("could not certify the embedding permutation")
-            perm.extend(hits)
-    return perm
+    class_of_label = {labels[i]: idx for idx, cls in enumerate(classes) for i in cls}
+    comp = field._comp_table
+    return [class_of_label[comp[labels[cls[0]]][sigma.index]] for cls in classes]
 
 
 def _finite_permutation(field: WorkingField, sigma, p: int):
@@ -421,11 +413,11 @@ def permute_by_automorphism(v: PlaceVector, sigma) -> PlaceVector:
     """The vector of the sigma-image element, realized as a weight-preserving
     permutation of entries within each fiber.
 
-    The archimedean entries move by _arch_permutation, PrecisionExhausted
-    when the image of an embedding may lie in the disks of two classes; the
-    finite ones by _finite_permutation at each prime of the support, from
-    the automorphisms that carry its first prime to each prime, with no
-    valuation computed.
+    Both halves are lookups in the composition table, with no valuation
+    and no embedding computed: the archimedean entries move by
+    _arch_permutation, from the automorphism that labels each embedding;
+    the finite ones by _finite_permutation at each prime of the support,
+    from the automorphisms that carry its first prime to each prime.
     """
     field = v.field
     new_element = v.element.apply(sigma)

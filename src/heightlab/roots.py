@@ -12,20 +12,19 @@ precision instead.  verify's Mahler-measure oracle and the tests use it.
 
 galois_roots serves make_field, whose defining polynomial p has a Galois
 root field with known automorphisms t -> A_j(t).  It refines one root
-theta_1 by Newton steps at doubling precision, and every other root is
-A_j(theta_1) after one Newton step; complex conjugation is one of the
-automorphisms, so only one root of each conjugate pair is computed and
-its partner is stored as the exact mirror image.
+theta_1 by Newton steps at doubling precision, and root j is the disk
+about A_j(theta_1) that _bounded_eval proves; complex conjugation is one
+of the automorphisms, so only one root of each conjugate pair is computed
+and its partner is stored as the exact mirror image.
 
-Both routes certify the approximations by Henrici inclusion disks: for
-any z, the disk of radius d*|p(z)/p'(z)| centered at z contains at least
-one root of p (Henrici, Applied and Computational Complex Analysis I,
-6.4).  p(z) and p'(z) are evaluated with a running error bound, so the
+Henrici inclusion disks certify theta_1 and the roots of certified_roots:
+for any z, the disk of radius d*|p(z)/p'(z)| centered at z contains at
+least one root of p (Henrici, Applied and Computational Complex Analysis
+I, 6.4).  p(z) and p'(z) are evaluated with a running error bound, so the
 radius is an upper bound whatever the rounding.  When the d disks are
 pairwise disjoint, each contains exactly one true root, which certifies
 both the approximation error and the pairwise separation; one rule,
-_meeting_disk, then tells which disk holds the conjugate of a root or the
-image of an embedding under an automorphism.
+_meeting_disk, then tells which disk holds the conjugate of a root.
 """
 
 from __future__ import annotations
@@ -301,9 +300,9 @@ def _horner_with_bound(c, z, az, prec: int, slope: bool = False):
             mpmath.mp.make_mpf(majorant) if slope else None)
 
 
-def _henrici_radius(cs, dcs, z, bits: int, prec: int) -> float:
-    """A float upper bound on d |p(z)| / |p'(z)| + 2^-bits, the radius of
-    Henrici's inclusion disk around z plus the precision floor.
+def _henrici_radius(cs, dcs, z, floor, prec: int):
+    """An mpf upper bound on d |p(z)| / |p'(z)| + floor, the radius of
+    Henrici's inclusion disk around z plus a precision floor.
 
     p and p' (raw mpf coefficients cs and dcs) are evaluated with running error
     bounds, so |p(z)| <= |p~| + e_p and |p'(z)| >= |p~'| - e_p'; the
@@ -322,8 +321,25 @@ def _henrici_radius(cs, dcs, z, bits: int, prec: int) -> float:
     if lower <= 0:
         raise PrecisionExhausted("derivative vanished at an approximate root")
     d = len(cs) - 1
-    radius = (d * upper / lower + mpmath.mpf(2) ** (-bits)) * (1 + _gamma(8, prec))
-    return _float_upper(radius)
+    return (d * upper / lower + floor) * (1 + _gamma(8, prec))
+
+
+def _bounded_eval(cs, z, radius, prec: int, floor=0):
+    """(A(z), e) for the raw mpf coefficients cs of A (lowest degree
+    first, each at most 3 roundings from its exact rational) and the mpc z:
+    a float e >= |A(z) - A(w)| + floor for every w within radius of z.
+
+    |A'| <= D there, so |A(z) - A(w)| <= D r; _horner_with_bound computes
+    A(z) to within gamma_{8n+16} M, and D and M from rounded |c_k| and
+    R = |z| + r, with at most 4n + 4 roundings along any term for A of
+    degree n.  The bound (D r + gamma_{8n+16} M + floor) takes 5 more,
+    1 + gamma_{4n+12} covers them, and e is rounded up to a float.  Call
+    under locked_workprec(prec), with every gamma below 1.
+    """
+    reach = abs(z) + radius
+    value, error, slope = _horner_with_bound(cs, z._mpc_, reach._mpf_, prec, slope=True)
+    widen = 1 + _gamma(4 * (len(cs) - 1) + 12, prec)
+    return value, _float_upper((slope * radius + error + floor) * widen)
 
 
 def _to_mpf(coeffs):
@@ -389,12 +405,13 @@ def _conjugate_partners(disks) -> list[int]:
 
 def _sorted_roots(values, radii, partner):
     """The CertifiedRoots, a real one centred on the real axis, sorted by
-    (real part, imaginary part), and partner renumbered in that order."""
+    (real part, imaginary part), partner renumbered in that order, and
+    order[k], the index in values of the k-th root."""
     out = [CertifiedRoot(mpmath.mpc(z.real) if partner[i] == i else z, r, partner[i] == i)
            for i, (z, r) in enumerate(zip(values, radii))]
     order = sorted(range(len(out)), key=lambda i: (out[i].value.real, out[i].value.imag))
     position = {i: k for k, i in enumerate(order)}
-    return [out[i] for i in order], [position[partner[i]] for i in order]
+    return [out[i] for i in order], [position[partner[i]] for i in order], order
 
 
 def certified_roots(p: Poly, bits: int = DEFAULT_PRECISION_BITS) -> list[CertifiedRoot]:
@@ -412,7 +429,8 @@ def certified_roots(p: Poly, bits: int = DEFAULT_PRECISION_BITS) -> list[Certifi
         dcs = _to_mpf(p.derivative().coeffs)
         monic = [mpf_div(a, cs[-1], prec, round_nearest) for a in cs]
         approx = _approximate_roots(p, monic, bits)
-        radii = [_henrici_radius(cs, dcs, z, bits, prec) for z in approx]
+        floor = mpmath.mpf(2) ** (-bits)
+        radii = [_float_upper(_henrici_radius(cs, dcs, z, floor, prec)) for z in approx]
         disks = [_disk(z, r) for z, r in zip(approx, radii)]
         _separated(disks, bits)
         return _sorted_roots(approx, radii, _conjugate_partners(disks))[0]
@@ -467,71 +485,57 @@ def _one_root(p: Poly, cs, bits: int):
 
 
 def galois_roots(p: Poly, images, comp, bits: int = DEFAULT_PRECISION_BITS):
-    """(roots, classes): the certified roots of p as certified_roots sorts
-    them and their archimedean classes, for an irreducible p whose field
+    """(roots, classes, labels): the certified roots of p as
+    certified_roots sorts them, their archimedean classes, and labels[i] = j
+    when roots[i] is A_j(theta_1), for an irreducible p whose field
     F = Q[t]/(p) is Galois with automorphisms sigma_j: t -> A_j(t), where
     images[j] holds the coordinates of A_j, sigma_0 is the identity and
     comp[a][b] is the index of sigma_a after sigma_b.
 
     Every root of p is A_j(theta_1) for one root theta_1 (_one_root): the
-    embedding t -> theta_1 after sigma_j.  Root 0 is theta_1, and root j
-    is A_j(theta_1) after one Newton step at bits + 32, each with its
-    Henrici disk.  When the disk of theta_1 meets its mirror image,
-    theta_1 may be real, and then F is totally real: every root is
-    computed and _conjugate_partners tells the real flags.  Otherwise
-    complex conjugation acts on F as an involution c, the one whose image
-    A_c(theta_1) lies nearest to the conjugate of theta_1; the conjugate of
-    root j is root comp[c][j], so only the first root of each pair is
-    computed, and its partner is stored as the exact mirror image with the
-    same radius.  Nothing here is trusted beyond the disks: each stored
-    disk is a Henrici disk or the mirror image of one, so it holds a root,
-    and they must be pairwise disjoint, so each holds exactly one and a
-    wrong guess of c is refused.  Disjoint mirror images hold two non-real
-    roots.
+    embedding t -> theta_1 after sigma_j.  Root j is the disk that
+    _bounded_eval proves to hold A_j(theta_1), from the Henrici radius of
+    theta_1 without the floor.  When the disk of theta_1 meets its mirror
+    image, theta_1 may be real, and then F is totally real: every root is
+    enclosed and _conjugate_partners tells the real flags.  Otherwise
+    complex conjugation acts on F as an involution c, guessed as the one
+    whose image A_c(theta_1) lies nearest to the conjugate of theta_1; the
+    conjugate of root j is then root comp[c][j], so only the first root of
+    each pair is enclosed, and its partner is stored as the exact mirror
+    image.
+
+    The d disks must be pairwise disjoint, so that each holds exactly one
+    root, and the disk about A_c(theta_1) must meet only the mirror of
+    theta_1's disk, which holds the conjugate of theta_1 alone: that
+    certifies c, and so every mirrored label.
     """
     d = p.degree
     prec = bits + 32
-    rnd = round_nearest
     with locked_workprec(prec):
         cs = _to_mpf(p.coeffs)
-        dcs = _to_mpf(p.derivative().coeffs)
-        theta = _one_root(p, cs, bits)
+        theta = mpmath.mp.make_mpc(_one_root(p, cs, bits))
+        r1 = _henrici_radius(cs, _to_mpf(p.derivative().coeffs), theta, 0, prec)
+        floor = mpmath.mpf(2) ** (-bits)
 
-        def image(j):
-            """A_j(theta_1) as a raw mpc, by Horner's rule."""
-            value = (fzero, fzero)
-            for a in reversed(_to_mpf(images[j])):
-                value = mpc_add_mpf(mpc_mul(value, theta, prec, rnd), a, prec, rnd)
-            return value
+        @functools.cache
+        def enclosure(j):
+            return _bounded_eval(_to_mpf(images[j]), theta, r1, prec, floor)
 
-        def certified(z):
-            z = mpmath.mp.make_mpc(z)
-            return z, _henrici_radius(cs, dcs, z, bits, prec)
-
-        def root(j):
-            try:
-                return certified(_newton_step(cs, image(j), prec)[0])
-            except ZeroDivisionError:
-                raise PrecisionExhausted(
-                    f"root iteration did not converge at {bits} bits") from None
-
-        values, radii = [None] * d, [None] * d
-        values[0], radii[0] = certified(theta)  # sigma_0 is the identity
-        first = _disk(values[0], radii[0])
+        first = _disk(*enclosure(0))
         totally_real = _may_meet(first, _mirror(first))
         if totally_real:
             partner = range(d)
         else:
-            target = (theta[0], mpf_neg(theta[1]))
             involutions = [j for j in range(1, d) if comp[j][j] == 0]
             if not involutions:
                 raise PrecisionExhausted("real/complex classification ambiguous")
-            partner = comp[min(involutions, key=lambda j: mpmath.mp.make_mpf(
-                mpc_abs(mpc_sub(image(j), target, prec, rnd), prec, rnd)))]
+            target = mpmath.conj(theta)
+            c = min(involutions, key=lambda j: abs(enclosure(j)[0] - target))
+            partner = comp[c]
+        values, radii = [None] * d, [None] * d
         for j, k in enumerate(partner):
             if j <= k:
-                if j:
-                    values[j], radii[j] = root(j)
+                values[j], radii[j] = enclosure(j)
                 if k != j:
                     x, y = values[j]._mpc_
                     values[k], radii[k] = mpmath.mp.make_mpc((x, mpf_neg(y))), radii[j]
@@ -539,8 +543,11 @@ def galois_roots(p: Poly, images, comp, bits: int = DEFAULT_PRECISION_BITS):
         _separated(disks, bits)
         if totally_real:
             partner = _conjugate_partners(disks)
-        roots, partner = _sorted_roots(values, radii, partner)
-        return roots, archimedean_classes(roots, partner)
+        elif _meeting_disk(disks, _disk(*enclosure(c)),
+                           "real/complex classification ambiguous") != c:
+            raise PrecisionExhausted("real/complex classification ambiguous")
+        roots, partner, labels = _sorted_roots(values, radii, partner)
+        return roots, archimedean_classes(roots, partner), labels
 
 
 def archimedean_classes(roots: list[CertifiedRoot], partner) -> list[list[int]]:

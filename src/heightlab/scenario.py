@@ -43,6 +43,11 @@ class Scenario:
         return self.subfields[name]
 
 
+def _is_int(value) -> bool:
+    """An integer, and not a boolean (bool is a subclass of int)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def parse_scenario(doc, precision_bits: int | None = None) -> Scenario:
     """Validate and evaluate a scenario document (JSON text or dict)."""
     if isinstance(doc, str):
@@ -57,13 +62,12 @@ def parse_scenario(doc, precision_bits: int | None = None) -> Scenario:
     extra = set(doc) - _ALLOWED_KEYS
     if extra:
         raise SchemaError(f"unknown scenario fields: {sorted(extra)}")
-    if doc.get("v") != 1:
+    if not _is_int(doc.get("v")) or doc["v"] != 1:
         raise SchemaError('scenario requires schema version field "v": 1')
     if "field" not in doc:
         raise SchemaError('scenario is missing the "field" coefficient list')
     coeffs = doc["field"]
-    if (not isinstance(coeffs, list) or not coeffs
-            or not all(isinstance(c, int) for c in coeffs)):
+    if not isinstance(coeffs, list) or not coeffs or not all(map(_is_int, coeffs)):
         raise SchemaError('"field" must be a nonempty list of integers')
 
     field = make_field(coeffs, precision_bits)

@@ -23,7 +23,7 @@ from heightlab.roots import DEFAULT_PRECISION_BITS, certified_roots
 VERIFY_ALL_SHA256 = "7190ccbccab0d779521f4a189dccbbb6b7958f15b90d61b1d595e996f94d5a05"
 CLI_REPORTS_SHA256 = "4fe905a3c12706cbadbdf97c3cf20f094b074f53b464c391badd4b2178527ee0"
 CERTIFIED_ROOTS_SHA256 = "bf7070912b6d576352f8308d61e10258094ad4b59dd74a01fe0e55d1c4985cdc"
-FIELD_EMBEDDINGS_SHA256 = "8d0300080676868c747757710846c91321dab02c668469293a8a38b01b0f7e21"
+FIELD_EMBEDDINGS_SHA256 = "c314b3b9e753f7b0e2b67377bce2a763558dffafd0823dbcfd28ea4fda4e4745"
 GALOIS_TABLES_SHA256 = "7fc9c2334d1c3cbad5b02bfa82cdad84b4c59f51a2b2dfa92a9d6bc0e6760288"
 SCALES = ("1", "-2/3")
 # the larger fields of the field-build benchmark's ladder, after the corpus

@@ -902,7 +902,7 @@ def test_galois_roots_match_certified_roots(bits):
             assert new == old, (coeffs, bits)
             continue
         certified += 1
-        new, classes = new
+        new, classes, _ = new
         old_disks = [roots._disk(r.value, r.radius) for r in old]
         for i, r in enumerate(new):
             j = roots._meeting_disk(old_disks, roots._disk(r.value, r.radius), "no match")
@@ -935,6 +935,27 @@ def test_galois_roots_refuse_a_wrong_conjugation():
     assert galois_roots(Poly(coeffs), images, comp)
     with pytest.raises(PrecisionExhausted, match="could not separate"):
         galois_roots(Poly(coeffs), images, wrong)
+
+
+def test_galois_roots_certify_the_conjugation():
+    # on Q(zeta_8), with one involution other than complex conjugation left
+    # in the table, either its mirror images land on computed disks and the
+    # separation check refuses, or the disks separate and the enclosure of
+    # its image of theta_1 misses the mirror of theta_1's disk, and the label
+    # check refuses; with conjugation itself left the roots certify
+    coeffs = (1, 0, 0, 0, 1)
+    images, comp = _group(coeffs)
+    involutions = [j for j in range(1, 4) if comp[j][j] == 0]
+    outcomes = {}
+    for kept in involutions:
+        table = [list(row) for row in comp]
+        for j in involutions:
+            if j != kept:
+                table[j][j] = j
+        outcomes[kept] = _outcome(galois_roots, Poly(coeffs), images, table, 256)
+    assert not isinstance(outcomes.pop(images.index((0, 0, 0, -1))), str)
+    assert sorted(outcomes.values()) == ["could not separate roots at 256 bits",
+                                         "real/complex classification ambiguous"]
 
 
 def test_galois_roots_outside_the_float_range():

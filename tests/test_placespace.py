@@ -8,9 +8,9 @@ from sympy.polys.domains import ZZ
 from sympy.polys.galoistools import gf_factor, gf_from_int_poly, gf_rem
 from sympy.polys.numberfields.basis import round_two
 from sympy.polys.numberfields.primes import prime_decomp
-from test_golden import LADDER
+from test_golden import LADDER, _ladder
 
-from heightlab import _modp
+from heightlab import _modp, roots
 from heightlab.corpus import scenario_documents
 from heightlab.errors import IndexDivisor, PrecisionExhausted, ZeroElement
 from heightlab.heights import GElement, g_combine, g_height
@@ -18,6 +18,7 @@ from heightlab.numberfield import (
     Automorphism,
     FieldElement,
     WorkingField,
+    eval_at_embeddings,
     eval_poly,
     make_field,
     subfield,
@@ -527,26 +528,60 @@ def test_finite_permutation_matches_composition():
     assert moved > 100
 
 
-def test_arch_permutation_of_cbrt2_split_by_precision():
-    # at 7 bits, under automorphisms 1 and 5, the disk about one image of
-    # theta meets embedding disks of two archimedean classes, so the
-    # permutation is refused rather than guessed; at 8 bits it still meets
-    # two disks, but of one conjugate pair, which places it, and from 8
-    # bits up every table is the 256-bit one
-    coeffs = next(doc["field"] for doc in scenario_documents() if doc["name"] == "cbrt2_split")
-    fine = make_field(coeffs)
-    table = [_arch_permutation(fine, sigma) for sigma in fine.automorphisms]
-    coarse = make_field(coeffs, 7)
-    vec = f_vector(GElement.of(coarse.element([1, 1, 0, 0, 0, 0])))
-    for i, sigma in enumerate(coarse.automorphisms):
-        if i in (1, 5):
-            with pytest.raises(PrecisionExhausted, match="embedding permutation"):
-                permute_by_automorphism(vec, sigma)
-        else:
-            assert _arch_permutation(coarse, sigma) == table[i]
-    for bits in (8, 12, 16, 24, 53, 128):
-        field = make_field(coeffs, bits)
-        assert [_arch_permutation(field, s) for s in field.automorphisms] == table
+def _disk_permutation(field, sigma):
+    """The archimedean permutation by evaluation, the oracle for the
+    composition-table lookup: perm[c] is the one class of all embedding
+    disks that may meet the enclosure of sigma(theta) at the first
+    embedding of class c, or None when that enclosure may meet the disks of
+    two classes."""
+    classes = field.archimedean_classes
+    class_of_embedding = {i: idx for idx, cls in enumerate(classes) for i in cls}
+    disks = [roots._disk(r.value, r.radius) for r in field.embeddings]
+    with roots.locked_workprec(field.precision_bits):
+        images = eval_at_embeddings(sigma.theta_image,
+                                    [field.embeddings[cls[0]] for cls in classes])
+    perm = []
+    for w, delta in images:
+        image = roots._disk(w, delta)
+        hits = {class_of_embedding[j] for j, disk in enumerate(disks)
+                if roots._may_meet(image, disk)}
+        if len(hits) != 1:
+            return None
+        perm.extend(hits)
+    return perm
+
+
+def test_arch_permutation_matches_disk_oracle():
+    # on every field that make_field builds, from the field-build ladder at
+    # 1 to 16 bits and a few cyclotomic fields at 53 bits, the lookup gives
+    # every automorphism a permutation of the classes, the action of the
+    # group (embedding_c after sigma tau is embedding_perm_sigma[c] after
+    # tau), and the permutation the disks give wherever they give one
+    cases = [(coeffs, bits) for coeffs in _ladder() for bits in range(1, 17)]
+    cases += [(tuple(int(c) for c in cyclotomic(n).coeffs), 53)
+              for n in (7, 15, 16, 20, 21, 24)]
+    placed = unplaced = 0
+    for coeffs, bits in cases:
+        try:
+            field = make_field(list(coeffs), bits)
+        except PrecisionExhausted:
+            continue
+        classes = range(len(field.archimedean_classes))
+        table = [_arch_permutation(field, sigma) for sigma in field.automorphisms]
+        for sigma, perm in zip(field.automorphisms, table):
+            assert sorted(perm) == list(classes), (coeffs, bits, sigma.index)
+            for tau in field.automorphisms:
+                composed = table[field._comp_table[sigma.index][tau.index]]
+                assert composed == [table[tau.index][perm[c]] for c in classes]
+            oracle = _disk_permutation(field, sigma)
+            if oracle is None:
+                unplaced += 1
+            else:
+                assert perm == oracle, (coeffs, bits, sigma.index)
+                placed += 1
+    # 780 of the 896 (field, precision, sigma) cases place by the disks;
+    # the lookup places the other 116 as well
+    assert placed > 700 and unplaced > 100
 
 
 def test_permute_preserves_l1(field_zeta8):

@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from heightlab.cli import MAX_COUNT, load_scenario, main, run_command
+from heightlab.cli import MAX_COUNT, MAX_SUBFIELD_NAMES, load_scenario, main, run_command
 from heightlab.errors import ReduciblePolynomial, SchemaError
 from heightlab.scenario import parse_scenario
 
@@ -55,6 +55,21 @@ def test_schema_errors():
         parse_scenario({"v": 1, "field": "x^2-2"})
     with pytest.raises(SchemaError):
         parse_scenario("not json {{")
+
+
+@pytest.mark.parametrize("doc", [
+    {"v": True, "field": [True, False, True]},  # x^2 + 1 if bool were an int
+    {"v": 1, "field": [1, False, 1]},
+    {"v": True, "field": [1, 0, 1]},
+    {"v": 1.0, "field": [1, 0, 1]},
+])
+def test_booleans_are_not_integers(doc, tmp_path, capsys):
+    with pytest.raises(SchemaError):
+        parse_scenario(doc)
+    path = tmp_path / "bools.json"
+    path.write_text(json.dumps(doc))
+    assert main(["places", "--scenario", str(path)]) == 2
+    assert json.loads(capsys.readouterr().out)["error"]["kind"] == "SchemaError"
 
 
 # -- run_command -------------------------------------------------------------
@@ -551,6 +566,35 @@ def test_run_command_checks_the_count(value):
     sc = load_scenario("sqrt2_sqrt3")
     with pytest.raises(SchemaError):
         run_command("commutes", sc, {"field_list": "K1,K2", "count": value})
+
+
+@pytest.mark.parametrize("argv, flag", [
+    # 12 names of --D took about 90 s, and 14 more than 600 s
+    (["member", "--element", "3", "--D", ",".join(["K1", "K2", "K3", "Q"] * 3)],
+     "--D and --E"),
+    (["decompose", "--element", "3", "--D", "K1,K2,K3,Q,K1", "--E", "K2,K3,Q,K1"],
+     "--D and --E"),
+    # 32 names made 496 pairs, which took about 8 s
+    (["commutes", "--field-list", ",".join(["K1", "K2", "K3", "Q"] * 8)],
+     "--field-list"),
+])
+def test_long_subfield_lists_refused_fast(argv, flag, capsys):
+    load_scenario("cbrt2_split")
+    start = time.perf_counter()
+    assert main([*argv, "--scenario", "cbrt2_split"]) == 2
+    assert time.perf_counter() - start < 0.5
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error["kind"] == "SchemaError"
+    assert error["message"].startswith(flag)
+    assert f"at most {MAX_SUBFIELD_NAMES} subfields" in error["message"]
+
+
+def test_subfield_lists_at_the_cap_run():
+    sc = load_scenario("cbrt2_split")
+    names = ",".join(["K1", "K2", "K3", "Q"] * 2)
+    assert len(names.split(",")) == MAX_SUBFIELD_NAMES
+    assert run_command("member", sc, {"element": "3", "D": names})["is_member"]
+    assert len(run_command("commutes", sc, {"field_list": names})["pairs"]) == 28
 
 
 def test_verify_precision_env_needs_scenario(monkeypatch, capsys):
