@@ -5,8 +5,14 @@ Heights are read off the field's certified embeddings:
 h(a) = (1/d) sum over the d embeddings tau of log+|tau(a)| + (1/e) log lead,
 where e and lead are the degree and the leading coefficient of the
 primitive integer minimal polynomial of a.  This is the archimedean part
-of the place vector, so ||f(a)||_1 = 2 h(a).  Torsion decisions are always
-exact (a power test against the field's torsion order), never numeric.
+of the place vector, so ||f(a)||_1 = 2 h(a).  Both come from integers
+(numberfield._minimal_polynomial_ints): for a = A/D, with A^2, ..., A^e
+from e - 1 products, the traces Tr(A^k) / (d/e) are the power sums of the
+e distinct conjugates of the algebraic integer A, Newton's identities turn
+them into the coefficients c_k of its monic minimal polynomial, an exact
+witness certifies them, and lead = lcm_k D^k / gcd(c_k, D^k).  Torsion
+decisions are always exact (a power test against the field's torsion
+order), never numeric.
 
 Elements of the Q-vector space are scalar--base pairs (q, b) denoting b^q
 up to roots of unity, kept in the canonical form (1/s, b^r) for q = r/s.
@@ -17,6 +23,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from fractions import Fraction
+from math import gcd as int_gcd
 from math import lcm as int_lcm
 
 import mpmath
@@ -25,8 +32,8 @@ from .errors import WitnessFailure, ZeroElement
 from .numberfield import (
     FieldElement,
     WorkingField,
+    _minimal_polynomial_ints,
     eval_at_embeddings,
-    minimal_polynomial,
 )
 from .roots import locked_workprec
 
@@ -73,14 +80,16 @@ def weil_height(a: FieldElement) -> HeightValue:
         raise ZeroElement("height of zero is undefined")
     if is_torsion(a):
         return HeightValue.exact_zero()
-    mp = minimal_polynomial(a)
-    e = mp.degree
-    # the leading coefficient of the primitive integer multiple of mp
-    lead = int_lcm(*(c.denominator for c in mp.coeffs))
-    if e == 1:
-        # x + p/q: height of the rational p/q is log max(|p|, q)
-        val = _log_big(max(abs(mp.coeffs[0].numerator), lead))
+    if a.is_rational():
+        # the height of the rational p/q is log max(|p|, q)
+        val = _log_big(max(abs(a.num[0]), a.den))
         return HeightValue(val, _FLOAT_SLACK * (1.0 + val))
+    c = _minimal_polynomial_ints(a)
+    e = len(c) - 1
+    # the leading coefficient of the primitive integer minimal polynomial:
+    # the lcm of the denominators of its coefficients c_k / den^k
+    den = a.den
+    lead = int_lcm(*(den ** k // int_gcd(ck, den ** k) for k, ck in enumerate(c)))
     d = field.degree
     with locked_workprec(field.precision_bits):
         total = mpmath.mpf(0)

@@ -294,6 +294,8 @@ class WorkingField:
             current = shifted
             rows.append(tuple(current))
         self._red_rows = rows
+        # Tr(theta^i) for i < d, so that Tr is a dot product on coordinates
+        self._traces = _power_sums(self.m_ints)
         self.embeddings = None
         # real embeddings and complex-conjugate pairs, as index lists
         self.archimedean_classes = None
@@ -421,7 +423,7 @@ def eval_at_embeddings(a: FieldElement, roots) -> list:
     """
     prec = max(mpmath.mp.prec, 53)
     with mpmath.workprec(prec):
-        cs = _to_mpf(a.coords)
+        cs = _to_mpf(a.num, a.den)
         return [_bounded_eval(cs, root.value, root.radius, prec) for root in roots]
 
 
@@ -600,24 +602,66 @@ def roots_in_field(p: Poly, field: WorkingField) -> list[FieldElement]:
 # -- minimal polynomials ---------------------------------------------------
 
 
-def minimal_polynomial(a: FieldElement) -> Poly:
-    """Monic minimal polynomial of a over Q: the product of (x - c) over the
-    distinct Galois conjugates c of a, expanded exactly in F[x].
+def _power_sums(m_ints) -> tuple:
+    """s_0, ..., s_(d-1), the power sums of the roots of the monic integer
+    polynomial m = sum c_i x^i of degree d (lowest degree first), by
+    Newton's identities: s_0 = d and s_k = -k c_(d-k) - sum over
+    0 < i < k of c_(d-k+i) s_i."""
+    d = len(m_ints) - 1
+    s = [d]
+    for k in range(1, d):
+        s.append(-k * m_ints[d - k] - sum(m_ints[d - k + i] * s[i] for i in range(1, k)))
+    return tuple(s)
 
-    Its degree is the number of distinct conjugates, which divides [F:Q].
-    Every coefficient must come out rational; WitnessFailure otherwise.
+
+def _minimal_polynomial_ints(a: FieldElement):
+    """The integers c_0 = 1, c_1, ..., c_e of the minimal polynomial
+    sum_k c_k x^(e-k) of the algebraic integer A, for a = A/D in lowest
+    terms (A = a.num, D = a.den) and e the number of distinct conjugates of
+    a; that of a is sum_k (c_k / D^k) x^(e-k).
+
+    The characteristic polynomial of A is its minimal polynomial to the
+    power d/e, so P_k = Tr(A^k) / (d/e) are the power sums of the e
+    distinct conjugates of A, integers, with A^2, ..., A^e from e - 1
+    products and Tr a dot product with the traces of the power basis.
+    Newton's identities k c_k = -sum over 0 < i <= k of c_(k-i) P_i give
+    the c_k with exact divisions (Cohen, GTM 138, ch. 4).  Whatever the
+    divisions give, the result is certified by the witness
+    sum_k c_k A^(e-k) = 0: a monic integer polynomial of degree e that
+    vanishes at A, which has e distinct conjugates, is its minimal
+    polynomial.  WitnessFailure otherwise.
     """
+    if a.is_rational():
+        return [1, -a.num[0]]
     field = a.field
-    conjugates = dict.fromkeys(sigma(a) for sigma in field.automorphisms)
-    # coefficients of the partial product, lowest degree first
-    prod = [field.one()]
-    for c in conjugates:
-        prod = ([-c * prod[0]]
-                + [lo - c * hi for lo, hi in zip(prod[:-1], prod[1:])]
-                + [prod[-1]])
-    if not all(coeff.is_rational() for coeff in prod):
-        raise WitnessFailure("conjugate product has a non-rational coefficient")
-    return Poly([coeff.as_rational() for coeff in prod])
+    d = field.degree
+    # automorphisms[0] is the identity
+    e = len({a, *(sigma(a) for sigma in field.automorphisms[1:])})
+    powers = [[1] + [0] * (d - 1), list(a.num)]  # A^0, ..., A^e
+    for _ in range(e - 1):
+        powers.append(field._mul_num(powers[-1], a.num))
+    traces = field._traces
+    sums = [sum(map(mul, traces, power)) // (d // e) for power in powers]
+    c = [1]
+    for k in range(1, e + 1):
+        c.append(-sum(c[k - i] * sums[i] for i in range(1, k + 1)) // k)
+    if any(sum(map(mul, c, column)) for column in zip(*reversed(powers))):
+        raise WitnessFailure("the trace polynomial does not vanish at the element")
+    return c
+
+
+def minimal_polynomial(a: FieldElement) -> Poly:
+    """Monic minimal polynomial of a over Q, from the traces of the powers
+    of a: with a = A/D, its coefficient of x^(e-k) is c_k / D^k for the
+    monic integer minimal polynomial sum_k c_k x^(e-k) of A, which Newton's
+    identities give from the power sums Tr(A^k) / (d/e) of the e distinct
+    conjugates of A (_minimal_polynomial_ints).
+
+    Its degree e is the number of distinct conjugates, which divides [F:Q].
+    WitnessFailure unless the integer polynomial vanishes at A exactly.
+    """
+    c = _minimal_polynomial_ints(a)
+    return Poly([Fraction(ck, a.den ** k) for k, ck in reversed(list(enumerate(c)))])
 
 
 # -- field construction ----------------------------------------------------
@@ -778,8 +822,8 @@ def _make_field_cached(int_coeffs: tuple, precision_bits: int) -> WorkingField:
     field = WorkingField(poly, precision_bits)
     field.automorphisms, field._comp_table, field._inv_table = _galois_group(field)
     field.embeddings, field.archimedean_classes, field.embedding_labels = galois_roots(
-        poly, [s.theta_image.coords for s in field.automorphisms], field._comp_table,
-        precision_bits)
+        poly, [(s.theta_image.num, s.theta_image.den) for s in field.automorphisms],
+        field._comp_table, precision_bits)
     field.torsion_order, field.torsion_generator = _torsion_structure(field)
     return field
 

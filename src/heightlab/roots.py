@@ -40,6 +40,7 @@ import mpmath
 from mpmath.libmp import (
     fone,
     from_float,
+    from_int,
     fzero,
     mpc_abs,
     mpc_add,
@@ -342,9 +343,24 @@ def _bounded_eval(cs, z, radius, prec: int, floor=0):
     return value, _float_upper((slope * radius + error + floor) * widen)
 
 
-def _to_mpf(coeffs):
-    """Raw mpf tuples of the rational coefficients at the current precision."""
-    return [(mpmath.mpf(c.numerator) / c.denominator)._mpf_ for c in coeffs]
+def _to_mpf(nums, den: int):
+    """Raw mpf tuples of the rationals n/den (den > 0), for the integers n
+    in nums, at the current precision: each is rounded as the Fraction n/den
+    would be, its reduced numerator rounded to the precision and then
+    divided by its reduced denominator."""
+    prec = mpmath.mp.prec
+    out = []
+    for n in nums:
+        g = math.gcd(n, den)
+        x = from_int(n // g, prec, round_nearest)
+        out.append(x if g == den else mpf_div(x, from_int(den // g), prec, round_nearest))
+    return out
+
+
+def _poly_to_mpf(p: Poly):
+    """_to_mpf of the coefficients of p, over their common denominator."""
+    den = math.lcm(*(c.denominator for c in p.coeffs))
+    return _to_mpf([c.numerator * (den // c.denominator) for c in p.coeffs], den)
 
 
 def _disk(value, radius: float):
@@ -425,8 +441,8 @@ def certified_roots(p: Poly, bits: int = DEFAULT_PRECISION_BITS) -> list[Certifi
         raise ValueError("certified_roots requires a squarefree polynomial")
     prec = bits + 32
     with locked_workprec(prec):
-        cs = _to_mpf(p.coeffs)
-        dcs = _to_mpf(p.derivative().coeffs)
+        cs = _poly_to_mpf(p)
+        dcs = _poly_to_mpf(p.derivative())
         monic = [mpf_div(a, cs[-1], prec, round_nearest) for a in cs]
         approx = _approximate_roots(p, monic, bits)
         floor = mpmath.mpf(2) ** (-bits)
@@ -489,7 +505,8 @@ def galois_roots(p: Poly, images, comp, bits: int = DEFAULT_PRECISION_BITS):
     certified_roots sorts them, their archimedean classes, and labels[i] = j
     when roots[i] is A_j(theta_1), for an irreducible p whose field
     F = Q[t]/(p) is Galois with automorphisms sigma_j: t -> A_j(t), where
-    images[j] holds the coordinates of A_j, sigma_0 is the identity and
+    images[j] = (nums, den) holds the coordinates of A_j as integers over
+    one denominator, sigma_0 is the identity and
     comp[a][b] is the index of sigma_a after sigma_b.
 
     Every root of p is A_j(theta_1) for one root theta_1 (_one_root): the
@@ -512,14 +529,14 @@ def galois_roots(p: Poly, images, comp, bits: int = DEFAULT_PRECISION_BITS):
     d = p.degree
     prec = bits + 32
     with locked_workprec(prec):
-        cs = _to_mpf(p.coeffs)
+        cs = _poly_to_mpf(p)
         theta = mpmath.mp.make_mpc(_one_root(p, cs, bits))
-        r1 = _henrici_radius(cs, _to_mpf(p.derivative().coeffs), theta, 0, prec)
+        r1 = _henrici_radius(cs, _poly_to_mpf(p.derivative()), theta, 0, prec)
         floor = mpmath.mpf(2) ** (-bits)
 
         @functools.cache
         def enclosure(j):
-            return _bounded_eval(_to_mpf(images[j]), theta, r1, prec, floor)
+            return _bounded_eval(_to_mpf(*images[j]), theta, r1, prec, floor)
 
         first = _disk(*enclosure(0))
         totally_real = _may_meet(first, _mirror(first))

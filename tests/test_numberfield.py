@@ -344,6 +344,20 @@ def test_apply_automorphism_linear_sub(field_sqrt2):
 # -- minimal polynomials ----------------------------------------------------
 
 
+def _expanded_product(images) -> Poly:
+    """prod (x - c) over the field elements images, expanded exactly in
+    F[x] with coefficients lowest degree first; each coefficient must come
+    out rational."""
+    f = images[0].field
+    prod = [f.one()]
+    for c in images:
+        prod = ([-c * prod[0]]
+                + [lo - c * hi for lo, hi in zip(prod[:-1], prod[1:])]
+                + [prod[-1]])
+    assert all(coeff.is_rational() for coeff in prod)
+    return Poly([coeff.as_rational() for coeff in prod])
+
+
 def test_minimal_polynomial_examples(field_sqrt2):
     f = field_sqrt2
     assert minimal_polynomial(f.theta()) == Poly([-2, 0, 1])
@@ -867,9 +881,10 @@ _SMALL_CYCLOTOMIC = [tuple(int(c) for c in cyclotomic(n).coeffs)
 @functools.lru_cache(maxsize=None)
 def _group(coeffs):
     """(theta images, composition table) of the field, as make_field finds
-    them; they do not depend on the precision."""
+    them and passes them to galois_roots; they do not depend on the
+    precision."""
     autos, comp, _ = numberfield._galois_group(WorkingField(Poly(coeffs), 64))
-    return [a.theta_image.coords for a in autos], comp
+    return [(a.theta_image.num, a.theta_image.den) for a in autos], comp
 
 
 def _outcome(route, *args):
@@ -929,7 +944,7 @@ def test_galois_roots_refuse_a_wrong_conjugation():
     # mirror images land on computed disks and the separation check refuses
     coeffs = (1, 0, 0, 0, 1)
     images, comp = _group(coeffs)
-    c = images.index((0, 0, 0, -1))
+    c = images.index(((0, 0, 0, -1), 1))
     wrong = [list(row) for row in comp]
     wrong[c][c] = c
     assert galois_roots(Poly(coeffs), images, comp)
@@ -953,7 +968,7 @@ def test_galois_roots_certify_the_conjugation():
             if j != kept:
                 table[j][j] = j
         outcomes[kept] = _outcome(galois_roots, Poly(coeffs), images, table, 256)
-    assert not isinstance(outcomes.pop(images.index((0, 0, 0, -1))), str)
+    assert not isinstance(outcomes.pop(images.index(((0, 0, 0, -1), 1))), str)
     assert sorted(outcomes.values()) == ["could not separate roots at 256 bits",
                                          "real/complex classification ambiguous"]
 
@@ -1134,6 +1149,30 @@ def test_chain_norm_matches_conjugate_product(name, u):
         assert numberfield.Subfield(f, [], group).norm(a) == flat
 
 
+@pytest.mark.parametrize("name", CHAIN_FIELDS)
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(("element", "subfield", "rational", "zero")),
+       u=st.lists(st.builds(Fraction, st.integers(-1000, 1000), st.integers(1, 10**6)),
+                  min_size=12, max_size=12),
+       data=st.data())
+def test_minimal_polynomial_matches_the_product_expansion(name, kind, u, data):
+    # the trace route against prod (x - c) over the distinct conjugates c,
+    # on elements whose coordinates have denominators up to 10^6, their
+    # relative norms to subfields (the fixed field of a subgroup H, where
+    # e = d / |H|), rationals (e = 1) and zero
+    f = _norm_field(name)
+    a = f.element(u[:f.degree])
+    if kind == "subfield":
+        group = data.draw(st.sampled_from(_subgroups(name)))
+        a = numberfield.Subfield(f, [], group).norm(a)
+    elif kind == "rational":
+        a = f.from_rational(u[0])
+    elif kind == "zero":
+        a = f.zero()
+    conjugates = list(dict.fromkeys(s(a) for s in f.automorphisms))
+    assert minimal_polynomial(a) == _expanded_product(conjugates)
+
+
 def test_inverse_refuses_irrational_norm(field_sqrt2, monkeypatch):
     # with the automorphism t -> -t missing, the conjugate product of t is t
     f = field_sqrt2
@@ -1169,20 +1208,7 @@ def test_minpoly_divides_characteristic_poly(field_biquad):
     f = field_biquad
     for _ in range(6):
         a = rand_elem(f, rng)
-        char = Poly([1])
-        images = [s(a) for s in f.automorphisms]
-        # expand prod (x - img) with exact field coefficients, lowest degree
-        # first, then read off the (necessarily rational) coefficients
-        prod = [f.one()]
-        for img in images:
-            prod = ([-img * prod[0]]
-                    + [lo - img * hi for lo, hi in zip(prod[:-1], prod[1:])]
-                    + [prod[-1]])
-        coeffs = []
-        for c in prod:
-            assert c.is_rational()
-            coeffs.append(c.as_rational())
-        char = Poly(coeffs)
+        char = _expanded_product([s(a) for s in f.automorphisms])
         mp = minimal_polynomial(a)
         assert (char % mp).is_zero()
         assert eval_poly(mp, a).is_zero()

@@ -3,11 +3,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_numberfield import CORPUS_NAMES, _norm_field, _subgroups
 
 from heightlab.errors import ZeroElement
 from heightlab.expressions import parse_element
 from heightlab.heights import is_torsion
-from heightlab.numberfield import rational_subfield, subfield
+from heightlab.numberfield import Subfield, rational_subfield, subfield
 from heightlab.orbits import (
     degree_of_power,
     delta_K,
@@ -129,6 +132,35 @@ def test_delta_invariance_lemma(field_zeta8):
             d = delta_K(a, sub)
             assert delta_K(a ** ell, sub) == d
             assert delta_K(a * zeta, sub) == d
+
+
+@pytest.mark.parametrize("name", CORPUS_NAMES)
+@settings(max_examples=15, deadline=None)
+@given(u=st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=3),
+                  min_size=6, max_size=6))
+def test_orbit_is_blind_to_torsion(name, u):
+    # over every subfield K, a and a * zeta^j, for every power of the
+    # torsion generator, have the same delta and the same width: every
+    # ratio of conjugates moves by a root of unity, which keeps its height,
+    # so the widths are compared through their error bounds.  The number of
+    # distinct conjugates is not blind to torsion: over Q, 2 has one and
+    # 2 zeta_6 has two
+    f = _norm_field(name)
+    a = f.element(u[:f.degree])
+    if a.is_zero():
+        return
+    powers = [f.torsion_generator ** j for j in range(f.torsion_order)]
+    for group in _subgroups(name):
+        k = Subfield(f, [], group)
+        report = orbit_mod_torsion(a, k)
+        for zeta in powers:
+            moved = orbit_mod_torsion(a * zeta, k)
+            assert moved.delta == report.delta
+            if report.delta == 1:
+                assert moved.width == report.width == report.width.exact_zero()
+            else:
+                gap = abs(moved.width.value - report.width.value)
+                assert gap <= moved.width.abs_error + report.width.abs_error
 
 
 def test_orbit_count_equals_degree_oracle(corpus):

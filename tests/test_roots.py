@@ -8,6 +8,7 @@ import mpmath
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from mpmath.libmp import from_rational, round_nearest
 
 from heightlab import roots
 from heightlab.errors import PrecisionExhausted
@@ -230,6 +231,26 @@ def test_touching_disks_may_meet():
                 apart = roots._disk(centre + 2 * r * (1 + 2.0 ** -45) * step, r)
                 assert roots._may_meet(disk, touching)
                 assert not roots._may_meet(disk, apart)
+
+
+def test_to_mpf_rounds_as_the_fraction_route():
+    # each n/den is rounded as mpf(numerator) / denominator rounds the
+    # Fraction: the reduced numerator to the precision, then the quotient.
+    # Numerators longer than the precision round twice, which the correctly
+    # rounded quotient (from_rational) does not always match
+    rng = random.Random("to_mpf")
+    twice = 0
+    for prec in (53, 100, 288):
+        with mpmath.workprec(prec):
+            for _ in range(300):
+                den = rng.choice((1, rng.randint(1, 10 ** 6), rng.getrandbits(400) + 1))
+                nums = [0] + [rng.randint(-2 ** (3 * prec), 2 ** (3 * prec)) for _ in range(4)]
+                fractions = [Fraction(n, den) for n in nums]
+                expected = [(mpmath.mpf(q.numerator) / q.denominator)._mpf_ for q in fractions]
+                assert roots._to_mpf(nums, den) == expected
+                twice += sum(x != from_rational(q.numerator, q.denominator, prec, round_nearest)
+                             for x, q in zip(expected, fractions))
+    assert twice > 0
 
 
 def test_conjugate_pairing_refuses_two_candidate_partners():
