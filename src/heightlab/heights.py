@@ -11,8 +11,11 @@ from e - 1 products, the traces Tr(A^k) / (d/e) are the power sums of the
 e distinct conjugates of the algebraic integer A, Newton's identities turn
 them into the coefficients c_k of its monic minimal polynomial, an exact
 witness certifies them, and lead = lcm_k D^k / gcd(c_k, D^k).  Torsion
-decisions are always exact (a power test against the field's torsion
-order), never numeric.
+decisions stay exact: is_torsion, a power test against the field's
+torsion order, is the one route, and never a numeric bound.  weil_height
+skips it for elements that fail Kronecker's necessary condition on those
+integers (an algebraic integer whose conjugates' symmetric functions are
+bounded as on the unit circle), which no root of unity fails.
 
 Elements of the Q-vector space are scalar--base pairs (q, b) denoting b^q
 up to roots of unity, kept in the canonical form (1/s, b^r) for q = r/s.
@@ -74,22 +77,35 @@ def _log_big(n: int) -> float:
 
 
 def weil_height(a: FieldElement) -> HeightValue:
-    """Absolute logarithmic Weil height of a nonzero field element."""
+    """Absolute logarithmic Weil height of a nonzero field element.
+
+    The exact zero (abs_error 0) is returned exactly on roots of unity, as
+    decided by is_torsion.  That test runs only on elements that pass
+    Kronecker's necessary condition, read off the integer minimal
+    polynomial sum_k c_k x^(e-k) of A, for a = A/D: a root of unity is an
+    algebraic integer (lead == 1) whose e conjugates lie on the unit
+    circle, so the coefficients c_k / D^k of its minimal polynomial, the
+    elementary symmetric functions of those conjugates, are bounded by
+    binom(e, k).  Every other element gets the value from its embeddings
+    (a rational p/q: log max(|p|, q)) with a rigorous error bound.
+    """
     field = a.field
     if a.is_zero():
         raise ZeroElement("height of zero is undefined")
-    if is_torsion(a):
-        return HeightValue.exact_zero()
-    if a.is_rational():
-        # the height of the rational p/q is log max(|p|, q)
-        val = _log_big(max(abs(a.num[0]), a.den))
-        return HeightValue(val, _FLOAT_SLACK * (1.0 + val))
     c = _minimal_polynomial_ints(a)
     e = len(c) - 1
     # the leading coefficient of the primitive integer minimal polynomial:
     # the lcm of the denominators of its coefficients c_k / den^k
     den = a.den
     lead = int_lcm(*(den ** k // int_gcd(ck, den ** k) for k, ck in enumerate(c)))
+    if (lead == 1 and all(abs(ck) <= math.comb(e, k) * den ** k
+                          for k, ck in enumerate(c))
+            and is_torsion(a)):
+        return HeightValue.exact_zero()
+    if a.is_rational():
+        # the height of the rational p/q is log max(|p|, q)
+        val = _log_big(max(abs(a.num[0]), a.den))
+        return HeightValue(val, _FLOAT_SLACK * (1.0 + val))
     d = field.degree
     with locked_workprec(field.precision_bits):
         total = mpmath.mpf(0)

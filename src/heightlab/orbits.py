@@ -1,12 +1,13 @@
 """Galois orbits modulo torsion and divisible-hull membership.
 
 For a subfield K of the working field, the orbit of a nonzero element
-under Gal(F/K) is grouped into torsion-equivalence classes (exact tests).
+under Gal(F/K) is grouped into torsion-equivalence classes, exactly.
 The class count delta equals the minimal degree [K(a^m):K] over nonzero
 integer powers m, with the minimum attained at m = w_F: a ratio of
 conjugates that is a root of unity lies in F, so its order divides w_F,
 and conjugates of a^{w_F} collide exactly when the orbit elements are
-torsion-equivalent.
+torsion-equivalent.  The classes are read off those conjugates, from one
+power of a.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 import dataclasses
 
 from .errors import WitnessFailure, ZeroElement
-from .heights import HeightValue, is_torsion, weil_height
+from .heights import HeightValue, weil_height
 from .numberfield import FieldElement, Subfield
 
 
@@ -25,6 +26,7 @@ class OrbitReport:
     conjugate_count: int     # [K(a):K], the number of distinct conjugates
     width: HeightValue       # W_K(a), exactly zero when delta == 1
     norm_element: FieldElement  # product of the distinct conjugates, in K
+    power: FieldElement      # a^{w_F}, whose conjugates key the classes
 
 
 def _distinct_conjugates(a: FieldElement, k: Subfield):
@@ -38,52 +40,65 @@ def _distinct_conjugates(a: FieldElement, k: Subfield):
 
 
 def _orbit(a: FieldElement, k: Subfield):
-    """The distinct conjugates of a, representatives modulo torsion, the
-    conjugate product (checked to lie in K) and a^-1 (None when a is fixed).
+    """The distinct conjugates of a with their torsion classes, and the
+    conjugate product (checked to lie in K).
 
-    The inverse of a conjugate sigma(a) is sigma(a^-1), so one field
-    inversion serves every torsion test.
+    Returns (conjugates, keys, reps, norm_el, power): conjugates are the
+    distinct sigma(a) in coordinate order, keys[i] is the class key of
+    conjugates[i], reps holds the first conjugate of each class, and power
+    is b = a^{w_F}.  The key of sigma(a) is sigma(b): a ratio of conjugates
+    that is a root of unity lies in F, so its order divides w_F, and
+    sigma(a), tau(a) are torsion-equivalent exactly when
+    sigma(b) == tau(b).  One power of a decides every class, with no field
+    inverse and no pairwise test.
     """
-    conjugates = _distinct_conjugates(a, k)
-    inverse = a.inverse() if len(conjugates) > 1 else None
-    reps, rep_inverses = [], []
-    for img, sigma in conjugates:
-        if any(is_torsion(img * r_inv) for r_inv in rep_inverses):
-            continue
-        reps.append(img)
-        if inverse is not None:
-            rep_inverses.append(sigma(inverse))
+    pairs = _distinct_conjugates(a, k)
+    conjugates = [img for img, _sigma in pairs]
+    power = a ** a.field.torsion_order
+    keys = [sigma(power) for _img, sigma in pairs]
+    first = {}
+    for img, key in zip(conjugates, keys):
+        first.setdefault(key, img)
+    reps = list(first.values())
 
     norm_el = a.field.one()
-    for img, _sigma in conjugates:
+    for img in conjugates:
         norm_el = norm_el * img
     if not k.contains(norm_el):
         raise WitnessFailure("conjugate product is not fixed by Gal(F/K)")
-    return [img for img, _sigma in conjugates], reps, norm_el, inverse
+    return conjugates, keys, reps, norm_el, power
 
 
 def orbit_mod_torsion(a: FieldElement, k: Subfield) -> OrbitReport:
-    """Orbit representatives, counts, width, and the conjugate product."""
+    """Orbit representatives modulo torsion, counts, the width and the
+    conjugate product.
+
+    The width W_K(a) is the largest h(sigma(a)/a).  It is the exact zero
+    when delta == 1; otherwise a is inverted once, and only the conjugates
+    outside a's own class are measured, as a ratio within that class is a
+    root of unity, of the exact height zero, which never raises the width.
+    """
     if a.is_zero():
         raise ZeroElement("orbit of zero is undefined")
-    conjugates, reps, norm_el, inverse = _orbit(a, k)
+    conjugates, keys, reps, norm_el, power = _orbit(a, k)
     width = HeightValue.exact_zero()
     if len(reps) > 1:
-        # a torsion ratio has the exact height zero, which never raises it
-        for img in conjugates:
-            h = weil_height(img * inverse)
-            if h.value > width.value:
-                width = h
+        inverse = a.inverse()
+        for img, key in zip(conjugates, keys):
+            if key != power:
+                h = weil_height(img * inverse)
+                if h.value > width.value:
+                    width = h
     return OrbitReport(representatives=tuple(reps), delta=len(reps),
                        conjugate_count=len(conjugates), width=width,
-                       norm_element=norm_el)
+                       norm_element=norm_el, power=power)
 
 
 def delta_K(a: FieldElement, k: Subfield) -> int:
     """Minimal [K(a^m):K] over nonzero m; the orbit count modulo torsion."""
     if a.is_zero():
         raise ZeroElement("delta of zero is undefined")
-    return len(_orbit(a, k)[1])
+    return len(_orbit(a, k)[2])
 
 
 def degree_of_power(a: FieldElement, m: int, k: Subfield) -> int:
@@ -134,7 +149,7 @@ def _bounds_and_membership(a: FieldElement, k: Subfield):
     if a.is_zero():
         raise ZeroElement("bounds at zero are undefined")
     report = orbit_mod_torsion(a, k)
-    return (*_bounds(a, report), _membership(a, k, report.delta))
+    return (*_bounds(a, report), _membership(a, k, report.delta, report.power))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -159,16 +174,16 @@ def in_kdiv(a: FieldElement, k: Subfield) -> KdivResult:
     """
     if a.is_zero():
         raise ZeroElement("membership of zero is undefined")
-    return _membership(a, k, len(_orbit(a, k)[1]))
+    _conjugates, _keys, reps, _norm_el, power = _orbit(a, k)
+    return _membership(a, k, len(reps), power)
 
 
-def _membership(a: FieldElement, k: Subfield, delta: int) -> KdivResult:
-    """in_kdiv of a, given delta_K(a): a is a member exactly when
-    delta == 1."""
+def _membership(a: FieldElement, k: Subfield, delta: int,
+                power: FieldElement) -> KdivResult:
+    """in_kdiv of a, given delta_K(a) and power = a^{w_F} from its orbit: a
+    is a member exactly when delta == 1, with that power as the witness."""
     if delta != 1:
         return KdivResult(member=False)
-    n = a.field.torsion_order
-    power = a ** n
     if not k.contains(power):
         raise WitnessFailure("witness power is not fixed by Gal(F/K)")
-    return KdivResult(member=True, exponent=n, power=power)
+    return KdivResult(member=True, exponent=a.field.torsion_order, power=power)

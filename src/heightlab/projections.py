@@ -42,7 +42,13 @@ class ProjectionSpec:
 
     condition_ok records whether every pair drawn from the union satisfies
     the pairwise Galois condition; violating specs still run, but their
-    results carry no commuting-projection guarantee.
+    results carry no commuting-projection guarantee.  When it holds, the
+    projections commute and each is idempotent, so build keeps only the
+    first occurrence of each subfield in fields_D and in fields_E: a repeat
+    changes no answer but doubles the terms of the membership witness.
+    Without the condition the order matters, and the lists stay as given
+    (on cbrt2_split, D = Q, K1, K2, K1 and D = Q, K1, K2 give different
+    d_parts).
     """
 
     fields_D: tuple
@@ -63,6 +69,9 @@ class ProjectionSpec:
         ok = all(galois_condition(all_fields[i], all_fields[j])
                  for i in range(len(all_fields))
                  for j in range(i + 1, len(all_fields)))
+        if ok:
+            fields_D = tuple(dict.fromkeys(fields_D))
+            fields_E = tuple(dict.fromkeys(fields_E))
         return ProjectionSpec(fields_D, fields_E, ok)
 
     @property

@@ -5,11 +5,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_numberfield import CORPUS_NAMES, _norm_field
 
-from heightlab.corpus import bundled_corpus
+from heightlab.corpus import bundled_corpus, bundled_scenario
 from heightlab.errors import ZeroElement
 from heightlab.heights import (
     GElement,
+    HeightValue,
     g_combine,
     g_equal,
     g_height,
@@ -279,3 +281,71 @@ def test_archimedean_classes_computed_once_per_field(corpus, monkeypatch):
         if name.startswith("heightlab") and hasattr(module, "archimedean_classes"):
             monkeypatch.setattr(module, "archimedean_classes", refuse)
     assert answers() == expected
+
+
+# -- the exact zero: Kronecker's condition, then the torsion test --------------
+
+
+@pytest.mark.parametrize("name", CORPUS_NAMES + ["phi13"])
+def test_height_is_the_exact_zero_on_torsion(name):
+    f = _norm_field(name)
+    zeta = f.torsion_generator
+    for j in range(f.torsion_order):
+        assert weil_height(zeta ** j) == HeightValue(0, 0)
+    for r in (1, -1):
+        assert weil_height(f.from_rational(r)) == HeightValue(0, 0)
+
+
+@pytest.mark.parametrize("name,coords", [("sqrt2", [1, 1]), ("zeta5", [1, 1, 0, 0])])
+def test_kronecker_units_go_through_the_torsion_test(name, coords, monkeypatch):
+    # units whose minimal polynomials pass Kronecker's necessary condition,
+    # |c_k| <= binom(e, k) (1 + sqrt2: x^2 - 2x - 1; 1 + zeta_5:
+    # x^4 - 3x^3 + 4x^2 - 2x + 1), so only is_torsion can tell that they
+    # are not roots of unity
+    from heightlab import heights
+
+    calls = []
+
+    def recording(a):
+        calls.append(a)
+        return is_torsion(a)
+
+    monkeypatch.setattr(heights, "is_torsion", recording)
+    a = bundled_scenario(name).field.element(coords)
+    h = weil_height(a)
+    assert calls == [a]
+    assert h.value - h.abs_error > 0
+
+
+def test_kronecker_condition_skips_the_torsion_test(field_sqrt2, field_zeta3, monkeypatch):
+    # non-integers, and integers with a coefficient beyond binom(e, k) D^k,
+    # never reach the a^w test
+    from heightlab import heights
+
+    def refuse(_a):
+        raise AssertionError("the torsion test ran")
+
+    cases = [(field_sqrt2, [2, 0], math.log(2)), (field_sqrt2, [Fraction(1, 2), 0], math.log(2)),
+             (field_sqrt2, [3, 1], None), (field_zeta3, [0, 2], math.log(2)),
+             (field_zeta3, [Fraction(1, 2), Fraction(1, 2)], None)]
+    expected = [weil_height(field.element(coords)) for field, coords, _ in cases]
+    monkeypatch.setattr(heights, "is_torsion", refuse)
+    for (field, coords, value), h in zip(cases, expected):
+        assert weil_height(field.element(coords)) == h
+        if value is not None:
+            assert close(h, value)
+
+
+@settings(max_examples=80, deadline=None)
+@given(index=st.integers(0, 6), coords=st.lists(st.integers(-2, 2), min_size=6, max_size=6),
+       den=st.sampled_from([1, 1, 1, 2]), power=st.integers(-3, 3), j=st.integers(0, 11))
+def test_exact_zero_height_is_torsion(index, coords, den, power, j):
+    # small elements (many units among them), their powers and quotients
+    # by 2, times a root of unity; power 0 leaves a root of unity
+    f = bundled_corpus()[index].field
+    base = f.element([Fraction(c, den) for c in coords[:f.degree]])
+    if base.is_zero():
+        return
+    a = base ** power * f.torsion_generator ** j
+    h = weil_height(a)
+    assert (h == HeightValue(0, 0)) == is_torsion(a)

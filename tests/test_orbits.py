@@ -9,8 +9,8 @@ from test_numberfield import CORPUS_NAMES, _norm_field, _subgroups
 
 from heightlab.errors import ZeroElement
 from heightlab.expressions import parse_element
-from heightlab.heights import is_torsion
-from heightlab.numberfield import Subfield, rational_subfield, subfield
+from heightlab.heights import is_torsion, weil_height
+from heightlab.numberfield import FieldElement, Subfield, rational_subfield, subfield
 from heightlab.orbits import (
     degree_of_power,
     delta_K,
@@ -258,3 +258,118 @@ def test_delta_and_kdiv_skip_the_width(fixture, elements, deltas, request,
             assert res.member == (delta == 1)
             if res:
                 assert res.exponent == w and res.power == a ** w
+
+
+# -- torsion classes from the conjugates of a^w --------------------------------
+
+
+def _pairwise_orbit(a, k):
+    """The distinct conjugates of a in coordinate order and their
+    representatives modulo torsion by pairwise tests: a conjugate starts a
+    new class unless its ratio to a representative found so far is a root
+    of unity."""
+    conjugates = sorted({sigma(a) for sigma in k.fixing_group}, key=lambda c: c.coords)
+    reps = []
+    for img in conjugates:
+        if not any(is_torsion(img * r.inverse()) for r in reps):
+            reps.append(img)
+    return conjugates, reps
+
+
+@pytest.mark.parametrize("name", CORPUS_NAMES + ["phi13", "phi21"])
+@settings(max_examples=12, deadline=None)
+@given(coords=st.lists(st.integers(-3, 3), min_size=12, max_size=12),
+       den=st.integers(1, 3),
+       kind=st.sampled_from(["whole", "subfield", "rational", "torsion"]),
+       sub=st.integers(0, 63), j=st.integers(0, 69))
+def test_orbit_classes_match_the_pairwise_oracle(name, coords, den, kind, sub, j):
+    # a times a root of unity, for a a whole element, the relative norm of
+    # one to a subfield (fewer classes than conjugates once a root of unity
+    # moves it), a rational or 1; over every subfield of a corpus field,
+    # and over Q on Phi13 and Phi21
+    f = _norm_field(name)
+    a = f.element([Fraction(c, den) for c in coords[:f.degree]])
+    if kind == "rational":
+        a = f.from_rational(Fraction(coords[0] or 1, den))
+    elif kind == "torsion":
+        a = f.one()
+    elif kind == "subfield":
+        groups = _subgroups(name)
+        a = Subfield(f, [], groups[sub % len(groups)]).norm(a)
+    if a.is_zero():
+        return
+    a = a * f.torsion_generator ** (j % f.torsion_order)
+    groups = _subgroups(name) if name in CORPUS_NAMES else [tuple(range(f.degree))]
+    for group in groups:
+        k = Subfield(f, [], group)
+        conjugates, reps = _pairwise_orbit(a, k)
+        report = orbit_mod_torsion(a, k)
+        assert report.representatives == tuple(reps)
+        assert report.delta == delta_K(a, k) == len(reps)
+        assert report.conjugate_count == len(conjugates)
+        assert bool(in_kdiv(a, k)) == (len(reps) == 1)
+
+
+def test_delta_and_kdiv_take_no_inverse_and_no_torsion_test(field_cbrt2, monkeypatch):
+    # one power of a decides every class: no field inverse, no pairwise
+    # torsion test, and the witness power is that same a^w
+    f = field_cbrt2
+    rng = random.Random(25)
+    elements = [f.element([rng.randint(-3, 3) for _ in range(6)]) for _ in range(8)]
+    elements += [parse_element(text, f) for text in _CBRT2_ELEMENTS]
+    elements = [a for a in elements if not a.is_zero()]
+    expected = {(a, g): (len(_pairwise_orbit(a, Subfield(f, [], g))[1]))
+                for a in elements for g in _subgroups("cbrt2_split")}
+
+    def refuse(*_args):
+        raise AssertionError("delta_K and in_kdiv need no inverse and no torsion test")
+
+    monkeypatch.setattr(FieldElement, "inverse", refuse)
+    monkeypatch.setattr("heightlab.heights.is_torsion", refuse)
+    for (a, group), delta in expected.items():
+        k = Subfield(f, [], group)
+        assert delta_K(a, k) == delta
+        res = in_kdiv(a, k)
+        assert res.member == (delta == 1)
+        if res:
+            assert res.power == a ** f.torsion_order
+
+
+def test_width_measures_only_the_other_classes(field_zeta8, monkeypatch):
+    # in Q(zeta_8), a = zeta_8 (1 + sqrt2) has four conjugates over Q in
+    # two classes of two: a^-1 is taken once, and only the two conjugates
+    # outside a's class get a height
+    from heightlab import orbits
+
+    f = field_zeta8
+    t = f.theta()
+    a = t * (1 + t - t ** 3)
+    calls = []
+    inverses = []
+    inverse = FieldElement.inverse
+
+    def counting_inverse(x):
+        inverses.append(x)
+        return inverse(x)
+
+    def recording(x):
+        calls.append(x)
+        return weil_height(x)
+
+    monkeypatch.setattr(FieldElement, "inverse", counting_inverse)
+    monkeypatch.setattr(orbits, "weil_height", recording)
+    report = orbit_mod_torsion(a, rational_subfield(f))
+    assert (report.delta, report.conjugate_count) == (2, 4)
+    assert inverses == [a] and len(calls) == 2
+    assert all(not is_torsion(x) for x in calls)
+    assert report.width.value > report.width.abs_error
+
+
+def test_delta_over_Q_on_phi35():
+    # degree 24 with w = 70: 24 classes, also after a root of unity moves a
+    f = _norm_field("phi35")
+    q = rational_subfield(f)
+    rng = random.Random(35)
+    a = f.element([rng.randint(-3, 3) for _ in range(f.degree)])
+    zeta = f.torsion_generator ** rng.randrange(1, f.torsion_order)
+    assert delta_K(a, q) == delta_K(a * zeta, q) == 24

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from heightlab import verify
 from heightlab.corpus import bundled_scenario, scenario_documents
 from heightlab.errors import NotConjugate, ZeroElement
-from heightlab.heights import GElement, g_combine, g_equal
+from heightlab.cli import run_command
+from heightlab.heights import GElement, g_combine, g_equal, g_sub
 from heightlab.numberfield import rational_subfield, subfield
 from heightlab.orbits import delta_K, in_kdiv
 from heightlab.projections import (
@@ -340,3 +341,89 @@ def test_operator_norm_rejects_zero(biquad_setup):
 def test_spec_requires_fields():
     with pytest.raises(ValueError):
         ProjectionSpec.build([])
+
+
+# -- repeated subfields --------------------------------------------------------
+
+
+def _operator_chain(u, fields_D, fields_E=()):
+    """W_N(u) as I - (I - P_1) o ... o (I - P_N), one operator per listed
+    field, repeats included, applied right to left."""
+    x = u
+    for k in reversed(fields_E):
+        x = s_project(x, k)  # I - T = S
+    for k in reversed(fields_D):
+        x = t_project(x, k)  # I - S = T
+    return g_sub(u, x)
+
+
+_REPEATED_D = [
+    ("cbrt2_split", "K1,K3,Q,K1,K3,Q", "K1,K3,Q"),
+    ("cbrt2_split", "K3,K3,K2", "K3,K2"),
+    ("sqrt2_sqrt3", "K1,K2,K3,Q,K1,K2,K3,Q", "K1,K2,K3,Q"),
+    ("zeta8", "Ki,Ksqrt2,Ki", "Ki,Ksqrt2"),
+]
+
+
+@pytest.mark.parametrize("name,repeated,distinct", _REPEATED_D,
+                         ids=[f"{c[0]}:{c[1]}" for c in _REPEATED_D])
+def test_repeated_subfields_give_the_distinct_answer(name, repeated, distinct):
+    # S_K after S_K is S_K, and under the pairwise Galois condition the
+    # projections commute, so a repeat changes no answer and adds no
+    # witness factor; the report keeps the list as typed
+    sc = bundled_scenario(name)
+    rng = random.Random(name)
+    named = [n for n in sorted(sc.elements) if not sc.elements[n].is_zero()]
+    for text in ["3", "t", "1+t", "3+t-t^2", "2*t-1"] + rng.sample(named, 4):
+        rep = run_command("member", sc, {"element": text, "D": repeated})
+        ref = run_command("member", sc, {"element": text, "D": distinct})
+        assert rep["condition_ok"] is True
+        assert rep["D"] == repeated.split(",")
+        for key in ("is_member", "d_part", "e_part", "condition_ok", "witness"):
+            assert rep[key] == ref[key], (text, key)
+
+
+@pytest.mark.parametrize("name", ["sqrt2_sqrt3", "cbrt2_split", "zeta8"])
+@settings(max_examples=15, deadline=None)
+@given(coords=st.lists(st.integers(-3, 3), min_size=6, max_size=6),
+       scale=st.fractions(min_value=-2, max_value=2, max_denominator=3),
+       data=st.data())
+def test_deduplicated_spec_matches_the_operator_chain(name, coords, scale, data):
+    # the spec drops repeats only under the pairwise Galois condition; the
+    # answer equals the composite over the lists as drawn, repeats included
+    sc = bundled_scenario(name)
+    f = sc.field
+    a = f.element(coords[:f.degree])
+    assume(not a.is_zero() and scale)
+    names = sorted(sc.subfields)
+    d_names = data.draw(st.lists(st.sampled_from(names), min_size=1, max_size=5))
+    e_names = data.draw(st.lists(st.sampled_from(names), max_size=2))
+    fields_D = [sc.subfields[n] for n in d_names]
+    fields_E = [sc.subfields[n] for n in e_names]
+    spec = ProjectionSpec.build(fields_D, fields_E)
+    if not spec.condition_ok:
+        assert (spec.fields_D, spec.fields_E) == (tuple(fields_D), tuple(fields_E))
+        return
+    assert spec.fields_D == tuple(dict.fromkeys(fields_D))
+    assert spec.fields_E == tuple(dict.fromkeys(fields_E))
+    u = GElement(f, scale, a)
+    res = is_member(u, spec)
+    assert g_equal(res.d_part, _operator_chain(u, fields_D, fields_E))
+
+
+def test_order_matters_without_the_condition():
+    # on cbrt2_split, K1 and K2 (two cubic fields) violate the condition,
+    # and D = Q, K1, K2, K1 differs from D = Q, K1, K2, so the spec keeps
+    # the repeat
+    sc = bundled_scenario("cbrt2_split")
+    q, k1, k2 = (sc.subfields[n] for n in ("Q", "K1", "K2"))
+    repeated = ProjectionSpec.build([q, k1, k2, k1])
+    assert repeated.fields_D == (q, k1, k2, k1)
+    rng = random.Random(20)
+    moved = False
+    for _ in range(20):
+        u = rand_gel(sc.field, rng)
+        d_part = composite_project(u, repeated)
+        assert g_equal(d_part, _operator_chain(u, [q, k1, k2, k1]))
+        moved |= not g_equal(d_part, composite_project(u, ProjectionSpec.build([q, k1, k2])))
+    assert moved
