@@ -34,7 +34,7 @@ from .errors import (
     WitnessFailure,
     ZeroElement,
 )
-from .expressions import check_power_budget, int_digit_limit, parse_element
+from .expressions import check_power_budget, format_rational, parse_element
 from .heights import GElement, g_height, is_torsion, weil_height
 from .numberfield import Subfield
 from .orbits import _bounds_and_membership, delta_K, orbit_mod_torsion, width_K
@@ -74,20 +74,6 @@ DEFAULT_COUNT = 50
 MAX_SUBFIELD_NAMES = 8
 
 
-def _frac(q) -> str:
-    q = Fraction(q)
-    limit = int_digit_limit()
-    for n in (q.numerator, q.denominator):
-        # fewer than 3 * limit bits means fewer than limit digits
-        if limit and n.bit_length() > 3 * limit and abs(n) >= 10 ** limit:
-            raise InputError(
-                f"a rational in the report has more than {limit} decimal "
-                "digits, Python's limit for converting an integer to a string")
-    # equal numbers in reports kept side by side (a caller holding many of
-    # them) share one string; sys.intern keeps none alive by itself
-    return sys.intern(str(q))
-
-
 def _real(v: float) -> str:
     return f"{v:.15e}"
 
@@ -97,11 +83,11 @@ def _hv(h) -> dict:
 
 
 def _coords(el) -> list:
-    return [_frac(c) for c in el.coords]
+    return [format_rational(n, el.den) for n in el.num]
 
 
 def _gel(u: GElement) -> dict:
-    return {"scale": _frac(u.scale), "base": _coords(u.base)}
+    return {"scale": format_rational(u.scale), "base": _coords(u.base)}
 
 
 def _precision(text: str) -> int:
@@ -234,7 +220,7 @@ def run_command(cmd: str, scenario: Scenario | None, args: dict) -> dict:
         for pid, weight in places(scenario.field):
             # weight is 1/d for a real embedding, 2/d for a conjugate pair
             kind = "real" if weight == Fraction(1, scenario.field.degree) else "complex"
-            table.append({"id": pid.index, "kind": kind, "weight": _frac(weight)})
+            table.append({"id": pid.index, "kind": kind, "weight": format_rational(weight)})
         report["degree"] = scenario.field.degree
         report["torsion_order"] = scenario.field.torsion_order
         report["archimedean"] = table

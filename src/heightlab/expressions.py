@@ -14,15 +14,17 @@ unary minus signs nest at most MAX_NESTING deep.  Integer exponents only;
 rationals are written a/b and fall out of the division operator.  Division
 by a subexpression that evaluates to zero is an evaluation error, not a
 parse error, and so is a power whose estimated coefficient size exceeds
-MAX_POWER_BITS.
+MAX_POWER_BITS.  Reports print exact rationals through format_rational,
+under the same digit limit.
 """
 
 from __future__ import annotations
 
 import re
 import sys
+from math import gcd as int_gcd
 
-from .errors import EvalError, ParseError
+from .errors import EvalError, InputError, ParseError
 from .numberfield import FieldElement, WorkingField
 
 _OPS = set("t+-*/^()")
@@ -42,18 +44,54 @@ def int_digit_limit() -> int:
     return getattr(sys, "get_int_max_str_digits", lambda: 0)()
 
 
+def decimal_digits(n: int) -> int:
+    """The number of decimal digits of |n|, without converting n to a
+    string: from a lower estimate by the bit length, by steps of one."""
+    n = abs(n)
+    k = max(1, int((n.bit_length() - 1) * 0.30102999))
+    while 10 ** k <= n:
+        k += 1
+    return k
+
+
+def format_rational(num, den: int = 1) -> str:
+    """num/den, for num an int or a Fraction and den > 0, in lowest terms as
+    str of the Fraction prints it; InputError when a part has more than
+    int_digit_limit() digits."""
+    num, den = num.numerator, num.denominator * den
+    g = int_gcd(num, den)
+    if g != 1:
+        num, den = num // g, den // g
+    limit = int_digit_limit()
+    for n in (num, den):
+        # fewer than 3 * limit bits means fewer than limit digits
+        if limit and n.bit_length() > 3 * limit and abs(n) >= 10 ** limit:
+            raise InputError(
+                f"a rational in the report has more than {limit} decimal "
+                "digits, Python's limit for converting an integer to a string")
+    # equal numbers in reports kept side by side (a caller holding many of
+    # them) share one string; sys.intern keeps none alive by itself
+    return sys.intern(f"{num}/{den}" if den != 1 else str(num))
+
+
 def check_power_budget(base: FieldElement, exponent: int, where: str) -> None:
     """Raise EvalError when base^exponent would exceed MAX_POWER_BITS.
 
     The estimate is |exponent| * (largest numerator or denominator bit
-    length among the lowest-terms coordinates of base + bit length of m_F's
-    largest coefficient + 1) bits; `where` names the input in the message.
+    length among the lowest-terms coordinates n/g over den/g of base, for
+    g = gcd(n, den), + bit length of m_F's largest coefficient + 1) bits;
+    `where` names the input in the message, and an exponent past
+    int_digit_limit() digits is named by its digit count.
     """
     modulus_bits = max(abs(c).bit_length() for c in base.field.m_ints)
-    base_bits = max(max(c.numerator.bit_length(), c.denominator.bit_length())
-                    for c in base.coords)
+    den = base.den
+    base_bits = max(max((n // g).bit_length(), (den // g).bit_length())
+                    for n in base.num for g in [int_gcd(n, den)])
     if abs(exponent) * (base_bits + modulus_bits + 1) > MAX_POWER_BITS:
-        raise EvalError(f"power {exponent} in {where} exceeds the "
+        digits = decimal_digits(exponent)
+        power = (exponent if digits <= (int_digit_limit() or digits)
+                 else f"with {digits} digits")
+        raise EvalError(f"power {power} in {where} exceeds the "
                         f"{MAX_POWER_BITS}-bit coefficient budget")
 
 

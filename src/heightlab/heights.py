@@ -128,8 +128,7 @@ def is_torsion(a: FieldElement) -> bool:
     """Exact root-of-unity test: a^w == 1 for the field torsion order w."""
     if a.is_zero():
         raise ZeroElement("torsion test of zero is undefined")
-    p = a ** a.field.torsion_order
-    return p.is_rational() and p.as_rational() == 1
+    return a ** a.field.torsion_order == 1
 
 
 class GElement:

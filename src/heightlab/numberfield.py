@@ -5,10 +5,12 @@ coefficients, and must split completely in its own root field (Galois
 requirement).  An element is a vector of integer numerators over one
 positive common denominator on the power basis 1, t, ..., t^(d-1), kept in
 lowest terms (the gcd of the denominator and all numerators is 1), so
-that equal elements have equal representations.  Because m_F is monic over
-Z, products reduce with integer rows and are normalized once (Cohen, A
-Course in Computational Algebraic Number Theory, ch. 4).  Everything here
-is immutable after construction and safe for concurrent reads.
+that equal elements have equal representations (the form of
+polynomials.Poly, whose lowest_terms and from_rationals it shares; Fraction
+coordinates are only a view).  Because m_F is monic over Z, products
+reduce with integer rows and are normalized once (Cohen, A Course in
+Computational Algebraic Number Theory, ch. 4).  Everything here is
+immutable after construction and safe for concurrent reads.
 
 make_field builds a field in four steps.  It proves m_F irreducible over
 Q.  It finds the Galois group at the least prime q where m_F splits: it
@@ -32,6 +34,7 @@ from __future__ import annotations
 
 import functools
 from fractions import Fraction
+from math import ceil, log2
 from math import gcd as int_gcd
 from math import lcm as int_lcm
 from operator import mul
@@ -46,8 +49,10 @@ from .polynomials import (
     content_and_primitive,
     cyclotomic,
     discriminant,
+    from_rationals,
     inverse_mod,
     is_irreducible,
+    lowest_terms,
     squarefree_part,
 )
 from .roots import DEFAULT_PRECISION_BITS, _bounded_eval, _to_mpf, galois_roots
@@ -56,17 +61,18 @@ from .roots import DEFAULT_PRECISION_BITS, _bounded_eval, _to_mpf, galois_roots
 def _normalized(field: "WorkingField", num, den: int) -> "FieldElement":
     """The element num/den (den nonzero), brought to lowest terms with a
     positive denominator."""
-    g = int_gcd(den, *num)
-    if den < 0:
-        g = -g
-    if g != 1:
-        num = [n // g for n in num]
-        den //= g
     el = object.__new__(FieldElement)
     el.field = field
-    el.num = tuple(num)
-    el.den = den
+    el.num, el.den = lowest_terms(num, den)
     return el
+
+
+def sorted_by_coordinates(items, key=lambda a: a) -> list:
+    """The list items in the order of the Fraction coordinates of the
+    elements key(item): by their numerators over a common denominator."""
+    den = int_lcm(*(key(x).den for x in items))
+    ranks = [[n * (den // key(x).den) for n in key(x).num] for x in items]
+    return [items[i] for i in sorted(range(len(items)), key=ranks.__getitem__)]
 
 
 class FieldElement:
@@ -76,19 +82,13 @@ class FieldElement:
     __slots__ = ("field", "num", "den")
 
     def __init__(self, field: "WorkingField", coords):
-        cs = [Fraction(c) for c in coords]
-        den = int_lcm(*(c.denominator for c in cs))
-        self.field = field
-        self.num = tuple(c.numerator * (den // c.denominator) for c in cs)
-        self.den = den
+        num, den = from_rationals(coords)
+        self.field, self.num, self.den = field, tuple(num), den
 
     @property
     def coords(self) -> tuple:
         """Power-basis coordinates as lowest-terms Fractions."""
         return tuple(Fraction(n, self.den) for n in self.num)
-
-    def coord_poly(self) -> Poly:
-        return Poly(self.coords)
 
     def is_zero(self) -> bool:
         return not any(self.num)
@@ -153,9 +153,8 @@ class FieldElement:
 
     def __mul__(self, other) -> "FieldElement":
         if isinstance(other, (int, Fraction)):
-            q = Fraction(other)
-            return _normalized(self.field, [n * q.numerator for n in self.num],
-                               self.den * q.denominator)
+            return _normalized(self.field, [n * other.numerator for n in self.num],
+                               self.den * other.denominator)
         other = self._coerce(other)
         if other is None:
             return NotImplemented
@@ -170,11 +169,10 @@ class FieldElement:
 
     def __truediv__(self, other) -> "FieldElement":
         if isinstance(other, (int, Fraction)):
-            q = Fraction(other)
-            if not q:
+            if not other:
                 raise ZeroDivisionError("field element divided by zero")
-            return _normalized(self.field, [n * q.denominator for n in self.num],
-                               self.den * q.numerator)
+            return _normalized(self.field, [n * other.denominator for n in self.num],
+                               self.den * other.numerator)
         other = self._coerce(other)
         if other is None:
             return NotImplemented
@@ -280,7 +278,7 @@ class WorkingField:
         self.precision_bits = precision_bits
         self.disc = discriminant(defining_poly)
         # the integer coefficients of m_F, lowest degree first
-        self.m_ints = tuple(int(c) for c in defining_poly.coeffs)
+        self.m_ints = defining_poly.num
         d = self.degree
         # reduction rows: integer coords of theta^(d+k) for k = 0..d-2
         rows = []
@@ -328,9 +326,7 @@ class WorkingField:
         return FieldElement(self, cs)
 
     def from_rational(self, q) -> FieldElement:
-        q = Fraction(q)
-        return _normalized(self, [q.numerator] + [0] * (self.degree - 1),
-                           q.denominator)
+        return self.element([q])
 
     def zero(self) -> FieldElement:
         return self.from_rational(0)
@@ -376,11 +372,12 @@ class WorkingField:
         Itoh and Tsujii (Inform. and Comput. 78, 1988) invert through a
         cyclic group, the chain serves any Galois group."""
         if a.is_rational():
-            return self.from_rational(Fraction(a.den, a.num[0]))
+            return _normalized(self, [a.den] + [0] * (self.degree - 1), a.num[0])
         n, factors = _chain_norm(self, tuple(range(len(_automorphisms(self)))), a)
         if not n.is_rational():
             raise WitnessFailure("conjugate product is not rational")
-        return functools.reduce(mul, factors) / n.as_rational()
+        c = functools.reduce(mul, factors)
+        return _normalized(self, [x * n.den for x in c.num], c.den * n.num[0])
 
     def identity_automorphism(self) -> Automorphism:
         return self.automorphisms[0]
@@ -395,22 +392,21 @@ class WorkingField:
 def eval_poly(p: Poly, a: FieldElement) -> FieldElement:
     """Evaluate a rational polynomial at a field element.
 
-    With p = sum (n_i / D) x^i over one denominator D and a = A / e,
-    Horner runs on integer coordinates, D e^n p(a) = sum n_i e^(n-i) A^i
-    for n = deg p, and the result is brought to lowest terms once.
+    With p = sum (n_i / D) x^i for its numerators n_i over its denominator
+    D and a = A / e, Horner runs on integer coordinates,
+    D e^n p(a) = sum n_i e^(n-i) A^i for n = deg p, and the result is
+    brought to lowest terms once.
     """
     field = a.field
     if p.is_zero():
         return field.zero()
-    den = int_lcm(*(c.denominator for c in p.coeffs))
-    nums = [c.numerator * (den // c.denominator) for c in p.coeffs]
-    acc = [nums[-1]] + [0] * (field.degree - 1)
+    acc = [p.num[-1]] + [0] * (field.degree - 1)
     e_power = 1
-    for c in reversed(nums[:-1]):
+    for c in reversed(p.num[:-1]):
         e_power *= a.den
         acc = field._mul_num(acc, a.num)
         acc[0] += c * e_power
-    return _normalized(field, acc, den * e_power)
+    return _normalized(field, acc, p.den * e_power)
 
 
 def eval_at_embeddings(a: FieldElement, roots) -> list:
@@ -440,7 +436,7 @@ def _split_prime(field: WorkingField, avoid: int):
     that m_F splits into d distinct linear factors.  Anything less raises
     NotGalois.
     """
-    bad = int(field.disc) * avoid
+    bad = field.disc.numerator * avoid
     q = 1
     while True:
         q = next_prime(q)
@@ -518,7 +514,9 @@ def _precision_bound(field: WorkingField, f_ints, q: int) -> int:
     so |N(v)| <= (|v| sqrt(S))^d.  At k >= k_max this forces x = c: a
     candidate that fails the exact check there proves that rho is not the
     image of a root in F.  The bound is compared squared, in integers, with
-    2^ceil(d/2) in place of 2^(d/2).
+    2^ceil(d/2) in place of 2^(d/2).  The search for k_max starts at
+    ceil(bitlen(bound) / (2 log2 q)), a step or so from it, and moves
+    by factors of q^2.
     """
     a = field.m_ints
     d = field.degree
@@ -530,9 +528,13 @@ def _precision_bound(field: WorkingField, f_ints, q: int) -> int:
     s = sum(radius ** (2 * i) for i in range(d))
     babai = 2 ** ((d + 1) // 2) + 1
     bound = (babai * babai * d * coord * coord * s) ** d
-    k = 1
-    while q ** (2 * k) <= bound:
-        k += 1
+    k = max(1, ceil(bound.bit_length() / (2 * log2(q))))
+    step = q * q
+    power = step ** k
+    while power <= bound:
+        k, power = k + 1, power * step
+    while k > 1 and power // step > bound:
+        k, power = k - 1, power // step
     return k
 
 
@@ -555,8 +557,8 @@ def _lift_root(field: WorkingField, f_ints, q: int, r1: int, rho: int, k_max: in
     dm_ints = [i * c for i, c in enumerate(field.m_ints)][1:]
     inv = field._dtheta_inverse
     if inv is None:
-        inv = field.element(inverse_mod(Poly(dm_ints), field.defining_poly).coeffs)
-        field._dtheta_inverse = inv
+        p = inverse_mod(Poly(dm_ints), field.defining_poly)
+        inv = field._dtheta_inverse = field.element(p.num) / p.den
     # first try q^k near 2^(d^2/2), where the reduced basis vectors (of
     # length about q^(k/d)) outgrow Babai's factor 2^(d/2)
     k = min(k_max, max(1, d * d // (2 * q.bit_length())))
@@ -591,12 +593,12 @@ def roots_in_field(p: Poly, field: WorkingField) -> list[FieldElement]:
     _, f = content_and_primitive(squarefree_part(p))
     if f.degree < 1:
         return []
-    f_ints = [int(c) for c in f.coeffs]
-    q, r1 = _split_prime(field, f_ints[-1] * int(discriminant(f)))
+    f_ints = f.num
+    q, r1 = _split_prime(field, f_ints[-1] * discriminant(f).numerator)
     k_max = _precision_bound(field, f_ints, q)
     lifts = (_lift_root(field, f_ints, q, r1, rho, k_max)
              for rho in _roots_mod(f_ints, q))
-    return sorted((r for r in lifts if r is not None), key=lambda r: r.coords)
+    return sorted_by_coordinates([r for r in lifts if r is not None])
 
 
 # -- minimal polynomials ---------------------------------------------------
@@ -661,7 +663,8 @@ def minimal_polynomial(a: FieldElement) -> Poly:
     WitnessFailure unless the integer polynomial vanishes at A exactly.
     """
     c = _minimal_polynomial_ints(a)
-    return Poly([Fraction(ck, a.den ** k) for k, ck in reversed(list(enumerate(c)))])
+    e = len(c) - 1
+    return Poly.from_ints([c[e - i] * a.den ** i for i in range(e + 1)], a.den ** e)
 
 
 # -- field construction ----------------------------------------------------
@@ -714,7 +717,7 @@ def _galois_group(field: WorkingField):
                     f"no root of the defining polynomial in the field lies above "
                     f"its root {rho} mod {q}; supply the Galois closure")
             add(image, rho)
-    order = sorted(range(d), key=lambda i: (i != 0, autos[i].theta_image.coords))
+    order = [0] + sorted_by_coordinates(range(1, d), lambda i: autos[i].theta_image)
     for new, old in enumerate(order):
         autos[old].index = new
     comp = tuple(tuple(autos[products[a, b]].index for b in order) for a in order)
@@ -729,17 +732,17 @@ def _root_of_unity(field: WorkingField, n: int, q: int, r1: int):
     Phi_n splits into distinct linear factors mod q, and Q(zeta_n) in F
     puts a root of F above each of them, so one lift above the least root
     decides; the others are the powers zeta^j with gcd(j, n) = 1."""
-    f_ints = [int(c) for c in cyclotomic(n).coeffs]
+    f_ints = cyclotomic(n).num
     rho = _roots_mod(f_ints, q)[0]
     zeta = _lift_root(field, f_ints, q, r1, rho, _precision_bound(field, f_ints, q))
     if zeta is None:
         return None
-    best, power = zeta, zeta
+    primitive, power = [zeta], zeta
     for j in range(2, n):
         power = power * zeta
-        if int_gcd(j, n) == 1 and power.coords < best.coords:
-            best = power
-    return best
+        if int_gcd(j, n) == 1:
+            primitive.append(power)
+    return sorted_by_coordinates(primitive)[0]
 
 
 def _automorphism_orders(field: WorkingField) -> set:
@@ -842,18 +845,12 @@ def make_field(defining_poly, precision_bits: int | None = None) -> WorkingField
     Raises ReduciblePolynomial, NotGalois, or PrecisionExhausted when the
     input cannot be certified.
     """
-    if isinstance(defining_poly, Poly):
-        coeffs = defining_poly.coeffs
-    else:
-        coeffs = [Fraction(c) for c in defining_poly]
-    ints = []
-    for c in coeffs:
-        c = Fraction(c)
-        if c.denominator != 1:
-            raise ReduciblePolynomial("defining polynomial must have integer coefficients")
-        ints.append(int(c))
+    if not isinstance(defining_poly, Poly):
+        defining_poly = Poly(defining_poly)
+    if defining_poly.den != 1:
+        raise ReduciblePolynomial("defining polynomial must have integer coefficients")
     bits = precision_bits if precision_bits is not None else DEFAULT_PRECISION_BITS
-    return _make_field_cached(tuple(ints), bits)
+    return _make_field_cached(defining_poly.num, bits)
 
 
 # -- subfields and the Galois correspondence ------------------------------

@@ -16,7 +16,7 @@ import dataclasses
 
 from .errors import WitnessFailure, ZeroElement
 from .heights import HeightValue, weil_height
-from .numberfield import FieldElement, Subfield
+from .numberfield import FieldElement, Subfield, sorted_by_coordinates
 
 
 @dataclasses.dataclass(frozen=True)
@@ -36,7 +36,7 @@ def _distinct_conjugates(a: FieldElement, k: Subfield):
     for sigma in k.fixing_group:
         img = sigma(a)
         images.setdefault(img, sigma)
-    return sorted(images.items(), key=lambda pair: pair[0].coords)
+    return sorted_by_coordinates(list(images.items()), lambda pair: pair[0])
 
 
 def _orbit(a: FieldElement, k: Subfield):

@@ -38,6 +38,7 @@ from .errors import (
     WitnessFailure,
     ZeroElement,
 )
+from .expressions import format_rational
 from .heights import _FLOAT_SLACK, GElement
 from .numberfield import FieldElement, WorkingField, eval_at_embeddings, eval_poly
 from .polynomials import Poly
@@ -102,18 +103,20 @@ class PlaceVector:
 
     def as_dict(self):
         """JSON-ready form: exact fraction weights, decimal values with
-        error bounds."""
+        error bounds.  InputError when an exact rational has more digits
+        than Python converts to a string (expressions.format_rational)."""
+        base = self.element.base
         return {
             "element": {
-                "scale": str(self.element.scale),
-                "base": [str(c) for c in self.element.base.coords],
+                "scale": format_rational(self.element.scale),
+                "base": [format_rational(n, base.den) for n in base.num],
             },
             "arch": [
                 {
                     "id": pid.index,
                     "value": f"{ent.value:.15e}",
                     "abs_error": f"{ent.abs_error:.3e}",
-                    "weight": str(ent.weight),
+                    "weight": format_rational(ent.weight),
                 }
                 for pid, ent in self.arch_items()
             ],
@@ -125,7 +128,7 @@ class PlaceVector:
                     "f": ent.f,
                     "value": f"{ent.value:.15e}",
                     "abs_error": f"{ent.abs_error:.3e}",
-                    "weight": str(ent.weight),
+                    "weight": format_rational(ent.weight),
                 }
                 for pid, ent in self.finite_items()
             ],

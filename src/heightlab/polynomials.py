@@ -1,9 +1,11 @@
 """Dense univariate polynomials over the rationals.
 
-Coefficients are `fractions.Fraction`, stored lowest degree first.  All
-arithmetic is exact.  The Euclidean algorithms (inverse, gcd, resultant,
-Sturm sequence) and the factorization run on the primitive integer parts,
-as lists of Python integers lowest degree first (Cohen, A Course in
+A polynomial is integer numerators, lowest degree first, over one positive
+denominator in lowest terms, the form of a numberfield.FieldElement; the
+two share lowest_terms and from_rationals, and Fraction coefficients are
+only a view.  The Euclidean algorithms (inverse, gcd, resultant, Sturm
+sequence) and the factorization run on the primitive integer parts, as
+lists of Python integers lowest degree first (Cohen, A Course in
 Computational Algebraic Number Theory, GTM 138, sections 3.1 to 3.5):
 pseudo-remainders with the content removed, the sub-resultant algorithm,
 and Zassenhaus's factorization over Z on top of the mod-p factorization of
@@ -17,22 +19,47 @@ import itertools
 from fractions import Fraction
 from math import gcd as int_gcd
 from math import isqrt
+from math import lcm as int_lcm
 
 from . import _modp
 from ._integers import euler_phi  # noqa: F401  (part of this module's API)
 from ._integers import isprime, next_prime, prime_factors
 
 
-class Poly:
-    """Polynomial over Q, coefficients lowest degree first, no trailing zeros."""
+def lowest_terms(num, den: int):
+    """num (as a tuple) and den != 0 over gcd(den, *num), signed so that den > 0."""
+    g = int_gcd(den, *num)
+    if den < 0:
+        g = -g
+    if g == 1:
+        return tuple(num), den
+    return tuple([n // g for n in num]), den // g
 
-    __slots__ = ("coeffs",)
+
+def from_rationals(values):
+    """(num, den): the rationals in values (anything Fraction accepts) as a
+    list of integer numerators over their least common denominator."""
+    cs = [c if isinstance(c, (int, Fraction)) else Fraction(c) for c in values]
+    den = int_lcm(*(c.denominator for c in cs))
+    return [c.numerator * (den // c.denominator) for c in cs], den
+
+
+class Poly:
+    """Polynomial over Q: integer numerators num, lowest degree first, no
+    trailing zeros, over the denominator den > 0, gcd(den, *num) = 1."""
+
+    __slots__ = ("num", "den")
 
     def __init__(self, coeffs=()):
-        cs = [Fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs = tuple(cs)
+        num, den = from_rationals(coeffs)
+        self.num, self.den = tuple(_trim(num)), den
+
+    @staticmethod
+    def from_ints(num, den: int = 1) -> "Poly":
+        """sum num_i x^i / den for integers num_i and den != 0."""
+        p = object.__new__(Poly)
+        p.num, p.den = lowest_terms(_trim(list(num)), den)
+        return p
 
     @staticmethod
     def zero() -> "Poly":
@@ -47,57 +74,52 @@ class Poly:
         return Poly([0, 1])
 
     @property
+    def coeffs(self) -> tuple:
+        """The coefficients, lowest degree first, as lowest-terms Fractions."""
+        return tuple(Fraction(n, self.den) for n in self.num)
+
+    @property
     def degree(self) -> int:
         """Degree; the zero polynomial has degree -1."""
-        return len(self.coeffs) - 1
+        return len(self.num) - 1
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.num
 
     @property
     def lc(self) -> Fraction:
-        if not self.coeffs:
+        if not self.num:
             raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return Fraction(self.num[-1], self.den)
 
     def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1] == 1
+        return bool(self.num) and self.num[-1] == self.den
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Poly) and self.coeffs == other.coeffs
+        return (isinstance(other, Poly) and self.den == other.den
+                and self.num == other.num)
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash((self.num, self.den))
 
     def __bool__(self):
-        return bool(self.coeffs)
+        return bool(self.num)
 
     def __neg__(self) -> "Poly":
-        return Poly([-c for c in self.coeffs])
+        return Poly.from_ints([-n for n in self.num], self.den)
 
     def __add__(self, other: "Poly") -> "Poly":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return Poly(out)
+        return Poly.from_ints(_add([n * other.den for n in self.num],
+                                   [n * self.den for n in other.num]), self.den * other.den)
 
     def __sub__(self, other: "Poly") -> "Poly":
         return self + (-other)
 
     def __mul__(self, other) -> "Poly":
         if isinstance(other, (int, Fraction)):
-            return Poly([c * other for c in self.coeffs])
-        if self.is_zero() or other.is_zero():
-            return Poly()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-        return Poly(out)
+            return Poly.from_ints([n * other.numerator for n in self.num],
+                                  self.den * other.denominator)
+        return Poly.from_ints(_mul(self.num, other.num), self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -113,38 +135,31 @@ class Poly:
         return result
 
     def __divmod__(self, other: "Poly"):
+        """From l^k A = Q B + R for the numerators A, B and l = lc(B):
+        q = Q other.den / (l^k self.den) and r = R / (l^k self.den)."""
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        q = [Fraction(0)] * max(0, len(rem) - len(other.coeffs) + 1)
-        dlc = other.lc
-        dd = other.degree
-        for i in range(len(rem) - 1, dd - 1, -1):
-            c = rem[i]
-            if c == 0:
-                continue
-            f = c / dlc
-            q[i - dd] = f
-            for j, oc in enumerate(other.coeffs):
-                rem[i - dd + j] -= f * oc
-        return Poly(q), Poly(rem)
+        q, r = _pseudo_divmod(self.num, other.num)
+        scale = other.num[-1] ** max(0, self.degree - other.degree + 1) * self.den
+        return (Poly.from_ints([c * other.den for c in q], scale),
+                Poly.from_ints(r, scale))
 
     def __mod__(self, other: "Poly") -> "Poly":
         return divmod(self, other)[1]
 
     def derivative(self) -> "Poly":
-        return Poly([i * c for i, c in enumerate(self.coeffs)][1:])
+        return Poly.from_ints([i * n for i, n in enumerate(self.num)][1:], self.den)
 
     def __call__(self, x) -> Fraction:
         """Horner evaluation at a rational point.  (Evaluation at field
         elements lives in numberfield.eval_poly.)"""
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        acc = 0
+        for n in reversed(self.num):
+            acc = acc * x + n
+        return Fraction(acc) / self.den
 
     def __repr__(self):
-        if not self.coeffs:
+        if not self.num:
             return "Poly(0)"
         parts = []
         for i, c in enumerate(self.coeffs):
@@ -169,18 +184,12 @@ _mul = _modp.product
 
 
 def _primitive_ints(p: Poly):
-    """(c, P) with p = c P, c rational > 0 and P a primitive integer list
-    with positive leading coefficient."""
+    """(g, P) with p = (g / p.den) P, g an integer of the sign of lc(p) and
+    P a primitive integer list with positive leading coefficient."""
     if p.is_zero():
         raise ValueError("zero polynomial has no primitive part")
-    den = 1
-    for c in p.coeffs:
-        den = den * c.denominator // int_gcd(den, c.denominator)
-    ints = [c.numerator * (den // c.denominator) for c in p.coeffs]
-    g = int_gcd(*ints)
-    if ints[-1] < 0:
-        g = -g
-    return Fraction(g, den), [c // g for c in ints]
+    f = _primitive(list(p.num))
+    return p.num[-1] // f[-1], f
 
 
 def _primitive(a: list) -> list:
@@ -206,7 +215,7 @@ def _sub(a: list, b: list) -> list:
 
 def _pseudo_divmod(a: list, b: list):
     """(q, r) with lc(b)^(deg a - deg b + 1) a = q b + r and deg r < deg b
-    (Cohen, algorithm 3.1.2), for deg a >= deg b >= 0."""
+    (Cohen, algorithm 3.1.2), for deg b >= 0; ([], a) when deg a < deg b."""
     n, lc = len(b) - 1, b[-1]
     r = list(a)
     q = [0] * (len(a) - n)
@@ -322,8 +331,8 @@ def inverse_mod(a: Poly, m: Poly) -> Poly:
         s = _sub([lead * c for c in s0], _mul(q, s1))
         g = int_gcd(*r, *s)
         r0, s0, r1, s1 = r1, s1, [c // g for c in r], [c // g for c in s]
-    # s1 A = r1 mod M, with r1 a constant
-    return Poly([Fraction(c, r1[0]) for c in s1]) * (1 / ca)
+    # s1 A = r1 mod M, with r1 a constant, and a = (ca / a.den) A
+    return Poly.from_ints([c * a.den for c in s1], r1[0] * ca)
 
 
 def lagrange_interpolate(points) -> Poly:
@@ -359,7 +368,7 @@ def squarefree_part(p: Poly) -> Poly:
     if p.degree == 0:
         return Poly.one()
     f = _squarefree_part(_primitive_ints(p)[1])
-    return Poly([Fraction(c, f[-1]) for c in f])
+    return Poly.from_ints(f, f[-1])
 
 
 def resultant(a: Poly, b: Poly) -> Fraction:
@@ -368,7 +377,8 @@ def resultant(a: Poly, b: Poly) -> Fraction:
         return Fraction(0)
     ca, fa = _primitive_ints(a)
     cb, fb = _primitive_ints(b)
-    return ca ** b.degree * cb ** a.degree * _resultant(fa, fb)
+    return Fraction(ca ** b.degree * cb ** a.degree * _resultant(fa, fb),
+                    a.den ** b.degree * b.den ** a.degree)
 
 
 def discriminant(p: Poly) -> Fraction:
@@ -383,8 +393,8 @@ def discriminant(p: Poly) -> Fraction:
 def content_and_primitive(p: Poly):
     """Write p = c * P with c rational > 0 and P a primitive integer
     polynomial with positive leading coefficient."""
-    c, ints = _primitive_ints(p)
-    return c, Poly(ints)
+    g, ints = _primitive_ints(p)
+    return Fraction(g, p.den), Poly(ints)
 
 
 def real_root_count(p: Poly) -> int:
@@ -438,17 +448,17 @@ def cyclotomic(n: int) -> Poly:
 def _cyclotomic_orders(m: int) -> tuple:
     """The n with phi(n) = m.  Such n is m prod p/(p - 1) over the primes p
     dividing it, and p - 1 divides m for each, which bounds n."""
-    bound = Fraction(m)
+    num, den = m, 1
     for d in range(1, m + 1):
         if m % d == 0 and isprime(d + 1):
-            bound *= Fraction(d + 1, d)
-    return tuple(n for n in range(1, int(bound) + 1) if euler_phi(n) == m)
+            num, den = num * (d + 1), den * d
+    return tuple(n for n in range(1, num // den + 1) if euler_phi(n) == m)
 
 
 def _is_cyclotomic(f: list) -> bool:
     """f, an integer polynomial of degree >= 2, is Phi_n for some n."""
     return f[-1] == 1 and f == f[::-1] and any(
-        list(cyclotomic(n).coeffs) == f for n in _cyclotomic_orders(len(f) - 1))
+        list(cyclotomic(n).num) == f for n in _cyclotomic_orders(len(f) - 1))
 
 
 # -- factorization over Z --------------------------------------------------
@@ -620,7 +630,7 @@ def factor_rational(p: Poly):
             while (q := _divide(f, g)) is not None:
                 f, mult = q, mult + 1
             out.append((Poly(g), mult))
-    out.sort(key=lambda fm: (fm[0].degree, fm[0].coeffs))
+    out.sort(key=lambda fm: (fm[0].degree, fm[0].num))
     return out
 
 

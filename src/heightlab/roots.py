@@ -62,7 +62,7 @@ from mpmath.libmp import (
 )
 
 from .errors import PrecisionExhausted
-from .polynomials import Poly, is_squarefree
+from .polynomials import Poly, _derivative, is_squarefree
 
 DEFAULT_PRECISION_BITS = 256
 
@@ -187,8 +187,9 @@ def _starts(p: Poly) -> list[tuple[float, float]]:
     real axis; a zero root (c_0 = 0) starts at 0 itself.
     """
     d = p.degree
-    points = [(i, math.log2(abs(c.numerator)) - math.log2(c.denominator))
-              for i, c in enumerate(p.coeffs) if c]
+    # log2 |c_i| from the lowest terms of c_i = n / den
+    points = [(i, math.log2(abs(n) // g) - math.log2(p.den // g))
+              for i, n in enumerate(p.num) if n for g in [math.gcd(n, p.den)]]
     hull = []
     for q in points:
         # drop the last hull point while it lies on or below the chord to q
@@ -207,13 +208,14 @@ def _float_starts(p: Poly):
     """Durand-Kerner approximations in binary64 from the Newton-polygon
     starts, or None when a start or a monic coefficient lies outside the
     float range or the iteration does not settle to finite values."""
-    lc = p.coeffs[-1]
+    lc = p.num[-1]
     try:
-        c = [float(a / lc) for a in p.coeffs]
+        # int / int rounds as float(Fraction) does; 0 / lc is -0.0 for lc < 0
+        c = [a / lc if a else 0.0 for a in p.num]
         z = [cmath.rect(2.0 ** e, arg) for e, arg in _starts(p)]
     except OverflowError:
         return None
-    if any(a and not f for a, f in zip(p.coeffs, c)):
+    if any(a and not f for a, f in zip(p.num, c)):
         return None  # a coefficient underflows to 0
     try:
         _sweep_until_settled(lambda: _dk_sweep(c, z), _FLOAT_SWEEPS,
@@ -357,12 +359,6 @@ def _to_mpf(nums, den: int):
     return out
 
 
-def _poly_to_mpf(p: Poly):
-    """_to_mpf of the coefficients of p, over their common denominator."""
-    den = math.lcm(*(c.denominator for c in p.coeffs))
-    return _to_mpf([c.numerator * (den // c.denominator) for c in p.coeffs], den)
-
-
 def _disk(value, radius: float):
     """The disk about the mpc value as raw values: (centre, radius)."""
     return value._mpc_, from_float(radius)
@@ -441,8 +437,8 @@ def certified_roots(p: Poly, bits: int = DEFAULT_PRECISION_BITS) -> list[Certifi
         raise ValueError("certified_roots requires a squarefree polynomial")
     prec = bits + 32
     with locked_workprec(prec):
-        cs = _poly_to_mpf(p)
-        dcs = _poly_to_mpf(p.derivative())
+        cs = _to_mpf(p.num, p.den)
+        dcs = _to_mpf(_derivative(p.num), p.den)
         monic = [mpf_div(a, cs[-1], prec, round_nearest) for a in cs]
         approx = _approximate_roots(p, monic, bits)
         floor = mpmath.mpf(2) ** (-bits)
@@ -529,9 +525,9 @@ def galois_roots(p: Poly, images, comp, bits: int = DEFAULT_PRECISION_BITS):
     d = p.degree
     prec = bits + 32
     with locked_workprec(prec):
-        cs = _poly_to_mpf(p)
+        cs = _to_mpf(p.num, p.den)
         theta = mpmath.mp.make_mpc(_one_root(p, cs, bits))
-        r1 = _henrici_radius(cs, _poly_to_mpf(p.derivative()), theta, 0, prec)
+        r1 = _henrici_radius(cs, _to_mpf(_derivative(p.num), p.den), theta, 0, prec)
         floor = mpmath.mpf(2) ** (-bits)
 
         @functools.cache

@@ -28,7 +28,7 @@ from .placespace import (
     prime_support,
     vector_error_bound,
 )
-from .polynomials import content_and_primitive, resultant
+from .polynomials import Poly, content_and_primitive, resultant
 from .projections import (
     ProjectionSpec,
     _maps_onto,
@@ -108,7 +108,7 @@ def _mahler_height(a: FieldElement) -> HeightValue:
     _, P = content_and_primitive(minimal_polynomial(a))
     roots = certified_roots(P, field.precision_bits)
     with locked_workprec(field.precision_bits):
-        total = mpmath.log(int(P.coeffs[-1]))
+        total = mpmath.log(P.num[-1])
         err = 0.0
         for r in roots:
             m = abs(r.value)
@@ -397,7 +397,7 @@ def suite_valuations(scenarios, **_):
     for sc, _params in _declared(scenarios, "valuations"):
         field = sc.field
         for name, el in _nonzero_named(sc):
-            norm = resultant(field.defining_poly, el.coord_poly())
+            norm = resultant(field.defining_poly, Poly.from_ints(el.num, el.den))
             for p in sorted(prime_support(el.den, norm.numerator)):
                 lf = local_factorization(field, el, p)
                 total = sum(f.f * f.valuation for f in lf.factors)

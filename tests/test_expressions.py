@@ -2,9 +2,20 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_numberfield import CORPUS_NAMES
 
+from heightlab.corpus import bundled_scenario
 from heightlab.errors import EvalError, InputError, ParseError
-from heightlab.expressions import MAX_NESTING, MAX_POWER_BITS, int_digit_limit, parse_element
+from heightlab.expressions import (
+    MAX_NESTING,
+    MAX_POWER_BITS,
+    check_power_budget,
+    decimal_digits,
+    int_digit_limit,
+    parse_element,
+)
 
 
 def ev(text, field):
@@ -101,6 +112,52 @@ def test_power_within_budget(field_sqrt2):
     with pytest.raises(EvalError):
         ev(f"t^{n + 1}", f)
     assert ev("(1+t)^200*(1+t)^-200", f) == f.one()
+
+
+def _fraction_budget_bits(base):
+    """The budget's bits per unit of exponent, from the lowest-terms
+    Fraction coordinates of base."""
+    modulus_bits = max(abs(c).bit_length() for c in base.field.m_ints)
+    base_bits = max(max(c.numerator.bit_length(), c.denominator.bit_length())
+                    for c in base.coords)
+    return base_bits + modulus_bits + 1
+
+
+@pytest.mark.parametrize("name", CORPUS_NAMES)
+@settings(max_examples=40, deadline=None)
+@given(nums=st.lists(st.integers(-2 ** 300, 2 ** 300), min_size=6, max_size=6),
+       dens=st.lists(st.one_of(st.just(1), st.integers(1, 2 ** 200)), min_size=6, max_size=6),
+       shift=st.integers(-2, 2), sign=st.sampled_from([1, -1]))
+def test_power_budget_matches_fraction_coordinates(name, nums, dens, shift, sign):
+    # the oracle measures the Fraction coordinates, whose denominators
+    # differ from the common one; exponents are drawn next to where it
+    # starts to refuse
+    field = bundled_scenario(name).field
+    base = field.element([Fraction(n, d) for n, d in zip(nums, dens)][:field.degree])
+    bits = _fraction_budget_bits(base)
+    exponent = sign * max(0, MAX_POWER_BITS // bits + shift)
+    refused = abs(exponent) * bits > MAX_POWER_BITS
+    try:
+        check_power_budget(base, exponent, "the test")
+    except EvalError:
+        assert refused
+    else:
+        assert not refused
+
+
+def test_power_budget_names_a_long_exponent_by_its_digits(field_sqrt2):
+    limit = int_digit_limit()
+    if not limit:
+        pytest.skip("this Python converts integers of any length")
+    for digits in (limit + 1, 5001):
+        with pytest.raises(EvalError) as exc:
+            check_power_budget(field_sqrt2.theta(), -10 ** (digits - 1), "the test")
+        assert str(exc.value) == (f"power with {digits} digits in the test exceeds "
+                                  f"the {MAX_POWER_BITS}-bit coefficient budget")
+    with pytest.raises(EvalError, match=f"power {'9' * limit} in"):
+        check_power_budget(field_sqrt2.theta(), int("9" * limit), "the test")
+    assert [decimal_digits(n) for n in (0, 9, -10, 10 ** 4999, 10 ** 5000 - 1)] == \
+        [1, 1, 2, 5000, 5000]
 
 
 def test_only_ascii_digits_form_integers(field_sqrt2):

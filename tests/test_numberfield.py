@@ -4,6 +4,7 @@ import operator
 import pathlib
 import random
 import runpy
+import time
 from fractions import Fraction
 
 import mpmath
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 from mpmath.libmp import mpf_neg
 from sympy.polys.domains import ZZ
 from sympy.polys.galoistools import gf_factor
+from sympy.polys.specialpolys import swinnerton_dyer_poly
 
 from test_golden import LADDER
 
@@ -272,11 +274,11 @@ def test_representation_properties(name, u, v, q):
     d = f.degree
     a, b = normal(f.element(u[:d])), normal(f.element(v[:d]))
     assert a.coords == tuple(u[:d])
-    # Poly (plain Fraction coefficients) is the independent oracle
+    # Poly arithmetic modulo m_F is the independent oracle
     m = f.defining_poly
-    assert normal(a * b).coord_poly() == (a.coord_poly() * b.coord_poly()) % m
+    assert Poly(normal(a * b).coords) == (Poly(a.coords) * Poly(b.coords)) % m
     for sigma in f.automorphisms:
-        assert normal(sigma(a)) == eval_poly(a.coord_poly(), sigma.theta_image)
+        assert normal(sigma(a)) == eval_poly(Poly(a.coords), sigma.theta_image)
     pairs = list(zip(a.coords, b.coords))
     assert normal(a + b).coords == tuple(x + y for x, y in pairs)
     assert normal(a - b).coords == tuple(x - y for x, y in pairs)
@@ -532,6 +534,57 @@ def test_miss_is_proven_with_a_finer_cached_lattice():
     assert field._lattice_cache[q] is finest
 
 
+def _precision_bound_by_steps(field, f_ints, q):
+    """_precision_bound's k_max by its former search: the bound, then
+    k = 1, 2, ... until q^(2k) exceeds it."""
+    a, d = field.m_ints, field.degree
+    radius = 1 + max(abs(c) for c in a[:-1])
+    gamma = f_ints[-1] + max(abs(c) for c in f_ints[:-1])
+    coord = max(sum(d * gamma * radius ** i * abs(a[i + j + 1]) for i in range(d - j))
+                for j in range(d))
+    s = sum(radius ** (2 * i) for i in range(d))
+    babai = 2 ** ((d + 1) // 2) + 1
+    bound = (babai * babai * d * coord * coord * s) ** d
+    k = 1
+    while q ** (2 * k) <= bound:
+        k += 1
+    return k
+
+
+def test_precision_bound_matches_the_stepwise_search(monkeypatch):
+    # every (f, q) that make_field bounds on the field-build ladder, Phi35
+    # and Phi45: m_F at its split prime and each cyclotomic tried there
+    calls = []
+    bound = numberfield._precision_bound
+
+    def recording(field, f_ints, q):
+        calls.append((field, tuple(f_ints), q))
+        return bound(field, f_ints, q)
+
+    monkeypatch.setattr(numberfield, "_precision_bound", recording)
+    polys = [tuple(doc["field"]) for doc in scenario_documents()] + list(LADDER)
+    polys += [cyclotomic(n).num for n in (7, 9, 16, 35, 45)]
+    for coeffs in polys:
+        _make_field_cached.__wrapped__(coeffs, DEFAULT_PRECISION_BITS)
+    monkeypatch.undo()
+    assert len({f for f, _, _ in calls}) == len(polys)
+    for field, f_ints, q in calls:
+        assert bound(field, f_ints, q) == _precision_bound_by_steps(field, f_ints, q)
+        for p in (2, 3, q + 2, 479):
+            assert bound(field, f_ints, p) == _precision_bound_by_steps(field, f_ints, p)
+
+
+def test_precision_bound_of_degree_32_is_fast():
+    # the stepwise search took 15.5 s here on a 2-core x86-64 host
+    x = sympy.Symbol("x")
+    sd = sympy.Poly(swinnerton_dyer_poly(5, x), x).all_coeffs()
+    field = WorkingField(Poly([int(c) for c in reversed(sd)]), DEFAULT_PRECISION_BITS)
+    q, _ = _split_prime(field, 1)
+    start = time.perf_counter()
+    assert (q, _precision_bound(field, field.m_ints, q)) == (479, 13178)
+    assert time.perf_counter() - start < 1
+
+
 def _roots_mod_by_gf_factor(ints, q):
     """The roots mod q of ints (lowest degree first), from the linear
     factors in sympy's factorization mod q."""
@@ -576,7 +629,7 @@ def test_eval_poly_matches_fraction_horner(coeffs, a_coords, p_coeffs):
     # Horner over Q[x] with Fraction coefficients, reduced mod m_F each step
     acc = Poly()
     for c in reversed(p.coeffs):
-        acc = divmod(acc * a.coord_poly() + Poly([c]), field.defining_poly)[1]
+        acc = divmod(acc * Poly(a.coords) + Poly([c]), field.defining_poly)[1]
     expected = list(acc.coeffs) + [0] * (field.degree - len(acc.coeffs))
     value = eval_poly(p, a)
     assert list(value.coords) == expected
@@ -1096,7 +1149,7 @@ def test_norm_matches_resultant(name):
         elements.append(f.element([Fraction(rng.randint(-5, 5), rng.choice((1, 2, 3)))
                                    for _ in range(f.degree)]))
     for a in elements:
-        assert a.norm() == resultant(f.defining_poly, a.coord_poly())
+        assert a.norm() == resultant(f.defining_poly, Poly(a.coords))
     assert f.from_rational(Fraction(-7, 3)).norm() == Fraction(-7, 3) ** f.degree
     assert abs(f.torsion_generator.norm()) == 1
 
@@ -1112,7 +1165,7 @@ def test_inverse_is_inverse(name, u):
     inverse = normal(a.inverse())
     assert inverse * a == f.one()
     # the Euclidean inverse modulo m_F as an independent oracle
-    assert inverse == f.element(inverse_mod(a.coord_poly(), f.defining_poly).coeffs)
+    assert inverse == f.element(inverse_mod(Poly(a.coords), f.defining_poly).coeffs)
 
 
 @pytest.mark.parametrize("name", CHAIN_FIELDS)

@@ -7,11 +7,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_numberfield import CORPUS_NAMES, _norm_field, _subgroups
 
+from heightlab.corpus import bundled_corpus, scenario_documents
 from heightlab.errors import ZeroElement
 from heightlab.expressions import parse_element
 from heightlab.heights import is_torsion, weil_height
-from heightlab.numberfield import FieldElement, Subfield, rational_subfield, subfield
+from heightlab.numberfield import (
+    FieldElement,
+    Subfield,
+    rational_subfield,
+    sorted_by_coordinates,
+    subfield,
+)
 from heightlab.orbits import (
+    _distinct_conjugates,
     degree_of_power,
     delta_K,
     in_kdiv,
@@ -373,3 +381,50 @@ def test_delta_over_Q_on_phi35():
     a = f.element([rng.randint(-3, 3) for _ in range(f.degree)])
     zeta = f.torsion_generator ** rng.randrange(1, f.torsion_order)
     assert delta_K(a, q) == delta_K(a * zeta, q) == 24
+
+
+@pytest.mark.parametrize("name", CORPUS_NAMES + ["phi13"])
+@settings(max_examples=12, deadline=None)
+@given(coords=st.lists(st.integers(-3, 3), min_size=12, max_size=12),
+       dens=st.lists(st.integers(1, 4), min_size=12, max_size=12), sub=st.integers(0, 63))
+def test_distinct_conjugates_in_coordinate_order(name, coords, dens, sub):
+    # coordinates of different denominators; the oracle keeps the first
+    # automorphism per image and sorts by the Fraction coordinates
+    f = _norm_field(name)
+    a = f.element([Fraction(c, d) for c, d in zip(coords, dens)][:f.degree])
+    groups = _subgroups(name) if name in CORPUS_NAMES else [tuple(range(f.degree))]
+    k = Subfield(f, [], groups[sub % len(groups)])
+    first = {}
+    for sigma in k.fixing_group:
+        first.setdefault(sigma(a), sigma)
+    assert _distinct_conjugates(a, k) == sorted(first.items(), key=lambda p: p[0].coords)
+    # conjugates over different denominators, which the shared one must order
+    scaled = [img / (i + 1) for i, img in enumerate(first)]
+    assert sorted_by_coordinates(scaled) == sorted(scaled, key=lambda c: c.coords)
+
+
+def test_element_paths_build_no_fraction(monkeypatch):
+    # parsing, torsion tests, heights and orbits run on integer numerators
+    # alone, on every element and subfield of every corpus scenario
+    scenarios = bundled_corpus()
+    built = []
+    new = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    docs = {doc["name"]: doc for doc in scenario_documents()}
+    monkeypatch.setattr(Fraction, "__new__", counting)
+    for sc in scenarios:
+        for text in docs[sc.name]["elements"].values():
+            a = parse_element(text, sc.field)
+            if a.is_zero():
+                continue
+            is_torsion(a)
+            weil_height(a)
+            for k in sc.subfields.values():
+                orbit_mod_torsion(a, k)
+    monkeypatch.undo()
+    assert built == []
+    assert Fraction(2, 4) == Fraction(1, 2)

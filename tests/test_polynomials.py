@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -67,6 +68,61 @@ def test_divmod_roundtrip():
         q, r = divmod(a, b)
         assert q * b + r == a
         assert r.degree < b.degree or r.is_zero()
+
+
+def _trimmed(cs) -> tuple:
+    cs = list(cs)
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return tuple(cs)
+
+
+def _fraction_divmod(a, b):
+    """Long division of Fraction coefficient lists, lowest degree first, by
+    a nonzero b, each quotient coefficient a division by lc(b)."""
+    rem, b = list(a), _trimmed(b)
+    q = [Fraction(0)] * max(0, len(rem) - len(b) + 1)
+    for i in range(len(rem) - 1, len(b) - 2, -1):
+        f = rem[i] / b[-1]
+        q[i - len(b) + 1] = f
+        for j, c in enumerate(b):
+            rem[i - len(b) + 1 + j] -= f * c
+    return _trimmed(q), _trimmed(rem)
+
+
+rational_lists = st.lists(st.fractions(min_value=-20, max_value=20, max_denominator=12),
+                          max_size=7)
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=rational_lists, b=rational_lists, x=st.fractions(max_denominator=9),
+       c=st.fractions(max_denominator=9))
+@example(a=[Fraction(-1, 2), Fraction(1)], b=[Fraction(2), Fraction(0)], x=Fraction(1, 2),
+         c=Fraction(-3, 2))
+def test_poly_agrees_with_fraction_coefficient_arithmetic(a, b, x, c):
+    # the oracle is plain Fraction arithmetic on coefficient lists; each
+    # result must also be in lowest terms, as Poly of its Fractions is
+    p, q = Poly(a), Poly(b)
+    assert p.coeffs == _trimmed(a) and p.den > 0 and math.gcd(p.den, *p.num) == 1
+    assert p.is_monic() == (p.coeffs[-1:] == (1,))
+    n = max(len(a), len(b))
+    padded = [list(a) + [0] * (n - len(a)), list(b) + [0] * (n - len(b))]
+    conv = [Fraction(0)] * (len(a) + len(b))
+    for i, u in enumerate(a):
+        for j, v in enumerate(b):
+            conv[i + j] += u * v
+    cases = [(p, a), (p + q, [u + v for u, v in zip(*padded)]),
+             (p - q, [u - v for u, v in zip(*padded)]), (p * q, conv),
+             (p * c, [u * c for u in a]), (c * p, [u * c for u in a]), (-p, [-u for u in a]),
+             (p.derivative(), [i * u for i, u in enumerate(a)][1:])]
+    if q:
+        quotient, remainder = divmod(p, q)
+        expected = _fraction_divmod(a, b)
+        cases += [(quotient, expected[0]), (remainder, expected[1]), (p % q, expected[1])]
+    for result, coeffs in cases:
+        assert result.coeffs == _trimmed(coeffs)
+        assert Poly(result.coeffs) == result and hash(Poly(result.coeffs)) == hash(result)
+    assert p(x) == sum(u * x ** i for i, u in enumerate(a))
 
 
 def test_resultant_shares_root_iff_zero():

@@ -271,6 +271,33 @@ def test_huge_scale_refused_fast(capsys):
         capsys.readouterr()
 
 
+@pytest.mark.parametrize("cmd, subfields", [
+    ("fvector", []), ("project", ["--K", "Q"]), ("member", ["--D", "Q"]),
+    ("decompose", ["--D", "Q"]),
+])
+def test_scale_past_the_digit_limit_refused(cmd, subfields, capsys):
+    # the numerator of 1e5000 has 5001 digits, more than Python converts
+    # to a string, so the budget's message names its digit count
+    code = main([cmd, "--scenario", "sqrt2", "--element", "1+t", "--scale", "1e5000",
+                 "--json"] + subfields)
+    assert code == 2
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error["kind"] == "EvalError"
+    assert error["message"].startswith("power with 5001 digits in --scale '1e5000'")
+
+
+@pytest.mark.parametrize("cmd, subfields", [("fvector", []), ("project", ["--K", "Q"])])
+def test_unprintable_scale_refused(cmd, subfields, capsys):
+    # the denominator of 1e-5000 has 5001 digits: both reports refuse to
+    # print it, through the one formatter of exact rationals
+    code = main([cmd, "--scenario", "sqrt2", "--element", "1+t", "--scale", "1e-5000",
+                 "--json"] + subfields)
+    assert code == 2
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error["kind"] == "InputError"
+    assert str(sys.get_int_max_str_digits()) in error["message"]
+
+
 def test_power_budget_error_names_the_element(capsys):
     # with no --scale, an element over the budget is named, not "--scale None"
     n = "9" * 4000

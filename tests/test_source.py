@@ -1,6 +1,8 @@
 """Checks on the library source itself."""
 
 import ast
+import importlib
+import importlib.util
 import os
 import subprocess
 import sys
@@ -8,6 +10,9 @@ from pathlib import Path
 
 import heightlab
 from heightlab.corpus import scenario_documents
+from heightlab.numberfield import _make_field_cached, eval_poly, make_field
+from heightlab.polynomials import real_root_count
+from heightlab.roots import DEFAULT_PRECISION_BITS
 
 
 def test_library_has_no_assert():
@@ -79,3 +84,44 @@ def test_runtime_needs_no_sympy():
     assert result.returncode == 0, result.stderr[-2000:]
     # one report for each of 14 runs per scenario, and one for verify all
     assert result.stdout.count('"command"') == 14 * len(scenario_documents()) + 1
+
+
+def _benchmark_tracer():
+    """perfbench/tracer.py, loaded from the checkout; it imports only the
+    standard library."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_hooks_resolve():
+    # the benchmark's tracer rebinds these names, and its field-build checks
+    # call eval_poly and real_root_count on the defining polynomial: a
+    # rename would break `perfbench/run.py --trace 1` and the checks
+    tracer = _benchmark_tracer()
+    for name, owner, attr in tracer.INSTRUMENTED:
+        if isinstance(owner, tuple):
+            home = getattr(importlib.import_module(owner[0]), owner[1])
+        else:
+            home = importlib.import_module(owner)
+        assert callable(vars(home).get(attr)), name
+    field = make_field([1, -3, 0, 5, 0, -3, 1])
+    for sigma in field.automorphisms:
+        assert eval_poly(field.defining_poly, sigma.theta_image).is_zero()
+    assert real_root_count(field.defining_poly) == sum(r.is_real for r in field.embeddings)
+    # make_field reaches is_irreducible and resultant (through discriminant)
+    # by the names the tracer rebinds
+    spans = tracer.Tracer()
+    spans.install()
+    try:
+        spans.active = True
+        _make_field_cached.__wrapped__((5, 0, 1), DEFAULT_PRECISION_BITS)
+        spans.active = False
+    finally:
+        spans.restore()
+    calls = {name: m["value"] for name, m in spans.layer_metrics().items()
+             if name.endswith(".calls")}
+    assert calls["polynomials.is_irreducible.calls"] == 1
+    assert calls["polynomials.resultant.calls"] >= 1
