@@ -6,6 +6,7 @@ from .errors import (
     ConditionViolated,
     EvalError,
     FactorizationExhausted,
+    FieldTooLarge,
     HeightlabError,
     IndexDivisor,
     InputError,

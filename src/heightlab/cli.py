@@ -27,6 +27,7 @@ from . import verify as verify_mod
 from .corpus import bundled_corpus, bundled_scenario, scenario_documents
 from .errors import (
     ConditionViolated,
+    FieldTooLarge,
     HeightlabError,
     InputError,
     MathRefusal,
@@ -440,7 +441,7 @@ def main(argv=None) -> int:
                  "count", "tolerance", "strict_condition")}
         args["suite"] = getattr(ns, "suite", None)
         report = run_command(ns.command, scenario, args)
-    except InputError as exc:
+    except (InputError, FieldTooLarge) as exc:
         _emit({"error": {"kind": type(exc).__name__, "message": str(exc)}}, compact)
         return 2
     except (MathRefusal, WitnessFailure) as exc:

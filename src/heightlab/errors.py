@@ -2,7 +2,9 @@
 
 Two families matter to the CLI exit-code contract: mathematical refusals
 (the computation is declined for a sound reason) and input errors (the
-request itself was malformed).
+request itself was malformed).  FieldTooLarge is a refusal that the CLI
+reports as it reports an input error, with exit 2: the request names a field
+beyond the documented budget, whatever the computation would find.
 """
 
 
@@ -24,6 +26,11 @@ class ReduciblePolynomial(MathRefusal):
 
 class NotGalois(MathRefusal):
     """The defining polynomial does not split in its own root field."""
+
+
+class FieldTooLarge(MathRefusal):
+    """The defining polynomial's degree is beyond make_field's budget
+    (numberfield.MAX_DEGREE); refused before any other work (CLI exit 2)."""
 
 
 class PrecisionExhausted(MathRefusal):

@@ -27,14 +27,17 @@ primes allow.
 
 Inverses are products of automorphism images, so only a field from
 make_field inverts beyond Q; the root lifts that build the group take
-m_F'(theta)^-1 from the extended Euclidean algorithm.
+m_F'(theta)^-1 from the extended Euclidean algorithm.  Each lift starts at
+a precision estimated from binary64 approximations of the roots of m_F,
+which the field computes once, so a cold build reduces one lattice at its
+split prime.  make_field refuses degrees above MAX_DEGREE.
 """
 
 from __future__ import annotations
 
 import functools
 from fractions import Fraction
-from math import ceil, log2
+from math import ceil, isfinite, log2
 from math import gcd as int_gcd
 from math import lcm as int_lcm
 from operator import mul
@@ -43,7 +46,7 @@ import mpmath
 
 from ._integers import euler_phi, next_prime, prime_factors
 from ._padic import ReducedLattice, eval_mod, hensel_lift
-from .errors import NotGalois, ReduciblePolynomial, WitnessFailure
+from .errors import FieldTooLarge, NotGalois, ReduciblePolynomial, WitnessFailure
 from .polynomials import (
     Poly,
     content_and_primitive,
@@ -55,7 +58,12 @@ from .polynomials import (
     lowest_terms,
     squarefree_part,
 )
-from .roots import DEFAULT_PRECISION_BITS, _bounded_eval, _to_mpf, galois_roots
+from .roots import DEFAULT_PRECISION_BITS, _bounded_eval, _float_starts, _to_mpf, galois_roots
+
+# the largest degree make_field builds: degree 32 builds cold in seconds
+# (README, Supported scale), while the exact LLL reductions of the lifts
+# grow much faster than the degree
+MAX_DEGREE = 32
 
 
 def _normalized(field: "WorkingField", num, den: int) -> "FieldElement":
@@ -315,6 +323,11 @@ class WorkingField:
         self._split_roots = {}
         self._lattice_cache = {}
         self._dtheta_inverse = None
+        # binary64 approximations of the d roots of m_F, or None when
+        # binary64 cannot represent m_F (roots._float_starts): they set the
+        # first precision of every lift (_lift_start), and the first of them
+        # starts theta_1 of the embeddings (roots.galois_roots)
+        self._float_conjugates = _float_starts(defining_poly)
 
     # -- element constructors -------------------------------------------
 
@@ -476,8 +489,10 @@ def _lattice(field: WorkingField, q: int, r1: int, k: int):
     replaces it: L_k = {c in Z^d : sum c_i r1^i = 0 mod q^k} is the lattice
     of the coordinate vectors of the elements of Z[theta] in P^k, for P the
     prime above q at which theta = r1.  A finer lattice serves as well,
-    since L_k' lies in L_k and its precision bound is only larger; a thread
-    may replace it with a coarser one, which costs only a rebuild."""
+    since L_k' lies in L_k and its precision bound is only larger, so the
+    lifts of one field at q share one reduction when the first of them
+    starts at the largest k (_lift_start); a thread may replace it with a
+    coarser one, which costs only a rebuild."""
     cached = field._lattice_cache.get(q)
     if cached is not None and cached[0] >= k:
         return cached
@@ -538,7 +553,44 @@ def _precision_bound(field: WorkingField, f_ints, q: int) -> int:
     return k
 
 
-def _lift_root(field: WorkingField, f_ints, q: int, r1: int, rho: int, k_max: int):
+def _lift_start(field: WorkingField, q: int, gamma_bits: float, k_max: int) -> int:
+    """The first precision k of _lift_root at q, for a root rho in F of f
+    whose algebraic integer gamma = l rho has conjugates of modulus at most
+    2^gamma_bits: an estimate from the binary64 conjugates theta_1..theta_d
+    of m_F, capped at k_max.
+
+    Coordinate j of the target c = m_F'(theta) gamma is Tr(gamma b_j), for
+    b_j = sum_i a_(i+j+1) theta^i (_precision_bound), so it has modulus at
+    most |gamma| B with B = max_j sum_k |b_j(theta_k)|.  L_k has
+    determinant q^k, and Babai's nearest plane returns c once the reduced
+    basis, of vectors about q^(k/d) long, outgrows it; the start
+    q^k >= 2^(d + 2) (|gamma| B)^d leaves a factor 2^(1 + 2/d) of room.
+    The estimate only saves reductions: every candidate is still checked
+    exactly, and only k_max proves a miss.  Where binary64 cannot represent
+    m_F or the sums, the start is q^k near 2^(d^2/2), where the reduced
+    basis outgrows Babai's factor 2^(d/2), or k_max.
+    """
+    d = field.degree
+    conjugates = field._float_conjugates
+    if conjugates is None:
+        return min(k_max, max(1, d * d // (2 * q.bit_length())))
+    a = field.m_ints
+    sums = [0.0] * d
+    try:
+        for z in conjugates:
+            b = 0j  # b_j(z) by synthetic division: b_(d-1) = 1, b_j = a_(j+1) + z b_(j+1)
+            for j in range(d - 1, -1, -1):
+                b = b * z + a[j + 1]
+                sums[j] += abs(b)
+    except OverflowError:
+        return k_max
+    bits = d * (gamma_bits + log2(max(sums))) + d + 2
+    if not (isfinite(bits) and all(map(isfinite, sums))):
+        return k_max
+    return min(k_max, max(1, ceil(bits / log2(q))))
+
+
+def _lift_root(field: WorkingField, f_ints, q: int, r1: int, rho: int, k: int, k_max: int):
     """The root in F of the primitive integer polynomial f with coefficients
     f_ints (lowest degree first) above its simple root rho mod q, verified
     by substitution, or None when F has none.
@@ -548,9 +600,13 @@ def _lift_root(field: WorkingField, f_ints, q: int, r1: int, rho: int, k_max: in
     root of f in F above rho, if any, has integer coordinates c with
     sum c_i r1^i = l m_F'(r1) rho mod q^k.  Babai's nearest plane on the
     LLL-reduced lattice L_k of that congruence gives a candidate, accepted
-    only when f vanishes at it exactly.  On a miss k doubles, up to the
-    proven k_max of _precision_bound, where a miss proves that no root of f
-    in F lies above rho.
+    only when f vanishes at it exactly.  The first k is _lift_start's, or
+    that of a finer lattice cached at q (_lattice).  On a miss k grows by a
+    quarter, as a reduction costs about k^2.6 and the estimate is seldom
+    far off, and the step doubles with each further miss, so that a root
+    that is not there reaches the proven k_max of _precision_bound in
+    about log2(k_max / k) + 2 reductions; a miss at k_max proves that no
+    root of f in F lies above rho.
     """
     d = field.degree
     lead = f_ints[-1]
@@ -559,9 +615,7 @@ def _lift_root(field: WorkingField, f_ints, q: int, r1: int, rho: int, k_max: in
     if inv is None:
         p = inverse_mod(Poly(dm_ints), field.defining_poly)
         inv = field._dtheta_inverse = field.element(p.num) / p.den
-    # first try q^k near 2^(d^2/2), where the reduced basis vectors (of
-    # length about q^(k/d)) outgrow Babai's factor 2^(d/2)
-    k = min(k_max, max(1, d * d // (2 * q.bit_length())))
+    step = None
     while True:
         k, lifted, lattice = _lattice(field, q, r1, k)
         modulus = q ** k
@@ -573,7 +627,9 @@ def _lift_root(field: WorkingField, f_ints, q: int, r1: int, rho: int, k_max: in
             return candidate
         if k >= k_max:
             return None
-        k = min(2 * k, k_max)
+        step = 2 * step if step else -(-k // 4)
+        # a step that would leave less than the next one goes to k_max
+        k = k + step if k + 2 * step <= k_max else k_max
 
 
 def roots_in_field(p: Poly, field: WorkingField) -> list[FieldElement]:
@@ -586,7 +642,9 @@ def roots_in_field(p: Poly, field: WorkingField) -> list[FieldElement]:
     prime to disc(m_F) l disc(f) at which m_F has a root r1 (so F embeds
     in Q_q by theta -> r1).  A root of f in F maps to a root of f mod q,
     so with none there is no root in F; each root mod q is lifted once by
-    _lift_root.
+    _lift_root, from the precision that _lift_start estimates with
+    |l rho| <= |l| max(1, max |root of f|), the roots of f in binary64 or,
+    where binary64 cannot represent f, bounded by Cauchy's 1 + max|f_i / l|.
     """
     if p.is_zero():
         raise ValueError("roots of the zero polynomial")
@@ -594,10 +652,19 @@ def roots_in_field(p: Poly, field: WorkingField) -> list[FieldElement]:
     if f.degree < 1:
         return []
     f_ints = f.num
-    q, r1 = _split_prime(field, f_ints[-1] * discriminant(f).numerator)
+    lead = abs(f_ints[-1])
+    q, r1 = _split_prime(field, lead * discriminant(f).numerator)
+    residues = _roots_mod(f_ints, q)
+    if not residues:
+        return []
+    roots = _float_starts(f)
+    if roots is None:
+        size = max(0, max(abs(c) for c in f_ints[:-1]).bit_length() - lead.bit_length() + 1) + 1
+    else:
+        size = log2(max(1.0, *map(abs, roots)))
     k_max = _precision_bound(field, f_ints, q)
-    lifts = (_lift_root(field, f_ints, q, r1, rho, k_max)
-             for rho in _roots_mod(f_ints, q))
+    k = _lift_start(field, q, log2(lead) + size, k_max)
+    lifts = (_lift_root(field, f_ints, q, r1, rho, k, k_max) for rho in residues)
     return sorted_by_coordinates([r for r in lifts if r is not None])
 
 
@@ -685,11 +752,16 @@ def _galois_group(field: WorkingField):
     the identity, the set is closed under composition and the least root rho
     mod q that is no residue yet is lifted to the root of m_F in F above it
     (_lift_root), until there are d.  When F is Galois every rho has a lift,
-    so a rho with none proves that F is not.
+    so a rho with none proves that F is not.  Every lift starts at the
+    precision that _lift_start estimates from the largest conjugate of
+    theta, so all of them share one reduced lattice.
     """
     d = field.degree
     q, r1 = _split_prime(field, 1)
     k_max = _precision_bound(field, field.m_ints, q)
+    conjugates = field._float_conjugates
+    size = 0.0 if conjugates is None else log2(max(1.0, *map(abs, conjugates)))
+    k = _lift_start(field, q, size, k_max)
     autos, residues, index = [], [], {}  # index: residue -> position in autos
     products = {}  # (a, b) -> position of autos[a] after autos[b]
 
@@ -711,7 +783,7 @@ def _galois_group(field: WorkingField):
         i += 1
         if i == len(autos) < d:
             rho = min(r for r in field._split_roots[q] if r not in index)
-            image = _lift_root(field, field.m_ints, q, r1, rho, k_max)
+            image = _lift_root(field, field.m_ints, q, r1, rho, k, k_max)
             if image is None:
                 raise NotGalois(
                     f"no root of the defining polynomial in the field lies above "
@@ -731,10 +803,14 @@ def _root_of_unity(field: WorkingField, n: int, q: int, r1: int):
 
     Phi_n splits into distinct linear factors mod q, and Q(zeta_n) in F
     puts a root of F above each of them, so one lift above the least root
-    decides; the others are the powers zeta^j with gcd(j, n) = 1."""
+    decides; the others are the powers zeta^j with gcd(j, n) = 1.  Its
+    conjugates have modulus 1, so the lift starts at _lift_start with
+    |gamma| = 1, no later than the lifts of the Galois group, whose lattice
+    it reuses."""
     f_ints = cyclotomic(n).num
     rho = _roots_mod(f_ints, q)[0]
-    zeta = _lift_root(field, f_ints, q, r1, rho, _precision_bound(field, f_ints, q))
+    k_max = _precision_bound(field, f_ints, q)
+    zeta = _lift_root(field, f_ints, q, r1, rho, _lift_start(field, q, 0.0, k_max), k_max)
     if zeta is None:
         return None
     primitive, power = [zeta], zeta
@@ -818,6 +894,10 @@ def _make_field_cached(int_coeffs: tuple, precision_bits: int) -> WorkingField:
     poly = Poly(int_coeffs)
     if poly.degree < 1:
         raise ReduciblePolynomial("defining polynomial must have degree >= 1")
+    if poly.degree > MAX_DEGREE:
+        raise FieldTooLarge(
+            f"the defining polynomial has degree {poly.degree}, beyond the "
+            f"budget of {MAX_DEGREE}")
     if not poly.is_monic():
         raise ReduciblePolynomial("defining polynomial must be monic")
     if not is_irreducible(poly):
@@ -826,7 +906,7 @@ def _make_field_cached(int_coeffs: tuple, precision_bits: int) -> WorkingField:
     field.automorphisms, field._comp_table, field._inv_table = _galois_group(field)
     field.embeddings, field.archimedean_classes, field.embedding_labels = galois_roots(
         poly, [(s.theta_image.num, s.theta_image.den) for s in field.automorphisms],
-        field._comp_table, precision_bits)
+        field._comp_table, field._float_conjugates, precision_bits)
     field.torsion_order, field.torsion_generator = _torsion_structure(field)
     return field
 
@@ -834,7 +914,9 @@ def _make_field_cached(int_coeffs: tuple, precision_bits: int) -> WorkingField:
 def make_field(defining_poly, precision_bits: int | None = None) -> WorkingField:
     """Build (and cache) the working field for a monic integer polynomial.
 
-    The steps run in this order: the irreducibility proof; the Galois group
+    The steps run in this order: the degree budget, MAX_DEGREE, which
+    FieldTooLarge enforces before any other work; the irreducibility proof;
+    the binary64 conjugates of m_F (roots._float_starts); the Galois group
     from generators (_galois_group), which raises NotGalois before any
     embedding is computed; the certified embeddings, each one root theta_1
     of m_F carried by an automorphism and labelled by it, and their
@@ -842,8 +924,8 @@ def make_field(defining_poly, precision_bits: int | None = None) -> WorkingField
     automorphisms (roots.galois_roots); and the torsion order and generator
     (_torsion_structure).
 
-    Raises ReduciblePolynomial, NotGalois, or PrecisionExhausted when the
-    input cannot be certified.
+    Raises FieldTooLarge beyond the budget, and ReduciblePolynomial,
+    NotGalois, or PrecisionExhausted when the input cannot be certified.
     """
     if not isinstance(defining_poly, Poly):
         defining_poly = Poly(defining_poly)

@@ -12,7 +12,8 @@ precision instead.  verify's Mahler-measure oracle and the tests use it.
 
 galois_roots serves make_field, whose defining polynomial p has a Galois
 root field with known automorphisms t -> A_j(t).  It refines one root
-theta_1 by Newton steps at doubling precision, and root j is the disk
+theta_1, the first binary64 approximation that make_field computed for the
+field, by Newton steps at doubling precision, and root j is the disk
 about A_j(theta_1) that _bounded_eval proves; complex conjugation is one
 of the automorphisms, so only one root of each conjugate pair is computed
 and its partner is stored as the exact mirror image.
@@ -465,15 +466,15 @@ def _newton_step(cs, z, prec: int):
     return mpc_sub(z, delta, prec, rnd), mpmath.mp.make_mpf(step)
 
 
-def _one_root(p: Poly, cs, bits: int):
-    """One root of p to about bits + 32 bits, as a raw mpc: the first
-    binary64 Durand-Kerner approximation refined by one Newton step per
-    doubling precision (each with 32 guard bits), then by Newton steps at
-    bits + 32 until they settle as the sweeps of _approximate_roots do;
-    the first of _approximate_roots when binary64 cannot represent p.  Call
-    under locked_workprec(bits + 32)."""
+def _one_root(p: Poly, cs, bits: int, starts):
+    """One root of p to about bits + 32 bits, as a raw mpc: starts[0], the
+    first binary64 Durand-Kerner approximation of _float_starts(p), refined
+    by one Newton step per doubling precision (each with 32 guard bits),
+    then by Newton steps at bits + 32 until they settle as the sweeps of
+    _approximate_roots do; the first of _approximate_roots when binary64
+    cannot represent p (starts is None).  Call under
+    locked_workprec(bits + 32)."""
     prec = bits + 32
-    starts = _float_starts(p)
     if starts is None:
         monic = [mpf_div(a, cs[-1], prec, round_nearest) for a in cs]
         return _approximate_roots(p, monic, bits)[0]._mpc_
@@ -496,17 +497,18 @@ def _one_root(p: Poly, cs, bits: int):
     raise PrecisionExhausted(f"root iteration did not converge at {bits} bits")
 
 
-def galois_roots(p: Poly, images, comp, bits: int = DEFAULT_PRECISION_BITS):
+def galois_roots(p: Poly, images, comp, starts, bits: int = DEFAULT_PRECISION_BITS):
     """(roots, classes, labels): the certified roots of p as
     certified_roots sorts them, their archimedean classes, and labels[i] = j
     when roots[i] is A_j(theta_1), for an irreducible p whose field
     F = Q[t]/(p) is Galois with automorphisms sigma_j: t -> A_j(t), where
     images[j] = (nums, den) holds the coordinates of A_j as integers over
     one denominator, sigma_0 is the identity and
-    comp[a][b] is the index of sigma_a after sigma_b.
+    comp[a][b] is the index of sigma_a after sigma_b; starts is
+    _float_starts(p), which make_field computes once for the field.
 
-    Every root of p is A_j(theta_1) for one root theta_1 (_one_root): the
-    embedding t -> theta_1 after sigma_j.  Root j is the disk that
+    Every root of p is A_j(theta_1) for one root theta_1 (_one_root, from
+    starts[0]): the embedding t -> theta_1 after sigma_j.  Root j is the disk that
     _bounded_eval proves to hold A_j(theta_1), from the Henrici radius of
     theta_1 without the floor.  When the disk of theta_1 meets its mirror
     image, theta_1 may be real, and then F is totally real: every root is
@@ -526,7 +528,7 @@ def galois_roots(p: Poly, images, comp, bits: int = DEFAULT_PRECISION_BITS):
     prec = bits + 32
     with locked_workprec(prec):
         cs = _to_mpf(p.num, p.den)
-        theta = mpmath.mp.make_mpc(_one_root(p, cs, bits))
+        theta = mpmath.mp.make_mpc(_one_root(p, cs, bits, starts))
         r1 = _henrici_radius(cs, _to_mpf(_derivative(p.num), p.den), theta, 0, prec)
         floor = mpmath.mpf(2) ** (-bits)
 

@@ -1,6 +1,9 @@
 """Concurrent reads are safe: fields are immutable after construction and
 the per-prime splitting cache and the subgroup-chain cache are
-write-once: threads that fill an entry at once store equal values."""
+write-once: threads that fill an entry at once store equal values.  The
+lattice cache of the root lifts keeps the finest lattice built at each
+prime, and a thread that replaces it with a coarser one costs only a
+rebuild."""
 
 import random
 import sys
@@ -10,10 +13,17 @@ from fractions import Fraction
 import pytest
 
 from heightlab.heights import GElement, weil_height
-from heightlab.numberfield import Subfield, _closure, _make_field_cached, rational_subfield
+from heightlab.numberfield import (
+    Subfield,
+    _closure,
+    _make_field_cached,
+    minimal_polynomial,
+    rational_subfield,
+    roots_in_field,
+)
 from heightlab.orbits import orbit_mod_torsion
 from heightlab.placespace import f_vector, l1_norm
-from heightlab.polynomials import cyclotomic
+from heightlab.polynomials import Poly, cyclotomic
 
 
 def test_parallel_heights_and_vectors(field_biquad):
@@ -109,3 +119,31 @@ def test_parallel_place_vectors_on_a_cold_field():
             [(pd.factor, pd.e, pd.f) for pd in serial_cache[p]]
         assert [pd.anti_uniformizer.coords for pd in data] == \
             [pd.anti_uniformizer.coords for pd in serial_cache[p]]
+
+
+def test_parallel_roots_in_field_on_a_cold_field():
+    # threads lift the roots of different polynomials in a field built past
+    # make_field's cache: their lifts start at different precisions, some at
+    # other split primes, so they race to replace the lattices cached there;
+    # the roots must match a serial run
+    coeffs = (1, -3, 0, 5, 0, -3, 1)  # cbrt2_split
+
+    def run(pool_map):
+        f = _make_field_cached.__wrapped__(coeffs, 64)
+        rng = random.Random(27)
+        polys = [minimal_polynomial(f.element([rng.randint(-40, 40) for _ in range(6)]))
+                 for _ in range(4)]
+        polys += [Poly([-2, 0, 0, 1]), Poly([3, 0, 1]) * Poly([-5, 0, 1]),
+                  Poly([-7, 0, 1]), cyclotomic(3) * Poly([-11, 0, 0, 1])]
+        return list(pool_map(lambda p: [r.coords for r in roots_in_field(p, f)], polys))
+
+    serial = run(map)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            parallel = run(pool.map)
+    finally:
+        sys.setswitchinterval(interval)
+    assert parallel == serial
+    assert sum(map(bool, serial)) >= 5 and [] in serial

@@ -933,11 +933,13 @@ _SMALL_CYCLOTOMIC = [tuple(int(c) for c in cyclotomic(n).coeffs)
 
 @functools.lru_cache(maxsize=None)
 def _group(coeffs):
-    """(theta images, composition table) of the field, as make_field finds
-    them and passes them to galois_roots; they do not depend on the
-    precision."""
-    autos, comp, _ = numberfield._galois_group(WorkingField(Poly(coeffs), 64))
-    return [(a.theta_image.num, a.theta_image.den) for a in autos], comp
+    """(theta images, composition table, binary64 roots) of the field, as
+    make_field finds them and passes them to galois_roots; they do not
+    depend on the precision."""
+    field = WorkingField(Poly(coeffs), 64)
+    autos, comp, _ = numberfield._galois_group(field)
+    images = [(a.theta_image.num, a.theta_image.den) for a in autos]
+    return images, comp, field._float_conjugates
 
 
 def _outcome(route, *args):
@@ -996,13 +998,13 @@ def test_galois_roots_refuse_a_wrong_conjugation():
     # from the involutions of the table, another one pairs the roots, its
     # mirror images land on computed disks and the separation check refuses
     coeffs = (1, 0, 0, 0, 1)
-    images, comp = _group(coeffs)
+    images, comp, starts = _group(coeffs)
     c = images.index(((0, 0, 0, -1), 1))
     wrong = [list(row) for row in comp]
     wrong[c][c] = c
-    assert galois_roots(Poly(coeffs), images, comp)
+    assert galois_roots(Poly(coeffs), images, comp, starts)
     with pytest.raises(PrecisionExhausted, match="could not separate"):
-        galois_roots(Poly(coeffs), images, wrong)
+        galois_roots(Poly(coeffs), images, wrong, starts)
 
 
 def test_galois_roots_certify_the_conjugation():
@@ -1012,7 +1014,7 @@ def test_galois_roots_certify_the_conjugation():
     # its image of theta_1 misses the mirror of theta_1's disk, and the label
     # check refuses; with conjugation itself left the roots certify
     coeffs = (1, 0, 0, 0, 1)
-    images, comp = _group(coeffs)
+    images, comp, starts = _group(coeffs)
     involutions = [j for j in range(1, 4) if comp[j][j] == 0]
     outcomes = {}
     for kept in involutions:
@@ -1020,7 +1022,7 @@ def test_galois_roots_certify_the_conjugation():
         for j in involutions:
             if j != kept:
                 table[j][j] = j
-        outcomes[kept] = _outcome(galois_roots, Poly(coeffs), images, table, 256)
+        outcomes[kept] = _outcome(galois_roots, Poly(coeffs), images, table, starts, 256)
     assert not isinstance(outcomes.pop(images.index(((0, 0, 0, -1), 1))), str)
     assert sorted(outcomes.values()) == ["could not separate roots at 256 bits",
                                          "real/complex classification ambiguous"]
@@ -1074,6 +1076,114 @@ def test_torsion_unchanged_by_the_group_bound(monkeypatch):
                         lambda field: {math.factorial(field.degree)})
     assert [numberfield._torsion_structure(f) for f in fields] == found
     assert [(f.torsion_order, f.torsion_generator) for f in fields] == found
+
+
+# -- the first lift precision ------------------------------------------------
+
+
+def _swinnerton_dyer(n):
+    x = sympy.Symbol("x")
+    return tuple(int(c) for c in reversed(
+        sympy.Poly(swinnerton_dyer_poly(n, x), x).all_coeffs()))
+
+
+# the corpus, the field-build ladder, three benchmark blocks of each Galois
+# family, the cyclotomic fields of degree 12 to 24 and SD(4), of degree 16
+_ONE_REDUCTION = list(dict.fromkeys(
+    _LADDER + _FAMILY + [cyclotomic(n).num for n in (13, 21, 35, 45, 48)]
+    + [_swinnerton_dyer(4)]))
+
+
+def _surplus_reductions(fields):
+    """(coeffs, reductions, split primes) for each field among fields whose
+    cold build reduces more lattices than it uses split primes."""
+    reductions = []
+
+    class Counting(ReducedLattice):
+        def __init__(self, rows):
+            reductions.append(len(rows))
+            super().__init__(rows)
+
+    surplus = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(numberfield, "ReducedLattice", Counting)
+        for coeffs in fields:
+            reductions.clear()
+            field = _make_field_cached.__wrapped__(coeffs, DEFAULT_PRECISION_BITS)
+            if len(reductions) != len(field._lattice_cache):
+                surplus.append((coeffs, len(reductions), len(field._lattice_cache)))
+    return surplus
+
+
+def test_one_reduction_per_split_prime():
+    # every lift of a cold build starts at _lift_start's estimate, which is
+    # high enough that none misses, and the lifts after the first reuse its
+    # lattice
+    assert _surplus_reductions(_ONE_REDUCTION) == []
+
+
+def test_a_start_of_one_fails_the_reduction_count(monkeypatch):
+    # the count notices a start that is too low: from k = 1 most fields miss
+    # and reduce again
+    monkeypatch.setattr(numberfield, "_lift_start", lambda field, q, bits, k_max: 1)
+    assert len(_surplus_reductions(_ONE_REDUCTION)) > len(_ONE_REDUCTION) // 2
+
+
+def _structure_and_roots(coeffs, polys):
+    """A cold build's automorphism images, composition table and torsion
+    generator, and the roots in it of each of polys, as coordinates."""
+    field = _make_field_cached.__wrapped__(coeffs, DEFAULT_PRECISION_BITS)
+    return ([a.theta_image.coords for a in field.automorphisms], field._comp_table,
+            field.torsion_generator.coords,
+            [[r.coords for r in roots_in_field(p, field)] for p in polys])
+
+
+@settings(max_examples=30, deadline=None)
+@given(galois_fields,
+       st.lists(st.lists(st.integers(-5, 5), min_size=2, max_size=4)
+                .filter(lambda c: any(c[1:])), max_size=2),
+       st.lists(st.lists(st.integers(-2, 2), min_size=8, max_size=8), max_size=2))
+def test_the_start_changes_no_result(coeffs, small, coords):
+    # an estimate that starts too high only costs time, and one that starts
+    # too low a further reduction: every lift started at k_max finds the
+    # same automorphisms, torsion generator and roots.  The polynomials are
+    # small ones, mostly without roots in F; minimal polynomials of
+    # elements, all of whose roots are in F, times a small one; and
+    # x^e - 2 for the least prime e not dividing [F:Q], irreducible by
+    # Eisenstein, whose root would generate a subfield of degree e
+    d = len(coeffs) - 1
+    field = make_field(list(coeffs))
+    polys = [Poly(c) for c in small]
+    for c in coords:
+        if any(c[:d]):
+            polys.append(minimal_polynomial(field.element(c[:d])) * polys[0]
+                         if polys else minimal_polynomial(field.element(c[:d])))
+    e = next(p for p in _PRIMES if d % p)
+    polys.append(Poly([-2] + [0] * (e - 1) + [1]))
+    estimated = _structure_and_roots(coeffs, polys)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(numberfield, "_lift_start", lambda field, q, bits, k_max: k_max)
+        assert _structure_and_roots(coeffs, polys) == estimated
+    assert estimated[3][-1] == []
+    assert estimated[0] == [a.theta_image.coords for a in field.automorphisms]
+
+
+def test_lifts_without_binary64_conjugates():
+    # binary64 cannot represent m_F = x^2 + 10^400 + 1, so its lifts start
+    # at q^k near 2^(d^2/2), here k = 1, and find the roots by the miss
+    # ladder, which ends in the proof at k_max where there is none
+    big = 10 ** 400 + 1
+    field = _make_field_cached.__wrapped__((big, 0, 1), DEFAULT_PRECISION_BITS)
+    assert field._float_conjugates is None
+    q, _ = _split_prime(field, 1)
+    assert numberfield._lift_start(field, q, 0.0, 100) == 1
+    theta = field.theta()
+    assert [a.theta_image for a in field.automorphisms] == [theta, -theta]
+    assert roots_in_field(Poly([big, 0, 1]), field) == [-theta, theta]
+    # 7 is a square mod 3, but not in F
+    assert _split_prime(field, 28) == (q, 1) and q == 3
+    assert roots_in_field(Poly([-7, 0, 1]), field) == []
+    assert field._lattice_cache[q][0] >= _precision_bound(field, [-7, 0, 1], q)
 
 
 def test_embeddings_match_defining_poly(field_cbrt2):

@@ -6,7 +6,9 @@ import time
 import pytest
 
 from heightlab.cli import MAX_COUNT, MAX_SUBFIELD_NAMES, load_scenario, main, run_command
-from heightlab.errors import ReduciblePolynomial, SchemaError
+from heightlab import numberfield
+from heightlab.errors import FieldTooLarge, ReduciblePolynomial, SchemaError
+from heightlab.polynomials import Poly
 from heightlab.scenario import parse_scenario
 
 DEMO = {
@@ -227,6 +229,46 @@ def test_main_reducible_refusal(tmp_path, capsys):
     code, out = run_main(tmp_path, capsys, "places", "--scenario", str(path))
     assert code == 1
     assert json.loads(out)["error"]["kind"] == "ReduciblePolynomial"
+
+
+def _swinnerton_dyer(n):
+    """The integer coefficients, lowest degree first, of the product of
+    the x - (+-sqrt(2) +- sqrt(3) +- ... +- sqrt(p_n)) over the first n
+    primes, sympy's swinnerton_dyer_poly(n), of degree 2^n: each prime p
+    turns f(x) into f(x + s) f(x - s) = A^2 - p B^2 for f(x + s) = A + s B,
+    s^2 = p."""
+    f = Poly([0, 1])
+    for p in (2, 3, 5, 7, 11, 13, 17)[:n]:
+        a, b = [0] * (f.degree + 1), [0] * (f.degree + 1)
+        for i, c in enumerate(f.num):
+            for j in range(i + 1):  # c binom(i, j) x^j s^(i - j)
+                (a if (i - j) % 2 == 0 else b)[j] += c * math.comb(i, j) * p ** ((i - j) // 2)
+        f = Poly(a) * Poly(a) - Poly(b) * Poly(b) * p
+    return list(f.num)
+
+
+def test_field_beyond_the_degree_budget_refused_fast(tmp_path, capsys, monkeypatch):
+    # SD(6), of degree 64, is refused before the irreducibility proof, as a
+    # FieldTooLarge with exit code 2, as for an input the CLI does not take
+    def refuse(poly):
+        raise AssertionError("is_irreducible ran")
+
+    monkeypatch.setattr(numberfield, "is_irreducible", refuse)
+    coeffs = _swinnerton_dyer(6)
+    assert len(coeffs) == 65 and coeffs[0] > 0
+    path = tmp_path / "sd6.json"
+    path.write_text(json.dumps({"v": 1, "name": "sd6", "field": coeffs}))
+    start = time.perf_counter()
+    code, out = run_main(tmp_path, capsys, "places", "--scenario", str(path), "--json")
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    error = json.loads(out)["error"]
+    assert error == {"kind": "FieldTooLarge", "message": (
+        "the defining polynomial has degree 64, beyond the budget of 32")}
+    with pytest.raises(FieldTooLarge):
+        numberfield.make_field([-2] + [0] * 32 + [1])
+    # sympy's swinnerton_dyer_poly(3)
+    assert _swinnerton_dyer(3) == [576, 0, -960, 0, 352, 0, -40, 0, 1]
 
 
 def test_main_usage_errors(tmp_path, capsys):
