@@ -37,7 +37,7 @@ from .errors import (
 )
 from .expressions import check_power_budget, format_rational, parse_element
 from .heights import GElement, g_height, is_torsion, weil_height
-from .numberfield import Subfield
+from .numberfield import galois_condition
 from .orbits import _bounds_and_membership, delta_K, orbit_mod_torsion, width_K
 from .placespace import f_vector, integral, l1_norm, places
 from .projections import (
@@ -88,7 +88,7 @@ def _coords(el) -> list:
 
 
 def _gel(u: GElement) -> dict:
-    return {"scale": format_rational(u.scale), "base": _coords(u.base)}
+    return {"scale": format_rational(1, u.den), "base": _coords(u.base)}
 
 
 def _precision(text: str) -> int:
@@ -172,10 +172,6 @@ def _resolve_element(scenario: Scenario, ref: str):
     return parse_element(ref, scenario.field)
 
 
-def _resolve_subfield(scenario: Scenario, name: str) -> Subfield:
-    return scenario.subfield_by_name(name)
-
-
 def _split_names(arg: str):
     return [n.strip() for n in arg.split(",") if n.strip()]
 
@@ -242,11 +238,10 @@ def run_command(cmd: str, scenario: Scenario | None, args: dict) -> dict:
         testset = [GElement.of(verify_mod.random_element(scenario.field, rng))
                    for _ in range(count)]
         pairs = []
-        from .numberfield import galois_condition
         for i in range(len(names)):
             for j in range(i + 1, len(names)):
-                k1 = _resolve_subfield(scenario, names[i])
-                k2 = _resolve_subfield(scenario, names[j])
+                k1 = scenario.subfield_by_name(names[i])
+                k2 = scenario.subfield_by_name(names[j])
                 pairs.append({
                     "pair": [names[i], names[j]],
                     "galois_condition": galois_condition(k1, k2),
@@ -274,7 +269,7 @@ def run_command(cmd: str, scenario: Scenario | None, args: dict) -> dict:
         kname = args.get("K")
         if not kname:
             raise SchemaError(f"command {cmd!r} requires --K")
-        k = _resolve_subfield(scenario, kname)
+        k = scenario.subfield_by_name(kname)
         report["K"] = kname
         if cmd == "delta":
             report["delta"] = delta_K(el, k)
@@ -325,7 +320,7 @@ def run_command(cmd: str, scenario: Scenario | None, args: dict) -> dict:
         kname = args.get("K")
         if not kname:
             raise SchemaError("project requires --K")
-        k = _resolve_subfield(scenario, kname)
+        k = scenario.subfield_by_name(kname)
         op = args.get("op") or "s"
         if op not in ("s", "t"):
             raise SchemaError("--op must be 's' or 't'")
@@ -344,8 +339,8 @@ def run_command(cmd: str, scenario: Scenario | None, args: dict) -> dict:
             raise SchemaError(f"{cmd} requires --D (and optionally --E)")
         _check_name_count(d_names + e_names, "--D and --E together")
         spec = ProjectionSpec.build(
-            [_resolve_subfield(scenario, n) for n in d_names],
-            [_resolve_subfield(scenario, n) for n in e_names])
+            [scenario.subfield_by_name(n) for n in d_names],
+            [scenario.subfield_by_name(n) for n in e_names])
         if not spec.condition_ok and args.get("strict_condition"):
             raise ConditionViolated(
                 "subfield collection violates the pairwise Galois condition")

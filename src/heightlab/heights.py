@@ -18,7 +18,8 @@ integers (an algebraic integer whose conjugates' symmetric functions are
 bounded as on the unit circle), which no root of unity fails.
 
 Elements of the Q-vector space are scalar--base pairs (q, b) denoting b^q
-up to roots of unity, kept in the canonical form (1/s, b^r) for q = r/s.
+up to roots of unity, kept in the canonical form (1/s, b^r) for q = r/s;
+a GElement stores the integer s as den, and its scale 1/s is a Fraction view.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from math import lcm as int_lcm
 
 import mpmath
 
-from .errors import WitnessFailure, ZeroElement
+from .errors import ZeroElement
 from .numberfield import (
     FieldElement,
     WorkingField,
@@ -58,8 +59,9 @@ class HeightValue:
     def exact_zero() -> "HeightValue":
         return HeightValue(0.0, 0.0)
 
-    def scaled(self, q) -> "HeightValue":
-        f = abs(float(Fraction(q)))
+    def divided(self, n: int) -> "HeightValue":
+        """This value over the positive integer n (times the float 1/n)."""
+        f = 1 / n
         return HeightValue(self.value * f, self.abs_error * f)
 
     def __add__(self, other: "HeightValue") -> "HeightValue":
@@ -134,28 +136,35 @@ def is_torsion(a: FieldElement) -> bool:
 class GElement:
     """Scalar--base pair q * f_b, i.e. b^q in the group modulo torsion.
 
-    Canonical form: scale 1/s with s a positive integer and the numerator
-    absorbed into the base; the zero element is (1, 1).  Negative and
-    non-unit-numerator scales are legal inputs and are canonicalized away.
+    Canonical form (1/den, base): den a positive integer and the scale's
+    numerator absorbed into the base; the zero element is (1, 1).  Any int
+    or Fraction scale is a legal input; the group operations build their
+    results on den through _canonical.
     """
 
-    __slots__ = ("field", "scale", "base")
+    __slots__ = ("field", "den", "base")
 
     def __init__(self, field: WorkingField, scale, base: FieldElement):
-        scale = Fraction(scale)
+        if not isinstance(scale, (int, Fraction)):
+            raise TypeError(f"GElement scale {scale!r} is not an int or a Fraction")
         if base.field is not field:
             raise ValueError("base element from a different field")
         if base.is_zero():
             raise ZeroElement("GElement base must be nonzero")
-        if scale == 0 or is_torsion(base):
-            self.field = field
-            self.scale = Fraction(1)
-            self.base = field.one()
-            return
-        r, s = scale.numerator, scale.denominator
         self.field = field
-        self.scale = Fraction(1, s)
-        self.base = base ** r
+        r = scale.numerator
+        if r == 0 or is_torsion(base):
+            self.den, self.base = 1, field.one()
+        else:
+            self.den, self.base = scale.denominator, base ** r
+
+    @staticmethod
+    def _canonical(field: WorkingField, den: int, base: FieldElement) -> "GElement":
+        """(1/den, base), or the zero element when the nonzero base is torsion."""
+        u = object.__new__(GElement)
+        u.field = field
+        u.den, u.base = (1, field.one()) if is_torsion(base) else (den, base)
+        return u
 
     @staticmethod
     def of(base: FieldElement, scale=1) -> "GElement":
@@ -165,20 +174,20 @@ class GElement:
     def zero(field: WorkingField) -> "GElement":
         return GElement(field, 1, field.one())
 
+    @property
+    def scale(self) -> Fraction:
+        return Fraction(1, self.den)
+
     def is_zero(self) -> bool:
-        # __init__ stores torsion as 1, and b^r (r != 0) is torsion only if b is
+        # torsion is stored as 1, and b^r (r != 0) is torsion only if b is
         return self.base == 1
 
     def negate(self) -> "GElement":
-        return GElement(self.field, -self.scale, self.base)
-
-    def pow(self, q) -> "GElement":
-        """Scalar multiplication by a rational."""
-        return GElement(self.field, self.scale * Fraction(q), self.base)
+        return GElement._canonical(self.field, self.den, self.base.inverse())
 
     def apply(self, sigma) -> "GElement":
         """Image under a field automorphism (linear on the vector space)."""
-        return GElement(self.field, self.scale, sigma(self.base))
+        return GElement._canonical(self.field, self.den, sigma(self.base))
 
     def __eq__(self, other):
         if not isinstance(other, GElement):
@@ -195,37 +204,30 @@ def g_equal(u: GElement, v: GElement) -> bool:
     """Exact equality in the group modulo torsion."""
     if u.field is not v.field:
         raise ValueError("elements of different working fields")
-    s1, s2 = u.scale.denominator, v.scale.denominator
-    ratio = u.base ** s2 * v.base ** (-s1)
-    return is_torsion(ratio)
+    return is_torsion(u.base ** v.den * v.base ** (-u.den))
 
 
 def g_height(u: GElement) -> HeightValue:
-    """Height of the vector-space element: |scale| * h(base)."""
+    """Height of the vector-space element: h(base) / den."""
     if u.is_zero():
         return HeightValue.exact_zero()
-    return weil_height(u.base).scaled(u.scale)
+    return weil_height(u.base).divided(u.den)
 
 
 def g_combine(terms) -> GElement:
-    """Canonical sum of scalar--base pairs: with s = lcm of denominators,
-    the result is (1/s, prod base_i^(scale_i * s))."""
+    """Canonical sum of scalar--base pairs: with s = lcm of the dens, the
+    result is (1/s, prod base_i^(s / den_i))."""
     terms = list(terms)
     if not terms:
         raise ValueError("g_combine needs at least one term")
     field = terms[0].field
-    s = 1
-    for t in terms:
-        if t.field is not field:
-            raise ValueError("elements of different working fields")
-        s = int_lcm(s, t.scale.denominator)
+    if any(t.field is not field for t in terms):
+        raise ValueError("elements of different working fields")
+    s = int_lcm(*(t.den for t in terms))
     prod = field.one()
     for t in terms:
-        e = t.scale * s
-        if e.denominator != 1:
-            raise WitnessFailure("a scale times the common denominator is not integral")
-        prod = prod * t.base ** int(e)
-    return GElement(field, Fraction(1, s), prod)
+        prod = prod * t.base ** (s // t.den)
+    return GElement._canonical(field, s, prod)
 
 
 def g_sub(u: GElement, v: GElement) -> GElement:

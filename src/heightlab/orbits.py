@@ -133,12 +133,12 @@ def vk_bounds(a: FieldElement, k: Subfield):
 def _bounds(a: FieldElement, report: OrbitReport):
     """vk_bounds of a from its orbit report."""
     width = report.width
-    lower = width.scaled("1/2")
+    lower = width.divided(2)
     if report.delta == 1:
         return lower, HeightValue.exact_zero()
     n = report.conjugate_count
     # a torsion ratio has the exact height zero
-    candidate = weil_height(a ** n * report.norm_element.inverse()).scaled(f"1/{n}")
+    candidate = weil_height(a ** n * report.norm_element.inverse()).divided(n)
     upper = candidate if candidate.value < width.value else width
     return lower, upper
 

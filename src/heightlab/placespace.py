@@ -108,7 +108,7 @@ class PlaceVector:
         base = self.element.base
         return {
             "element": {
-                "scale": format_rational(self.element.scale),
+                "scale": format_rational(1, self.element.den),
                 "base": [format_rational(n, base.den) for n in base.num],
             },
             "arch": [
@@ -323,7 +323,7 @@ def f_vector(u: GElement) -> PlaceVector:
     if u.is_zero():
         return PlaceVector(field, u, {})
     beta = u.base
-    scale = float(u.scale)
+    scale = 1 / u.den
     d = field.degree
     entries = {}
 
@@ -336,7 +336,7 @@ def f_vector(u: GElement) -> PlaceVector:
                 raise PrecisionExhausted(
                     "embedding value indistinguishable from zero")
             value = float(mpmath.log(mag)) * scale
-            err = abs(scale) * (delta / (float(mag) - delta)) \
+            err = scale * (delta / (float(mag) - delta)) \
                 + _FLOAT_SLACK * (1 + abs(value))
             entries[PlaceId("arch", 0, idx)] = PlaceEntry(
                 value=value, abs_error=err, weight=Fraction(len(cls), d))
@@ -349,7 +349,7 @@ def f_vector(u: GElement) -> PlaceVector:
             if fac.valuation == 0:
                 continue
             logp = math.log(p)
-            value = -float(u.scale * Fraction(fac.valuation, fac.e)) * logp
+            value = -(fac.valuation / (fac.e * u.den)) * logp
             entries[PlaceId("finite", p, j)] = PlaceEntry(
                 value=value,
                 abs_error=_FLOAT_SLACK * (1 + abs(value)),

@@ -16,7 +16,6 @@ kernel-side fields.
 from __future__ import annotations
 
 import dataclasses
-from fractions import Fraction
 from math import lcm as int_lcm
 
 from .errors import NotConjugate, WitnessFailure, ZeroElement
@@ -28,7 +27,7 @@ from .placespace import f_vector, l1_norm
 def s_project(u: GElement, k: Subfield) -> GElement:
     """Projection onto the span of K's image: the 1/[F:K]-scaled relative
     norm of the base."""
-    return GElement(u.field, u.scale / len(k.fixing_indices), k.norm(u.base))
+    return GElement._canonical(u.field, u.den * len(k.fixing_indices), k.norm(u.base))
 
 
 def t_project(u: GElement, k: Subfield) -> GElement:
@@ -111,14 +110,6 @@ class DecompositionResult:
     witness: MembershipWitness | None = None
 
 
-def _apply_s_chain(u: GElement, ks) -> GElement:
-    """S_{ks[0]}( S_{ks[1]}( ... (u))), outermost first."""
-    x = u
-    for k in reversed(ks):
-        x = s_project(x, k)
-    return x
-
-
 def _membership_witness(u: GElement, spec: ProjectionSpec) -> MembershipWitness:
     """Explicit factorization promised by divisible-hull membership.
 
@@ -133,7 +124,9 @@ def _membership_witness(u: GElement, spec: ProjectionSpec) -> MembershipWitness:
     grouped = [[] for _ in range(n_fields)]
     for mask in range(1, 1 << n_fields):
         idxs = [i for i in range(n_fields) if mask >> i & 1]
-        term = _apply_s_chain(u, [fields[i] for i in idxs])
+        term = u  # S_(idxs[0])(S_(idxs[1])(... (u))), outermost first
+        for i in reversed(idxs):
+            term = s_project(term, fields[i])
         if len(idxs) % 2 == 0:
             term = term.negate()
         grouped[idxs[0]].append(term)
@@ -143,15 +136,13 @@ def _membership_witness(u: GElement, spec: ProjectionSpec) -> MembershipWitness:
     if not g_equal(combined, u):
         raise WitnessFailure("witness expansion does not reproduce the input")
 
-    m = 1
-    for part in parts:
-        m = int_lcm(m, part.scale.denominator)
-    s = u.scale.denominator
+    m = int_lcm(*(part.den for part in parts))
+    s = u.den
     w = u.field.torsion_order
     q = s * m * w
     factors = []
     for part, k in zip(parts, fields):
-        exp = (m // part.scale.denominator) * s * w
+        exp = (m // part.den) * s * w
         delta = part.base ** exp
         if not k.contains(delta):
             raise WitnessFailure("witness factor is not fixed by its field group")

@@ -48,11 +48,21 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _unique_keys(pairs) -> dict:
+    """A JSON object's dict, refusing a key that appears twice in it."""
+    out = {}
+    for key, value in pairs:
+        if key in out:
+            raise SchemaError(f"duplicate key {key!r} in a scenario object")
+        out[key] = value
+    return out
+
+
 def parse_scenario(doc, precision_bits: int | None = None) -> Scenario:
     """Validate and evaluate a scenario document (JSON text or dict)."""
     if isinstance(doc, str):
         try:
-            doc = json.loads(doc)
+            doc = json.loads(doc, object_pairs_hook=_unique_keys)
         except (ValueError, RecursionError) as exc:
             # also an integer beyond int_digit_limit() or too deep nesting
             raise SchemaError(f"scenario is not well-formed JSON: {exc}") from exc
@@ -80,8 +90,6 @@ def parse_scenario(doc, precision_bits: int | None = None) -> Scenario:
     if not isinstance(raw_subfields, dict):
         raise SchemaError('"subfields" must be an object')
     for key, gens in raw_subfields.items():
-        if key in subfields:
-            raise SchemaError(f"duplicate subfield name {key!r}")
         if not isinstance(gens, list) or not all(isinstance(g, str) for g in gens):
             raise SchemaError(f"subfield {key!r} generators must be a list of "
                               "expression strings")

@@ -139,6 +139,16 @@ def test_gelement_is_zero_reads_canonical_form(index, coords, unit, k, scale):
     assert u.is_zero() == is_torsion(u.base) == (scale == 0 or is_torsion(base))
 
 
+def test_gelement_refuses_float_scales(field_sqrt2):
+    # Fraction(0.1) has a 52-bit numerator, which the base would be raised
+    # to; only int and Fraction scales are accepted
+    a = field_sqrt2.element([1, 1])
+    for scale in (0.1, 0.5, 1.0, "1/2"):
+        with pytest.raises(TypeError):
+            GElement.of(a, scale)
+    assert GElement.of(a, 2).den == 1 and GElement.of(a, Fraction(3, 4)).den == 4
+
+
 def test_gelement_zero_base_rejected(field_sqrt2):
     with pytest.raises(ZeroElement):
         GElement(field_sqrt2, 1, field_sqrt2.zero())

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -195,6 +196,28 @@ def test_member_with_witness(biquad_setup):
         assert k.contains(factor)
         product = product * factor
     assert s["sqrt6"] ** w.exponent == product
+
+
+def test_verify_witness_rejects_mutations(biquad_setup):
+    # at scale 1/2 the witness exponent q is a multiple of den = 2; the
+    # intact witness passes, and each mutation must be refused by its check
+    s = biquad_setup
+    f = s["f"]
+    spec = ProjectionSpec.build([s["K1"], s["K2"]])
+    u = GElement(f, Fraction(1, 2), s["sqrt6"])
+    w = is_member(u, spec).witness
+    assert u.den == 2 and w.exponent % 2 == 0
+    assert verify._verify_witness(u, spec, w)
+    # q + 1 is no multiple of den, though u.base^((q + 1) // 2) would match
+    odd = dataclasses.replace(w, exponent=w.exponent + 1)
+    assert not verify._verify_witness(u, spec, odd)
+    assert not verify._verify_witness(u, spec, dataclasses.replace(w, exponent=w.exponent + 2))
+    # the same product, but the first factor times theta leaves K1
+    t = f.theta()
+    moved = dataclasses.replace(w, factors=(w.factors[0] * t, w.factors[1] / t))
+    assert moved.factors[0] * moved.factors[1] == w.factors[0] * w.factors[1]
+    assert not s["K1"].contains(moved.factors[0])
+    assert not verify._verify_witness(u, spec, moved)
 
 
 def test_non_member(biquad_setup):

@@ -559,6 +559,24 @@ def test_scenario_values_python_cannot_read_are_schema_errors(tmp_path, capsys):
     assert (code, error["kind"]) == (2, "SchemaError")
 
 
+def test_duplicate_subfield_names_are_schema_errors(tmp_path, capsys):
+    # a dict would keep the last K, so K would silently become Q
+    text = ('{"v": 1, "field": [-2, 0, 1], '
+            '"subfields": {"K": ["t"], "K": []}, "elements": {"a": "t"}}')
+    with pytest.raises(SchemaError, match="duplicate key 'K'"):
+        parse_scenario(text)
+    code, error = _main_error(tmp_path, capsys, text, "--element", "a")
+    assert (code, error["kind"]) == (2, "SchemaError")
+
+
+def test_duplicate_element_names_are_schema_errors(tmp_path, capsys):
+    text = '{"v": 1, "field": [-2, 0, 1], "elements": {"a": "t", "a": "1+t"}}'
+    with pytest.raises(SchemaError, match="duplicate key 'a'"):
+        parse_scenario(text)
+    code, error = _main_error(tmp_path, capsys, text, "--element", "a")
+    assert (code, error["kind"]) == (2, "SchemaError")
+
+
 @pytest.mark.parametrize("key, value, name", [
     ("elements", {"a": 5}, "element 'a'"),
     ("elements", {"a": ["t"]}, "element 'a'"),
