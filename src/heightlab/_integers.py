@@ -15,12 +15,26 @@ Algebraic Number Theory, GTM 138, sections 8.5 and 8.8).  The p - 1 bound
 and the rho iterations shrink in proportion to the bit length of a part
 past _FULL_BUDGET_BITS, so the time they take grows linearly with its size
 rather than quadratically.  Every split is deterministic.
+
+prime_factors is the one factorization of the library, for field
+construction and place vectors alike: the primes of factor_search with
+the trial bound FACTOR_LIMIT, refused by FactorizationExhausted where the
+budget leaves a composite.  valuation is the exponent of a prime in an
+integer.
 """
 
 from __future__ import annotations
 
 import functools
 from math import gcd, isqrt
+
+from .errors import FactorizationExhausted
+
+# the trial division bound of prime_factors; factor_search goes on past it
+# with Pollard's methods on fixed budgets, which shrink with the size of a
+# part past 256 bits, so that a product of two 25-digit primes is refused
+# in well under a second and a larger composite in time linear in its size
+FACTOR_LIMIT = 2 ** 16
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 # the least strong pseudoprime to every base in _MR_BASES
@@ -145,19 +159,27 @@ def next_prime(n: int) -> int:
 
 
 def prime_factors(n: int) -> list:
-    """The distinct prime factors of the positive integer n, increasing,
-    by trial division (for the small integers of field construction)."""
-    out = []
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            out.append(p)
-            while n % p == 0:
-                n //= p
-        p += 1 if p == 2 else 2
-    if n > 1:
-        out.append(n)
+    """The distinct prime factors of the nonzero integer n, increasing.
+
+    FactorizationExhausted when factor_search, held to FACTOR_LIMIT,
+    leaves a composite factor."""
+    out = sorted(factor_search(n, FACTOR_LIMIT))
+    for p in out:
+        if not isprime(p):
+            raise FactorizationExhausted(
+                f"{p} has no prime factor below {FACTOR_LIMIT} and is not prime")
     return out
+
+
+def valuation(n: int, p: int) -> int:
+    """The exponent of the prime p in the nonzero integer n."""
+    if n == 0:
+        raise ValueError("valuation of zero")
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v
 
 
 def euler_phi(n: int) -> int:

@@ -410,7 +410,8 @@ def _build_parser() -> argparse.ArgumentParser:
                 p.add_argument(flag, **kwargs)
         if cmd == "verify":
             p.add_argument("suite", nargs="?", default="all",
-                           help="suite name or 'all'")
+                           choices=("all", *verify_mod.SUITES), metavar="SUITE",
+                           help="'all' or one of: " + ", ".join(verify_mod.SUITES))
     return parser
 
 

@@ -64,10 +64,6 @@ class HeightValue:
         f = 1 / n
         return HeightValue(self.value * f, self.abs_error * f)
 
-    def __add__(self, other: "HeightValue") -> "HeightValue":
-        return HeightValue(self.value + other.value,
-                           self.abs_error + other.abs_error + _FLOAT_SLACK)
-
 
 def _log_big(n: int) -> float:
     if n <= 0:

@@ -15,6 +15,11 @@ One anti-uniformizer of P_1, carried by the automorphisms, serves every
 prime above p, and the composition table permutes the primes and,
 through their labels, the embeddings.
 
+The finite support of an element a lies above the primes of its
+denominator and of the norm of its integral multiple, which
+_integers.prime_factors factors (or refuses), and the valuations of those
+integers come from _integers.valuation.
+
 Place weights follow the local-degree normalization: weight(v) = e*f/d at a
 finite place, 1/d per real embedding and 2/d per conjugate pair, so that
 the weights above each rational place sum to 1.
@@ -29,10 +34,9 @@ from fractions import Fraction
 import mpmath
 
 from . import _modp
-from ._integers import factor_search, isprime
+from ._integers import isprime, prime_factors, valuation
 from ._padic import eval_mod
 from .errors import (
-    FactorizationExhausted,
     IndexDivisor,
     PrecisionExhausted,
     WitnessFailure,
@@ -43,14 +47,6 @@ from .heights import _FLOAT_SLACK, GElement
 from .numberfield import FieldElement, WorkingField, eval_at_embeddings, eval_poly
 from .polynomials import Poly
 from .roots import locked_workprec
-
-# trial division bound of prime_support; _integers.factor_search goes on
-# past it with Pollard's methods on fixed budgets, which shrink with the
-# size of a part past 256 bits, so that a product of two 25-digit primes is
-# refused in well under a second and a larger composite in time linear in
-# its size
-_FACTOR_LIMIT = 2 ** 16
-
 
 @dataclasses.dataclass(frozen=True, order=True)
 class PlaceId:
@@ -149,16 +145,6 @@ class _PrimeData:
     f: int
     anti_uniformizer: FieldElement   # valuation -1 here, >= 0 at the others
     movers: tuple        # ascending; a coset of the decomposition group of P_1
-
-
-def _int_valuation(n: int, p: int) -> int:
-    if n == 0:
-        raise ValueError("valuation of zero")
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
-    return v
 
 
 def _dedekind_index_check(field: WorkingField, p: int, r: list, e: int) -> None:
@@ -285,8 +271,8 @@ def _local_factorization(field: WorkingField, a: FieldElement, p: int,
     data = _prime_splitting(field, p)
     den = a.den
     b = a * den
-    vden = _int_valuation(den, p) if den % p == 0 else 0
-    vnorm_b = _int_valuation(norm_b, p) if norm_b % p == 0 else 0
+    vden = valuation(den, p)
+    vnorm_b = valuation(norm_b, p)
 
     factors = []
     for pd in data:
@@ -359,18 +345,9 @@ def f_vector(u: GElement) -> PlaceVector:
 
 
 def prime_support(*ints) -> set:
-    """The primes dividing any of the given nonzero integers.
-
-    FactorizationExhausted when _integers.factor_search, held to
-    _FACTOR_LIMIT, leaves a composite factor."""
-    support = set()
-    for n in ints:
-        support.update(factor_search(n, _FACTOR_LIMIT))
-    for p in support:
-        if not isprime(p):
-            raise FactorizationExhausted(
-                f"{p} has no prime factor below {_FACTOR_LIMIT} and is not prime")
-    return support
+    """The primes dividing any of the given nonzero integers, or
+    FactorizationExhausted (_integers.prime_factors)."""
+    return set().union(*map(prime_factors, ints))
 
 
 def l1_norm(v: PlaceVector) -> float:

@@ -20,7 +20,7 @@ from math import lcm as int_lcm
 
 from .errors import NotConjugate, WitnessFailure, ZeroElement
 from .heights import GElement, g_combine, g_equal, g_sub
-from .numberfield import Automorphism, FieldElement, Subfield, galois_condition
+from .numberfield import Automorphism, FieldElement, Subfield, _conjugate, galois_condition
 from .placespace import f_vector, l1_norm
 
 
@@ -184,12 +184,8 @@ def check_commutes(k1: Subfield, k2: Subfield, testset) -> bool:
 
 
 def _maps_onto(sigma: Automorphism, k: Subfield, l: Subfield) -> bool:
-    field = k.field
-    comp = field._comp_table
-    inv = field._inv_table
-    s = sigma.index
-    conjugated = {comp[comp[s][h]][inv[s]] for h in k.fixing_indices}
-    return conjugated == set(l.fixing_indices)
+    """sigma K = L: sigma conjugates the fixing group of K to that of L."""
+    return _conjugate(k.field, sigma.index, k.fixing_indices) == frozenset(l.fixing_indices)
 
 
 def check_conjugation(k: Subfield, l: Subfield, sigma: Automorphism, testset) -> bool:

@@ -48,7 +48,6 @@ from mpmath.libmp import (
     mpc_add_mpf,
     mpc_div,
     mpc_mul,
-    mpc_mul_mpf,
     mpc_sub,
     mpf_abs,
     mpf_add,
@@ -101,9 +100,10 @@ _FLOAT_FLOOR = 2.0 ** (32 - 53)
 _MAX_SWEEPS = 100
 
 
-def _dk_sweep(c, z) -> float:
-    """One Durand-Kerner (Weierstrass) sweep in binary64 for the monic
-    polynomial with coefficients c, lowest degree first.
+def _dk_sweep(c, z):
+    """One Durand-Kerner (Weierstrass) sweep for the monic polynomial with
+    coefficients c, lowest degree first, in binary64 on floats or at the
+    working precision on mpmath numbers.
 
     Each z_i is replaced in place by z_i - p(z_i) / prod_{j != i} (z_i - z_j),
     with p evaluated by Horner's rule; the return value is the largest
@@ -122,43 +122,6 @@ def _dk_sweep(c, z) -> float:
         z[i] = zi - delta
         worst = max(worst, abs(delta) / max(1, abs(zi)))
     return worst
-
-
-def _mp_sweep(c, z, prec: int):
-    """The sweep of _dk_sweep at prec bits on mpmath's raw values: the mpf
-    tuples c and the mpc tuples z, updated in place.
-
-    Each step is the libmp operation that mpmath's operators call for the
-    same expression on mpf and mpc numbers, in the same order and rounded
-    to nearest at prec bits, so the result is bit for bit theirs without
-    the cost of the number objects.  Only the products by the integer 1
-    that start the product of differences and divide a degree-1 correction
-    are skipped: each returns its operand, which is already rounded to
-    prec bits.  Returns the largest relative correction as an mpf.
-    """
-    rnd = round_nearest
-    top = c[-1]
-    rest = c[-2::-1]
-    worst = fzero
-    for i, zi in enumerate(z):
-        num = mpc_mul_mpf(zi, top, prec, rnd)
-        num = mpc_add_mpf(num, rest[0], prec, rnd)
-        for a in rest[1:]:
-            num = mpc_add_mpf(mpc_mul(num, zi, prec, rnd), a, prec, rnd)
-        den = None
-        for j, zj in enumerate(z):
-            if j != i:
-                diff = mpc_sub(zi, zj, prec, rnd)
-                den = diff if den is None else mpc_mul(den, diff, prec, rnd)
-        delta = num if den is None else mpc_div(num, den, prec, rnd)
-        z[i] = mpc_sub(zi, delta, prec, rnd)
-        scale = mpc_abs(zi, prec, rnd)
-        if not mpf_gt(scale, fone):
-            scale = fone
-        step = mpf_div(mpc_abs(delta, prec, rnd), scale, prec, rnd)
-        if mpf_gt(step, worst):
-            worst = step
-    return mpmath.mp.make_mpf(worst)
 
 
 def _sweep_until_settled(sweep, sweeps: int, tolerance, floor) -> bool:
@@ -236,20 +199,20 @@ def _approximate_roots(p: Poly, monic, bits: int):
     mpf coefficients of p over its leading one.  Call under
     locked_workprec(bits + 32)."""
     starts = _float_starts(p)
-    tolerance = mpmath.mpf(2) ** -(bits + 32)
+    c = [mpmath.mp.make_mpf(a) for a in monic]
     try:
         if starts is None:
-            z = [(mpmath.mpf(2) ** e * mpmath.expj(arg))._mpc_ for e, arg in _starts(p)]
+            z = [mpmath.mpf(2) ** e * mpmath.expj(arg) for e, arg in _starts(p)]
         else:
-            z = [mpmath.mpc(w)._mpc_ for w in starts]
+            z = [mpmath.mpc(w) for w in starts]
             level = 2 * 53
             while level < bits + 32:
-                _mp_sweep(monic, z, level + 32)
+                with mpmath.workprec(level + 32):
+                    _dk_sweep(c, z)
                 level *= 2
-        prec = bits + 32
-        if _sweep_until_settled(lambda: _mp_sweep(monic, z, prec), _MAX_SWEEPS,
-                                tolerance, mpmath.mpf(2) ** -bits):
-            return [mpmath.mp.make_mpc(w) for w in z]
+        if _sweep_until_settled(lambda: _dk_sweep(c, z), _MAX_SWEEPS,
+                                mpmath.mpf(2) ** -(bits + 32), mpmath.mpf(2) ** -bits):
+            return z
     except ZeroDivisionError:
         pass  # two approximations coincide
     raise PrecisionExhausted(f"root iteration did not converge at {bits} bits")
@@ -272,6 +235,7 @@ def _gamma(k: int, prec: int):
         return k * u / (1 - k * u)
 
 
+# raw libmp values: the analytic workload evaluates every embedding here
 def _horner_with_bound(c, z, az, prec: int, slope: bool = False):
     """p(z) by Horner's rule for the mpf coefficients c (lowest degree
     first, each at most 3 roundings from its exact rational), a bound on its
@@ -328,6 +292,7 @@ def _henrici_radius(cs, dcs, z, floor, prec: int):
     return (d * upper / lower + floor) * (1 + _gamma(8, prec))
 
 
+# raw libmp values, through _horner_with_bound, on the analytic workload
 def _bounded_eval(cs, z, radius, prec: int, floor=0):
     """(A(z), e) for the raw mpf coefficients cs of A (lowest degree
     first, each at most 3 roundings from its exact rational) and the mpc z:
@@ -346,6 +311,7 @@ def _bounded_eval(cs, z, radius, prec: int, floor=0):
     return value, _float_upper((slope * radius + error + floor) * widen)
 
 
+# raw libmp values: converts the coefficients of each analytic evaluation
 def _to_mpf(nums, den: int):
     """Raw mpf tuples of the rationals n/den (den > 0), for the integers n
     in nums, at the current precision: each is rounded as the Fraction n/den
@@ -371,6 +337,7 @@ def _mirror(disk):
     return (x, mpf_neg(y)), r
 
 
+# raw libmp values: the test needs directed rounding
 def _may_meet(a, b) -> bool:
     """False only when the disks a and b are certainly disjoint: each step
     rounds to 53 bits, the centres' distance down and the radii's sum up,
@@ -449,6 +416,7 @@ def certified_roots(p: Poly, bits: int = DEFAULT_PRECISION_BITS) -> list[Certifi
         return _sorted_roots(approx, radii, _conjugate_partners(disks))[0]
 
 
+# raw libmp values: refines theta_1 on every cold build (field-build)
 def _newton_step(cs, z, prec: int):
     """z - p(z) / p'(z) at prec bits for the raw mpf coefficients cs of p
     and the raw mpc z, with p and p' from one Horner pass, and the
@@ -552,8 +520,7 @@ def galois_roots(p: Poly, images, comp, starts, bits: int = DEFAULT_PRECISION_BI
             if j <= k:
                 values[j], radii[j] = enclosure(j)
                 if k != j:
-                    x, y = values[j]._mpc_
-                    values[k], radii[k] = mpmath.mp.make_mpc((x, mpf_neg(y))), radii[j]
+                    values[k], radii[k] = mpmath.conj(values[j]), radii[j]
         disks = [_disk(z, r) for z, r in zip(values, radii)]
         _separated(disks, bits)
         if totally_real:

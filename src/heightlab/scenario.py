@@ -31,11 +31,9 @@ _ALLOWED_KEYS = {"v", "name", "field", "subfields", "elements", "checks"}
 class Scenario:
     name: str
     field: WorkingField
-    field_coeffs: tuple
     subfields: dict
     elements: dict
     checks: list
-    raw: dict
 
     def subfield_by_name(self, name: str) -> Subfield:
         if name not in self.subfields:
@@ -113,6 +111,5 @@ def parse_scenario(doc, precision_bits: int | None = None) -> Scenario:
         else:
             raise SchemaError(f"bad check declaration: {item!r}")
 
-    return Scenario(name=name, field=field, field_coeffs=tuple(coeffs),
-                    subfields=subfields, elements=elements, checks=checks,
-                    raw=doc)
+    return Scenario(name=name, field=field, subfields=subfields,
+                    elements=elements, checks=checks)

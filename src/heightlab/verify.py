@@ -16,7 +16,9 @@ from pathlib import Path
 
 import mpmath
 
+from ._integers import valuation
 from .corpus import bundled_corpus
+from .errors import SchemaError
 from .heights import _FLOAT_SLACK, GElement, HeightValue, g_combine, g_equal, g_height
 from .numberfield import FieldElement, Subfield, galois_condition, minimal_polynomial
 from .orbits import degree_of_power, delta_K, orbit_mod_torsion, vk_bounds
@@ -168,9 +170,13 @@ def suite_product_formula(scenarios, tolerance=1e-9, **_):
 
 
 def suite_vk_sandwich(scenarios, tolerance=1e-9, **_):
+    """lower <= upper for every nonzero element and subfield, and the
+    declared anchor's bounds at its value; an anchor that names no nonzero
+    element and subfield of the scenario fails the suite."""
     failures, checks = [], 0
     for sc, params in _declared(scenarios, "vk-sandwich"):
         anchor_el = params.get("anchor_element")
+        unmatched = bool(params.keys() & {"anchor_element", "anchor_K", "anchor_value"})
         for kname, k in sc.subfields.items():
             for name, el in _nonzero_named(sc):
                 lo, hi = vk_bounds(el, k)
@@ -179,6 +185,7 @@ def suite_vk_sandwich(scenarios, tolerance=1e-9, **_):
                     failures.append(
                         f"{sc.name}.{name}/{kname}: lower {lo.value} > upper {hi.value}")
                 if anchor_el == name and params.get("anchor_K") == kname:
+                    unmatched = False
                     expected = params["anchor_value"]
                     tol = params.get("anchor_tol", tolerance)
                     checks += 1
@@ -186,6 +193,9 @@ def suite_vk_sandwich(scenarios, tolerance=1e-9, **_):
                         failures.append(
                             f"{sc.name}.{name}/{kname}: anchor bounds "
                             f"({lo.value}, {hi.value}) != {expected}")
+        if unmatched:
+            failures.append(f"{sc.name}: anchor ({anchor_el!r}, {params.get('anchor_K')!r}) "
+                            "names no nonzero element and subfield of the scenario")
     return checks, failures, []
 
 
@@ -400,14 +410,7 @@ def suite_valuations(scenarios, **_):
             for p in sorted(prime_support(el.den, norm.numerator)):
                 lf = local_factorization(field, el, p)
                 total = sum(f.f * f.valuation for f in lf.factors)
-                vnorm = 0
-                num, dden = norm.numerator, norm.denominator
-                while num % p == 0:
-                    num //= p
-                    vnorm += 1
-                while dden % p == 0:
-                    dden //= p
-                    vnorm -= 1
+                vnorm = valuation(norm.numerator, p) - valuation(norm.denominator, p)
                 checks += 1
                 if total != vnorm:
                     failures.append(
@@ -429,12 +432,23 @@ SUITES = {
 }
 
 
+def _check_declared_suites(scenarios) -> None:
+    """SchemaError unless every suite the scenarios declare is one of
+    SUITES: a declaration that matches no suite would never run."""
+    for sc in scenarios:
+        for check in sc.checks:
+            if not (isinstance(check["suite"], str) and check["suite"] in SUITES):
+                raise SchemaError(f"scenario {sc.name!r} declares unknown "
+                                  f"verification suite {check['suite']!r}")
+
+
 def run_suite(name: str, scenarios=None, **options) -> SuiteResult:
     if name not in SUITES:
-        raise KeyError(f"unknown verification suite {name!r}")
-    criterion, fn = SUITES[name]
+        raise SchemaError(f"unknown verification suite {name!r}")
     if scenarios is None:
         scenarios = bundled_corpus()
+    _check_declared_suites(scenarios)
+    criterion, fn = SUITES[name]
     start = time.perf_counter()
     try:
         checks, failures, notes = fn(scenarios, **options)

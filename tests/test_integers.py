@@ -9,9 +9,17 @@ import sympy
 from sympy.ntheory.primetest import is_strong_lucas_prp
 
 from heightlab import _integers
-from heightlab._integers import euler_phi, factor_search, isprime, next_prime, prime_factors
+from heightlab._integers import (
+    FACTOR_LIMIT,
+    euler_phi,
+    factor_search,
+    isprime,
+    next_prime,
+    prime_factors,
+    valuation,
+)
 from heightlab.errors import FactorizationExhausted
-from heightlab.placespace import _FACTOR_LIMIT, prime_support
+from heightlab.placespace import prime_support
 
 CARMICHAEL = [561, 1105, 1729, 2465, 2821, 6601, 8911, 10585, 15841, 29341,
               41041, 46657, 52633, 62745, 63973, 75361, 101101, 115921,
@@ -61,6 +69,18 @@ def test_next_prime_factors_and_phi():
         assert euler_phi(n) == sympy.totient(n)
 
 
+def test_valuation_matches_sympy():
+    rng = random.Random(29)
+    cases = [n for n in range(-300, 3001) if n]
+    cases += [rng.choice((-1, 1)) * 2 ** rng.randint(0, 90) * 3 ** rng.randint(0, 60)
+              * (rng.getrandbits(64) | 1) for _ in range(200)]
+    for n in cases:
+        for p in (2, 3, 5, 7, 65537, 2 ** 61 - 1):
+            assert valuation(n, p) == sympy.multiplicity(p, n), (n, p)
+    with pytest.raises(ValueError):
+        valuation(0, 2)
+
+
 def _smooth_prime(rng, bits):
     """A prime p with p - 1 a product of primes below 2^16."""
     small = _integers.primes_below(2 ** 16)
@@ -96,10 +116,10 @@ def test_factor_search_completes_what_sympy_completes():
     # multiplies back to n
     completed = 0
     for n in _products(random.Random(21)):
-        mine = factor_search(n, _FACTOR_LIMIT)
+        mine = factor_search(n, FACTOR_LIMIT)
         assert sympy.prod(p ** k for p, k in mine.items()) == n
         try:
-            theirs = sympy.factorint(n, limit=_FACTOR_LIMIT)
+            theirs = sympy.factorint(n, limit=FACTOR_LIMIT)
         except ValueError:
             # sympy 1.14 can raise on a composite found under a limit, as
             # on the product of the primes 3026295247, 3746156857 and 4014785471
@@ -118,17 +138,20 @@ def test_factor_search_reaches_past_trial_division_on_a_large_part():
     big = 2 ** 2203 - 1
     for q in (8389163, 8391743):
         assert isprime((q - 1) // 2)
-        assert factor_search(big * q, _FACTOR_LIMIT) == {q: 1, big: 1}
+        assert factor_search(big * q, FACTOR_LIMIT) == {q: 1, big: 1}
 
 
 def test_factor_search_leaves_a_composite_within_budget():
     # two 25-digit primes: no step splits them, and the product is left whole
     n = 10000000000000000000000083000000000000000000000091
     start = time.perf_counter()
-    assert factor_search(n, _FACTOR_LIMIT) == {n: 1}
+    assert factor_search(n, FACTOR_LIMIT) == {n: 1}
     with pytest.raises(FactorizationExhausted, match="has no prime factor below 65536"):
         prime_support(7 * n)
     assert time.perf_counter() - start < 2
-    assert factor_search(0, _FACTOR_LIMIT) == {0: 1}
-    assert factor_search(-12, _FACTOR_LIMIT) == {2: 2, 3: 1}
-    assert factor_search(1, _FACTOR_LIMIT) == {}
+    with pytest.raises(FactorizationExhausted,
+                       match=f"^{n} has no prime factor below 65536 and is not prime$"):
+        prime_factors(7 * n)
+    assert factor_search(0, FACTOR_LIMIT) == {0: 1}
+    assert factor_search(-12, FACTOR_LIMIT) == {2: 2, 3: 1}
+    assert factor_search(1, FACTOR_LIMIT) == {}

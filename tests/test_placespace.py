@@ -11,6 +11,7 @@ from sympy.polys.numberfields.primes import prime_decomp
 from test_golden import LADDER, _ladder
 
 from heightlab import _modp, roots
+from heightlab._integers import valuation
 from heightlab.corpus import scenario_documents
 from heightlab.errors import IndexDivisor, PrecisionExhausted, ZeroElement
 from heightlab.heights import GElement, g_combine, g_height
@@ -27,7 +28,6 @@ from heightlab.placespace import (
     PlaceId,
     _arch_permutation,
     _finite_permutation,
-    _int_valuation,
     _prime_splitting,
     _residue_poly,
     _valuation_with,
@@ -271,7 +271,7 @@ def test_ramified_primes_keep_gf_factor():
         elements += [a * b for a, b in zip(elements, elements[1:])]
         for b in elements:
             norm = abs(int(b.norm()))
-            cap = 1 + (_int_valuation(norm, p) if norm % p == 0 else 0)
+            cap = 1 + valuation(norm, p)
             for pd, old in zip(data, _per_prime_anti_uniformizers(field, p)):
                 assert _valuation_with(b, pd.anti_uniformizer, p, cap) == \
                     _valuation_with(b, old, p, cap)

@@ -194,6 +194,56 @@ def test_raising_suite_fails_alone(monkeypatch, capsys):
     assert by_name["height-backend"]["checks"] and by_name["orbit-delta"]["checks"]
 
 
+def test_unknown_suite_is_a_usage_error(capsys):
+    assert _usage_error(["verify", "nosuch"])
+    assert _usage_error(["verify", "nosuch", "--scenario", "zeta3"])
+    with pytest.raises(SchemaError, match="unknown verification suite 'nosuch'"):
+        run_command("verify", None, {"suite": "nosuch"})
+
+
+@pytest.mark.parametrize("check", ["height-backnd", {"suite": "height-backnd"}, {"suite": 5}])
+def test_declared_unknown_suite_refused_before_any_suite_runs(check, tmp_path, capsys,
+                                                              monkeypatch):
+    # a declaration that names no suite would never run, and verify would
+    # pass without it
+    import heightlab.verify as verify_mod
+
+    ran = []
+    monkeypatch.setattr(verify_mod, "SUITES", {
+        name: (criterion, lambda scenarios, name=name, **_: ran.append(name) or (0, [], []))
+        for name, (criterion, _) in verify_mod.SUITES.items()})
+    path = tmp_path / "typo.json"
+    path.write_text(json.dumps(dict(DEMO, checks=["product-formula", check])))
+    assert main(["verify", "--scenario", str(path), "--json"]) == 2
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error["kind"] == "SchemaError"
+    suite = check["suite"] if isinstance(check, dict) else check
+    assert error["message"] == f"scenario 'demo' declares unknown verification suite {suite!r}"
+    with pytest.raises(SchemaError):
+        verify_mod.run_all([parse_scenario(dict(DEMO, checks=[check]))])
+    assert ran == []
+
+
+@pytest.mark.parametrize("anchor, passed", [
+    ({"anchor_element": "a", "anchor_K": "Q"}, True),
+    ({"anchor_element": "nosuch", "anchor_K": "Q"}, False),
+    ({"anchor_element": "a", "anchor_K": "K9"}, False),
+    ({"anchor_K": "Q"}, False),
+])
+def test_unmatched_vk_anchor_fails_its_suite(anchor, passed):
+    # V_Q(1 + sqrt 2) = log(1 + sqrt 2) / 2, as in the bundled scenario sqrt2
+    check = dict(anchor, suite="vk-sandwich", anchor_value=0.4406867935097715)
+    sc = parse_scenario(dict(DEMO, checks=[check]))
+    [suite] = run_command("verify", sc, {"suite": "vk-sandwich"})["suites"]
+    assert suite["passed"] is passed
+    if passed:
+        assert suite["checks"] == 3  # two elements and the anchor, over Q
+    else:
+        [failure] = suite["failures"]
+        assert failure.startswith("demo: anchor (") and failure.endswith(
+            "names no nonzero element and subfield of the scenario")
+
+
 # -- main() exit codes ----------------------------------------------------------
 
 
