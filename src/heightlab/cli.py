@@ -36,10 +36,10 @@ from .errors import (
     ZeroElement,
 )
 from .expressions import check_power_budget, format_rational, parse_element
-from .heights import GElement, g_height, is_torsion, weil_height
+from .heights import GElement, is_torsion, weil_height
 from .numberfield import galois_condition
 from .orbits import _bounds_and_membership, delta_K, orbit_mod_torsion, width_K
-from .placespace import f_vector, integral, l1_norm, places
+from .placespace import _vector_and_height, integral, l1_norm, places
 from .projections import (
     ProjectionSpec,
     check_commutes,
@@ -309,10 +309,10 @@ def run_command(cmd: str, scenario: Scenario | None, args: dict) -> dict:
     u = GElement(scenario.field, scale, el)
 
     if cmd == "fvector":
-        vec = f_vector(u)
+        vec, height = _vector_and_height(u)
         report.update(vec.as_dict())
         report["l1_norm"] = _real(l1_norm(vec))
-        report["two_heights"] = _real(2 * g_height(u).value)
+        report["two_heights"] = _real(2 * height.value)
         report["integral"] = _real(integral(vec))
         return report
 

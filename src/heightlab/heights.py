@@ -87,6 +87,13 @@ def weil_height(a: FieldElement) -> HeightValue:
     binom(e, k).  Every other element gets the value from its embeddings
     (a rational p/q: log max(|p|, q)) with a rigorous error bound.
     """
+    return _weil_height(a, None)
+
+
+def _weil_height(a: FieldElement, images) -> HeightValue:
+    """weil_height of a, whose archimedean part reads images, the
+    _class_images of a at the field's precision, or evaluates them when
+    images is None."""
     field = a.field
     if a.is_zero():
         raise ZeroElement("height of zero is undefined")
@@ -108,11 +115,9 @@ def weil_height(a: FieldElement) -> HeightValue:
     with locked_workprec(field.precision_bits):
         total = mpmath.mpf(0)
         err = 0.0
-        # one evaluation per real embedding or conjugate pair, whose two
-        # members have equal absolute values
-        classes = field.archimedean_classes
-        images = eval_at_embeddings(a, [field.embeddings[cls[0]] for cls in classes])
-        for cls, (w, delta) in zip(classes, images):
+        if images is None:
+            images = _class_images(a)
+        for cls, (w, delta) in zip(field.archimedean_classes, images):
             m = abs(w)
             if m > 1:
                 total += len(cls) * mpmath.log(m)
@@ -120,6 +125,16 @@ def weil_height(a: FieldElement) -> HeightValue:
             err += len(cls) * delta
         value = float(total / d + mpmath.log(lead) / e)
     return HeightValue(value, err / d + _FLOAT_SLACK * (1.0 + abs(value)))
+
+
+def _class_images(a: FieldElement) -> list:
+    """eval_at_embeddings of a at one embedding per archimedean class: a
+    real embedding, or one of a conjugate pair, whose two members have
+    equal absolute values.  Call under locked_workprec(field.precision_bits).
+    """
+    field = a.field
+    return eval_at_embeddings(
+        a, [field.embeddings[cls[0]] for cls in field.archimedean_classes])
 
 
 def is_torsion(a: FieldElement) -> bool:

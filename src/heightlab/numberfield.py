@@ -227,28 +227,35 @@ class Automorphism:
 
     It acts on coordinates through the matrix whose column j holds the
     coordinates of theta_image^j, stored row by row as integers over one
-    common denominator.
+    common denominator.  The matrix is built on the first application, as
+    make_field applies only the automorphisms it composes; it is stored as
+    one (rows, den) pair, so a thread sees both or neither, and threads
+    that build it at once store equal values.
     """
 
-    __slots__ = ("field", "index", "theta_image", "_rows", "_den")
+    __slots__ = ("field", "index", "theta_image", "_action")
 
     def __init__(self, field, index, theta_image):
         self.field = field
         self.index = index
         self.theta_image = theta_image
-        powers = [field.one()]
-        for _ in range(field.degree - 1):
-            powers.append(powers[-1] * theta_image)
+        self._action = None
+
+    def _build_action(self):
+        powers = [self.field.one()]
+        for _ in range(self.field.degree - 1):
+            powers.append(powers[-1] * self.theta_image)
         den = int_lcm(*(p.den for p in powers))
         cols = [[n * (den // p.den) for n in p.num] for p in powers]
-        self._rows = tuple(zip(*cols))
-        self._den = den
+        action = self._action = (tuple(zip(*cols)), den)
+        return action
 
     def __call__(self, a: FieldElement) -> FieldElement:
+        rows, den = self._action or self._build_action()
         num = a.num
         return _normalized(self.field,
-                           [sum(map(mul, row, num)) for row in self._rows],
-                           a.den * self._den)
+                           [sum(map(mul, row, num)) for row in rows],
+                           a.den * den)
 
     def compose(self, other: "Automorphism") -> "Automorphism":
         """self after other."""

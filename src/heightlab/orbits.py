@@ -30,30 +30,36 @@ class OrbitReport:
 
 
 def _distinct_conjugates(a: FieldElement, k: Subfield):
-    """(sigma(a), sigma) per distinct conjugate, sorted by coordinates,
-    with sigma the first automorphism in Gal(F/K) giving that image."""
-    images = {}
+    """(pairs, at): pairs holds (sigma(a), sigma) per distinct conjugate,
+    sorted by coordinates, with sigma the first automorphism in Gal(F/K)
+    giving that image, and at[s] is the position in pairs of sigma_s(a),
+    for every sigma_s in Gal(F/K)."""
+    images = {}  # image -> the automorphisms giving it, in group order
     for sigma in k.fixing_group:
-        img = sigma(a)
-        images.setdefault(img, sigma)
-    return sorted_by_coordinates(list(images.items()), lambda pair: pair[0])
+        images.setdefault(sigma(a), []).append(sigma)
+    ordered = sorted_by_coordinates(list(images.items()), lambda item: item[0])
+    at = {sigma.index: pos for pos, (_img, sigmas) in enumerate(ordered) for sigma in sigmas}
+    return [(img, sigmas[0]) for img, sigmas in ordered], at
 
 
 def _orbit(a: FieldElement, k: Subfield):
     """The distinct conjugates of a with their torsion classes, and the
     conjugate product (checked to lie in K).
 
-    Returns (conjugates, keys, reps, norm_el, power): conjugates are the
-    distinct sigma(a) in coordinate order, keys[i] is the class key of
-    conjugates[i], reps holds the first conjugate of each class, and power
-    is b = a^{w_F}.  The key of sigma(a) is sigma(b): a ratio of conjugates
-    that is a root of unity lies in F, so its order divides w_F, and
-    sigma(a), tau(a) are torsion-equivalent exactly when
-    sigma(b) == tau(b).  One power of a decides every class, with no field
-    inverse and no pairwise test.
+    Returns (conjugates, partners, keys, reps, norm_el, power): conjugates
+    are the distinct sigma(a) in coordinate order, partners[i] is the
+    position of sigma^-1(a) for the sigma that gave conjugates[i], keys[i]
+    is the class key of conjugates[i], reps holds the first conjugate of
+    each class, and power is b = a^{w_F}.  The key of sigma(a) is
+    sigma(b): a ratio of conjugates that is a root of unity lies in F, so
+    its order divides w_F, and sigma(a), tau(a) are torsion-equivalent
+    exactly when sigma(b) == tau(b).  One power of a decides every class,
+    with no field inverse and no pairwise test.
     """
-    pairs = _distinct_conjugates(a, k)
+    pairs, at = _distinct_conjugates(a, k)
     conjugates = [img for img, _sigma in pairs]
+    inv = a.field._inv_table
+    partners = [at[inv[sigma.index]] for _img, sigma in pairs]
     power = a ** a.field.torsion_order
     keys = [sigma(power) for _img, sigma in pairs]
     first = {}
@@ -66,7 +72,7 @@ def _orbit(a: FieldElement, k: Subfield):
         norm_el = norm_el * img
     if not k.contains(norm_el):
         raise WitnessFailure("conjugate product is not fixed by Gal(F/K)")
-    return conjugates, keys, reps, norm_el, power
+    return conjugates, partners, keys, reps, norm_el, power
 
 
 def orbit_mod_torsion(a: FieldElement, k: Subfield) -> OrbitReport:
@@ -77,18 +83,26 @@ def orbit_mod_torsion(a: FieldElement, k: Subfield) -> OrbitReport:
     when delta == 1; otherwise a is inverted once, and only the conjugates
     outside a's own class are measured, as a ratio within that class is a
     root of unity, of the exact height zero, which never raises the width.
+    They are measured once per pair {sigma(a), sigma^-1(a)}, the first in
+    coordinate order: h(sigma^-1(a)/a) = h(sigma(a)/a), by applying
+    sigma^-1 and inverting.  Where a has a stabiliser S, each s^-1
+    sigma^-1(a) for s in S has that height too, and the one marked is the
+    image of sigma^-1 for the sigma that first gave sigma(a).
     """
     if a.is_zero():
         raise ZeroElement("orbit of zero is undefined")
-    conjugates, keys, reps, norm_el, power = _orbit(a, k)
+    conjugates, partners, keys, reps, norm_el, power = _orbit(a, k)
     width = HeightValue.exact_zero()
     if len(reps) > 1:
         inverse = a.inverse()
-        for img, key in zip(conjugates, keys):
-            if key != power:
-                h = weil_height(img * inverse)
-                if h.value > width.value:
-                    width = h
+        skip = [False] * len(conjugates)
+        for i, (img, key) in enumerate(zip(conjugates, keys)):
+            if key == power or skip[i]:
+                continue
+            skip[partners[i]] = True
+            h = weil_height(img * inverse)
+            if h.value > width.value:
+                width = h
     return OrbitReport(representatives=tuple(reps), delta=len(reps),
                        conjugate_count=len(conjugates), width=width,
                        norm_element=norm_el, power=power)
@@ -98,7 +112,7 @@ def delta_K(a: FieldElement, k: Subfield) -> int:
     """Minimal [K(a^m):K] over nonzero m; the orbit count modulo torsion."""
     if a.is_zero():
         raise ZeroElement("delta of zero is undefined")
-    return len(_orbit(a, k)[2])
+    return len(_orbit(a, k)[3])
 
 
 def degree_of_power(a: FieldElement, m: int, k: Subfield) -> int:
@@ -107,7 +121,7 @@ def degree_of_power(a: FieldElement, m: int, k: Subfield) -> int:
         raise ZeroElement("degree of a power of zero is undefined")
     if m == 0:
         raise ValueError("exponent must be nonzero")
-    return len(_distinct_conjugates(a ** m, k))
+    return len(_distinct_conjugates(a ** m, k)[0])
 
 
 def width_K(a: FieldElement, k: Subfield) -> HeightValue:
@@ -174,7 +188,7 @@ def in_kdiv(a: FieldElement, k: Subfield) -> KdivResult:
     """
     if a.is_zero():
         raise ZeroElement("membership of zero is undefined")
-    _conjugates, _keys, reps, _norm_el, power = _orbit(a, k)
+    *_, reps, _norm_el, power = _orbit(a, k)
     return _membership(a, k, len(reps), power)
 
 

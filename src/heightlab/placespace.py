@@ -43,8 +43,8 @@ from .errors import (
     ZeroElement,
 )
 from .expressions import format_rational
-from .heights import _FLOAT_SLACK, GElement
-from .numberfield import FieldElement, WorkingField, eval_at_embeddings, eval_poly
+from .heights import _FLOAT_SLACK, GElement, HeightValue, _class_images, _weil_height
+from .numberfield import FieldElement, WorkingField, eval_poly
 from .polynomials import Poly
 from .roots import locked_workprec
 
@@ -305,18 +305,35 @@ def places(field: WorkingField):
 def f_vector(u: GElement) -> PlaceVector:
     """The place vector of a group element: archimedean values at every
     embedding class, finite values wherever the valuation is nonzero."""
-    field = u.field
     if u.is_zero():
-        return PlaceVector(field, u, {})
+        return PlaceVector(u.field, u, {})
+    return _place_vector(u, None)
+
+
+def _vector_and_height(u: GElement):
+    """(f_vector(u), g_height(u)), both read off one evaluation of the base
+    at the embeddings.  The vector comes first, so that its
+    PrecisionExhausted comes before any refusal of the height."""
+    if u.is_zero():
+        return f_vector(u), HeightValue.exact_zero()
+    with locked_workprec(u.field.precision_bits):
+        images = _class_images(u.base)
+    return _place_vector(u, images), _weil_height(u.base, images).divided(u.den)
+
+
+def _place_vector(u: GElement, images) -> PlaceVector:
+    """f_vector of the nonzero u, whose archimedean entries read images,
+    the _class_images of its base, or evaluate them when images is None."""
+    field = u.field
     beta = u.base
     scale = 1 / u.den
     d = field.degree
     entries = {}
 
     with locked_workprec(field.precision_bits):
-        classes = field.archimedean_classes
-        images = eval_at_embeddings(beta, [field.embeddings[cls[0]] for cls in classes])
-        for idx, (cls, (w, delta)) in enumerate(zip(classes, images)):
+        if images is None:
+            images = _class_images(beta)
+        for idx, (cls, (w, delta)) in enumerate(zip(field.archimedean_classes, images)):
             mag = abs(w)
             if mag <= 2 * delta:
                 raise PrecisionExhausted(

@@ -1,6 +1,7 @@
 """Concurrent reads are safe: fields are immutable after construction and
-the per-prime splitting cache and the subgroup-chain cache are
-write-once: threads that fill an entry at once store equal values.  The
+the per-prime splitting cache, the subgroup-chain cache and the
+automorphisms' action matrices are write-once: threads that fill an entry
+at once store equal values.  The
 lattice cache of the root lifts keeps the finest lattice built at each
 prime, and a thread that replaces it with a coarser one costs only a
 rebuild."""
@@ -147,3 +148,35 @@ def test_parallel_roots_in_field_on_a_cold_field():
         sys.setswitchinterval(interval)
     assert parallel == serial
     assert sum(map(bool, serial)) >= 5 and [] in serial
+
+
+@pytest.mark.parametrize("coeffs", [
+    pytest.param((1, -3, 0, 5, 0, -3, 1), id="cbrt2_split"),
+    pytest.param(tuple(int(c) for c in cyclotomic(21).coeffs), id="Phi21"),
+])
+def test_parallel_first_applications_of_automorphisms(coeffs):
+    # an automorphism builds its action matrix on its first application;
+    # on a field built past make_field's cache, with every matrix unbuilt,
+    # threads apply each automorphism for the first time at once, and must
+    # get the images and matrices of a serial run
+    def run(pool_map):
+        f = _make_field_cached.__wrapped__(coeffs, 64)
+        assert any(sigma._action is None for sigma in f.automorphisms)
+        for sigma in f.automorphisms:
+            sigma._action = None
+        rng = random.Random(30)
+        elements = [f.element([Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+                               for _ in range(f.degree)]) for _ in range(6)]
+        jobs = [(sigma, a) for sigma in f.automorphisms for a in elements]
+        images = list(pool_map(lambda job: job[0](job[1]).coords, jobs))
+        return images, [sigma._action for sigma in f.automorphisms]
+
+    serial = run(map)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            parallel = run(pool.map)
+    finally:
+        sys.setswitchinterval(interval)
+    assert parallel == serial

@@ -7,10 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_numberfield import CORPUS_NAMES, _norm_field, _subgroups
 
-from heightlab.corpus import bundled_corpus, scenario_documents
+from heightlab.corpus import bundled_corpus, bundled_scenario, scenario_documents
 from heightlab.errors import ZeroElement
 from heightlab.expressions import parse_element
-from heightlab.heights import is_torsion, weil_height
+from heightlab.heights import HeightValue, is_torsion, weil_height
 from heightlab.numberfield import (
     FieldElement,
     Subfield,
@@ -373,6 +373,116 @@ def test_width_measures_only_the_other_classes(field_zeta8, monkeypatch):
     assert report.width.value > report.width.abs_error
 
 
+# -- the width over inverse pairs ---------------------------------------------
+
+
+def _width_oracle(a, k):
+    """The largest h(sigma(a)/a) over every sigma in Gal(F/K), the first
+    maximum in group order, or the exact zero."""
+    inverse = a.inverse()
+    width = HeightValue.exact_zero()
+    for sigma in k.fixing_group:
+        h = weil_height(sigma(a) * inverse)
+        if h.value > width.value:
+            width = h
+    return width
+
+
+def _agrees(width, oracle):
+    """The two widths within their two error bounds, and exact together."""
+    return (abs(width.value - oracle.value) <= width.abs_error + oracle.abs_error
+            and (width.abs_error == 0) == (oracle.abs_error == 0))
+
+
+@pytest.mark.parametrize("name", CORPUS_NAMES + ["phi13", "phi21"])
+@settings(max_examples=10, deadline=None)
+@given(coords=st.lists(st.integers(-3, 3), min_size=12, max_size=12),
+       den=st.integers(1, 3), sub=st.integers(0, 63), j=st.integers(0, 69))
+def test_paired_width_matches_every_conjugate(name, coords, den, sub, j):
+    # one height per pair {sigma(a), sigma^-1(a)} against a height per
+    # conjugate, on every subfield of a corpus field, on Q for Phi13 and
+    # Phi21, and on the relative norm to one subfield, whose stabiliser is
+    # not trivial
+    f = _norm_field(name)
+    a = f.element([Fraction(c, den) for c in coords[:f.degree]])
+    groups = _subgroups(name) if name in CORPUS_NAMES else [tuple(range(f.degree))]
+    if j % 2:
+        a = Subfield(f, [], groups[sub % len(groups)]).norm(a)
+    if a.is_zero():
+        return
+    a = a * f.torsion_generator ** (j % f.torsion_order)
+    for group in groups:
+        k = Subfield(f, [], group)
+        report = orbit_mod_torsion(a, k)
+        assert _agrees(report.width, _width_oracle(a, k))
+        assert (report.width.abs_error == 0) == (report.delta == 1)
+
+
+def test_a_skipped_pair_fails_the_oracle(field_cbrt2, monkeypatch):
+    # a mutant width that skips both members of the pair of order-3
+    # conjugates, where the largest ratio lies, reads too low
+    from heightlab import orbits
+
+    f = field_cbrt2
+    q = rational_subfield(f)
+    rho = next(s for s in f.automorphisms if s.inverse() != s)
+    rng = random.Random(10)
+    while True:
+        a = f.element([rng.randint(-3, 3) for _ in range(6)])
+        if a.is_zero():
+            continue
+        inverse = a.inverse()
+        pair = {rho(a) * inverse, rho.inverse()(a) * inverse}
+        others = [weil_height(s(a) * inverse) for s in f.automorphisms
+                  if s(a) * inverse not in pair]
+        top = weil_height(rho(a) * inverse)
+        if all(top.value - h.value > 1e-3 for h in others):
+            break
+    oracle = _width_oracle(a, q)
+    assert _agrees(orbit_mod_torsion(a, q).width, oracle)
+
+    def skipping(x):
+        return HeightValue.exact_zero() if x in pair else weil_height(x)
+
+    monkeypatch.setattr(orbits, "weil_height", skipping)
+    assert not _agrees(orbit_mod_torsion(a, q).width, oracle)
+
+
+def _heights_taken(a, k, monkeypatch):
+    from heightlab import orbits
+
+    calls = []
+
+    def counting(x):
+        calls.append(x)
+        return weil_height(x)
+
+    with monkeypatch.context() as m:
+        m.setattr(orbits, "weil_height", counting)
+        report = orbit_mod_torsion(a, k)
+    return report, len(calls)
+
+
+@pytest.mark.parametrize("name,kname,group_size,heights", [
+    ("cbrt2_split", "Q", 6, 4),     # S3: three involutions, one pair of 3-cycles
+    ("cbrt2_split", "K3", 3, 1),    # C3: the pair of 3-cycles
+    ("phi35", "Q", 24, 13),         # three involutions and ten pairs
+])
+def test_one_height_per_inverse_pair(name, kname, group_size, heights, monkeypatch):
+    # elements whose conjugates are all distinct modulo torsion
+    f = _norm_field(name)
+    k = (rational_subfield(f) if kname == "Q"
+         else bundled_scenario(name).subfields[kname])
+    assert len(k.fixing_group) == group_size
+    rng = random.Random(30)
+    for _ in range(6):
+        a = f.element([rng.randint(-3, 3) for _ in range(f.degree)])
+        report, taken = _heights_taken(a, k, monkeypatch)
+        assert report.delta == report.conjugate_count == group_size
+        assert taken == heights
+        assert _agrees(report.width, _width_oracle(a, k))
+
+
 def test_delta_over_Q_on_phi35():
     # degree 24 with w = 70: 24 classes, also after a root of unity moves a
     f = _norm_field("phi35")
@@ -389,7 +499,8 @@ def test_delta_over_Q_on_phi35():
        dens=st.lists(st.integers(1, 4), min_size=12, max_size=12), sub=st.integers(0, 63))
 def test_distinct_conjugates_in_coordinate_order(name, coords, dens, sub):
     # coordinates of different denominators; the oracle keeps the first
-    # automorphism per image and sorts by the Fraction coordinates
+    # automorphism per image and sorts by the Fraction coordinates, and
+    # finds each automorphism's image among them by equality
     f = _norm_field(name)
     a = f.element([Fraction(c, d) for c, d in zip(coords, dens)][:f.degree])
     groups = _subgroups(name) if name in CORPUS_NAMES else [tuple(range(f.degree))]
@@ -397,7 +508,11 @@ def test_distinct_conjugates_in_coordinate_order(name, coords, dens, sub):
     first = {}
     for sigma in k.fixing_group:
         first.setdefault(sigma(a), sigma)
-    assert _distinct_conjugates(a, k) == sorted(first.items(), key=lambda p: p[0].coords)
+    pairs, at = _distinct_conjugates(a, k)
+    assert pairs == sorted(first.items(), key=lambda p: p[0].coords)
+    # and the position of every automorphism's image among them
+    images = [img for img, _sigma in pairs]
+    assert at == {sigma.index: images.index(sigma(a)) for sigma in k.fixing_group}
     # conjugates over different denominators, which the shared one must order
     scaled = [img / (i + 1) for i, img in enumerate(first)]
     assert sorted_by_coordinates(scaled) == sorted(scaled, key=lambda c: c.coords)

@@ -1,13 +1,18 @@
 import json
 import math
+import random
 import sys
 import time
+from fractions import Fraction
 
 import pytest
 
-from heightlab.cli import MAX_COUNT, MAX_SUBFIELD_NAMES, load_scenario, main, run_command
-from heightlab import numberfield
-from heightlab.errors import FieldTooLarge, ReduciblePolynomial, SchemaError
+from heightlab.cli import MAX_COUNT, MAX_SUBFIELD_NAMES, _real, load_scenario, main, run_command
+from heightlab import heights, numberfield, placespace
+from heightlab.corpus import bundled_corpus
+from heightlab.errors import FieldTooLarge, PrecisionExhausted, ReduciblePolynomial, SchemaError
+from heightlab.expressions import parse_element
+from heightlab.heights import GElement, g_height
 from heightlab.polynomials import Poly
 from heightlab.scenario import parse_scenario
 
@@ -125,6 +130,49 @@ def test_fvector_command(demo):
     assert rep["finite"][0]["p"] == 2
     assert abs(float(rep["l1_norm"]) - math.log(2)) < 1e-12
     assert abs(float(rep["integral"])) < 1e-12
+
+
+def test_fvector_evaluates_the_base_once(monkeypatch):
+    # the archimedean entries and two_heights read one evaluation of the
+    # base at the embeddings, and two_heights is twice g_height, on every
+    # element of every corpus scenario and on seeded random ones
+    calls = []
+    evaluate = numberfield.eval_at_embeddings
+
+    def counting(*args):
+        calls.append(args)
+        return evaluate(*args)
+
+    for module in (numberfield, heights, placespace):
+        monkeypatch.setattr(module, "eval_at_embeddings", counting, raising=False)
+    rng = random.Random(30)
+    for sc in bundled_corpus():
+        texts = list(sc.elements)
+        for _ in range(3):
+            coords = [rng.randint(-3, 3) for _ in range(sc.field.degree)]
+            texts.append("+".join(f"({c})*t^{i}" for i, c in enumerate(coords)))
+        for text in texts:
+            el = sc.elements[text] if text in sc.elements else parse_element(text, sc.field)
+            if el.is_zero():
+                continue
+            for scale in ("1", "-2/3"):
+                u = GElement(sc.field, Fraction(scale), el)
+                expected = _real(2 * g_height(u).value)
+                calls.clear()
+                rep = run_command("fvector", sc, {"element": text, "scale": scale})
+                assert len(calls) == (0 if u.is_zero() else 1)
+                assert rep["two_heights"] == expected
+
+
+def test_fvector_refuses_an_embedding_value_below_its_error():
+    # at 16 bits 10^6 sqrt2 - 1414214 (about -0.44) is within its error
+    # bound of zero at one embedding: the vector refuses, although its
+    # height, read off the same evaluation, would not
+    sc = parse_scenario({"v": 1, "field": [-2, 0, 1],
+                         "elements": {"a": "1000000*t-1414214"}}, precision_bits=16)
+    assert run_command("height", sc, {"element": "a"})["value"]
+    with pytest.raises(PrecisionExhausted, match="indistinguishable from zero"):
+        run_command("fvector", sc, {"element": "a"})
 
 
 def test_member_command_on_biquadratic():
